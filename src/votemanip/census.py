@@ -13,10 +13,22 @@ fixed order and totals never depend on the worker count.
 
 All eleven base methods and the tiebreak extension are anonymous, so a
 profile's winners, and hence every witness verdict, depend only on how
-many voters hold each ranking.  The engine memoizes winners and witness
-verdicts on that ranking-count vector; the labeled scan then only counts
-how many profiles fall into each class.  Uncertainty sets containing a
-pairwise dictator are not anonymous and take a direct per-profile path.
+many voters hold each ranking.  The labeled scan therefore only counts how
+many profiles fall into each such class, and the kernel works per class:
+
+* outcome ids: the tuple of every universe method's winner set on a class
+  is interned, and each class key maps to one small integer id;
+* verdict table: whether one voter's ballot switch witnesses the notion
+  depends only on the voter's ranking and the outcome ids before and after
+  it, so that triple maps, memoized, to a bitmask of the sets witnessed
+  (bit s for set s).  A miss folds the per-method dominance flags into
+  three universe masks (improves, not_worse, worsens), and a second memo
+  keyed by those masks calls ``notion_holds`` once per set.
+
+A voter's search is then one table lookup per alternative ballot, OR-ed
+together until every set is hit.  Uncertainty sets containing a pairwise
+dictator are not anonymous and take a direct per-profile path, which runs
+the same per-voter search over interned outcomes.
 
 Sampling draws each voter's ranking independently and uniformly using
 numpy's PCG64 generator; the whole sample stream is materialized up front
@@ -34,7 +46,7 @@ import multiprocessing
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -171,17 +183,33 @@ def sample_profiles(n: int, m: int, count: int, seed: int) -> list[Profile]:
 # --- the anonymous-class kernel ----------------------------------------------
 
 
-class _ClassKernel:
-    """Winner sets and witness verdicts memoized per ranking-count vector.
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    Keys are ``bytes(counts)`` where ``counts[i]`` is the number of voters
-    holding the i-th lexicographic ranking; this is exactly the information
-    an anonymous method can see.
+
+class _ClassKernel:
+    """Interned outcomes and a memoized verdict table for one census.
+
+    An outcome is the tuple of winner sets of every universe method on one
+    profile; each distinct outcome gets a small integer id.  Winners are
+    memoized per class key ``bytes(counts)``, where ``counts[i]`` is the
+    number of voters holding the i-th lexicographic ranking: exactly the
+    information an anonymous method can see.
+
+    The verdict of a ballot switch depends only on the switching voter's
+    ranking and the outcome ids before and after it; ``voter_hits`` looks
+    that triple up in a memoized table of bitmasks, bit s set when set s
+    is witnessed.
     """
 
     def __init__(self, spec: CensusSpec) -> None:
         self.notion = spec.notion
         self.kind = spec.kind
+        self.weights = spec.weights
         self.rankings = all_rankings(spec.n)
         self.fact = len(self.rankings)
         universe: list[VotingMethod] = []
@@ -197,14 +225,20 @@ class _ClassKernel:
             members.append(tuple(idxs))
         self.universe = tuple(universe)
         self.set_members = tuple(members)
-        self.set_weights: tuple[tuple[Fraction, ...] | None, ...] = tuple(
-            spec.weights for _ in spec.method_sets
-        )
+        self.full_mask = (1 << len(members)) - 1
         self.all_anonymous = all(f.anonymous for f in self.universe)
         self._anon = tuple(u for u, f in enumerate(self.universe) if f.anonymous)
-        self._winners: dict[bytes, tuple[frozenset[int], ...]] = {}
+        # class key -> id of the anonymous methods' outcome on that class
+        self._winners: dict[bytes, int] = {}
+        self._outcomes: list[tuple[frozenset[int], ...]] = []
+        self._outcome_ids: dict[tuple[frozenset[int], ...], int] = {}
+        # per outcome id: the candidate every method elects alone, else -1
+        self._sole: list[int] = []
         self._flags: dict[tuple, tuple[bool, bool, bool]] = {}
-        self._classes: dict[bytes, tuple[tuple[bool, ...], tuple[int, ...]]] = {}
+        # (r_idx, base_id) -> {after_id: witnessed-sets mask}
+        self._verdicts: dict[tuple[int, int], dict[int, int]] = {}
+        # (improves, not_worse, worsens) universe masks -> witnessed-sets mask
+        self._by_flags: dict[tuple[int, int, int], int] = {}
 
     def _profile_for(self, key: bytes) -> Profile:
         rs: list = []
@@ -213,32 +247,33 @@ class _ClassKernel:
                 rs.extend((self.rankings[idx],) * cnt)
         return Profile(tuple(rs))
 
-    def winners_for(self, key: bytes) -> tuple[frozenset[int], ...]:
-        """Winner sets of the whole universe on this class (anonymous only)."""
-        assert self.all_anonymous
-        w = self._winners.get(key)
-        if w is None:
-            profile = self._profile_for(key)
-            w = self._winners[key] = tuple(f.fn(profile) for f in self.universe)
-        return w
+    def _intern(self, outcome: tuple[frozenset[int], ...]) -> int:
+        oid = self._outcome_ids.get(outcome)
+        if oid is None:
+            oid = self._outcome_ids[outcome] = len(self._outcomes)
+            self._outcomes.append(outcome)
+            elected = frozenset().union(*outcome)
+            self._sole.append(next(iter(elected)) if len(elected) == 1 else -1)
+        return oid
 
-    def mixed_winners(self, key: bytes, profile: Profile) -> tuple[frozenset[int], ...]:
-        """Winner sets when some universe methods are not anonymous."""
-        anon = self._winners.get(key)
-        if anon is None:
+    def outcome_id(self, key: bytes, profile: Profile | None = None) -> int:
+        """Id of the universe's winner sets on a class, or on ``profile``.
+
+        The anonymous methods are evaluated once per class; ``profile``,
+        any member of the class, is needed only for the others.
+        """
+        oid = self._winners.get(key)
+        if oid is None:
             synthetic = self._profile_for(key)
-            anon = self._winners[key] = tuple(
-                self.universe[u].fn(synthetic) for u in self._anon
+            oid = self._winners[key] = self._intern(
+                tuple(self.universe[u].fn(synthetic) for u in self._anon)
             )
-        out = []
-        at = 0
-        for u, f in enumerate(self.universe):
-            if f.anonymous:
-                out.append(anon[at])
-                at += 1
-            else:
-                out.append(f.fn(profile))
-        return tuple(out)
+        if self.all_anonymous:
+            return oid
+        anon = iter(self._outcomes[oid])
+        return self._intern(tuple(
+            next(anon) if f.anonymous else f.fn(profile) for f in self.universe
+        ))
 
     def flag(self, r_idx: int, before: frozenset[int], after: frozenset[int]
              ) -> tuple[bool, bool, bool]:
@@ -254,64 +289,63 @@ class _ClassKernel:
             )
         return f
 
-    def class_result(self, key: bytes) -> tuple[tuple[bool, ...], tuple[int, ...]]:
-        """Per-set (any-voter witness, pointed-witness count) for one class."""
-        hit = self._classes.get(key)
-        if hit is None:
-            hit = self._classes[key] = self._evaluate(key)
-        return hit
+    def _verdict(self, r_idx: int, base_id: int, after_id: int) -> int:
+        base, after = self._outcomes[base_id], self._outcomes[after_id]
+        improves = not_worse = worsens = 0
+        for u in range(len(self.universe)):
+            imp, nw, wor = self.flag(r_idx, base[u], after[u])
+            improves |= imp << u
+            not_worse |= nw << u
+            worsens |= wor << u
+        witnessed = self._by_flags.get((improves, not_worse, worsens))
+        if witnessed is None:
+            witnessed = 0
+            for s, members in enumerate(self.set_members):
+                fl = [(improves >> u & 1 == 1, not_worse >> u & 1 == 1,
+                       worsens >> u & 1 == 1) for u in members]
+                if notion_holds(self.notion, fl, self.weights):
+                    witnessed |= 1 << s
+            self._by_flags[improves, not_worse, worsens] = witnessed
+        return witnessed
 
-    def _evaluate(self, key: bytes) -> tuple[tuple[bool, ...], tuple[int, ...]]:
-        base = self.winners_for(key)
-        nsets = len(self.set_members)
-        bits = [False] * nsets
-        pointed = [0] * nsets
-        for r_idx, cnt in enumerate(key):
-            if not cnt:
-                continue
-            hits = self._ranking_hits(key, r_idx, base)
-            for s in range(nsets):
-                if hits[s]:
-                    bits[s] = True
-                    pointed[s] += cnt
-        return tuple(bits), tuple(pointed)
+    def voter_hits(self, r_idx: int, base_id: int, after_ids: Iterable[int]) -> int:
+        """Mask of the sets some switch witnesses for a voter with ranking
+        ``r_idx``, given the outcome ids of the voter's alternative ballots.
 
-    def _ranking_hits(self, key: bytes, r_idx: int, base) -> list[bool]:
-        nsets = len(self.set_members)
-        hits = [False] * nsets
-        ranking = self.rankings[r_idx]
+        ``after_ids`` is consumed lazily and abandoned once every set is hit.
+        """
         # No outcome beats a unanimous win for this voter's top candidate,
         # so no notion can be witnessed from here.
-        top_single = frozenset((ranking.order[0],))
-        if all(w == top_single for w in base):
-            return hits
-        remaining = nsets
-        nuniv = len(self.universe)
-        flags: list = [None] * nuniv
-        for r2 in range(self.fact):
-            if r2 == r_idx:
-                continue
-            ba = bytearray(key)
-            ba[r_idx] -= 1
-            ba[r2] += 1
-            after = self.winners_for(bytes(ba))
-            for u in range(nuniv):
-                flags[u] = None
-            for s in range(nsets):
-                if hits[s]:
-                    continue
-                fl = []
-                for u in self.set_members[s]:
-                    f = flags[u]
-                    if f is None:
-                        f = flags[u] = self.flag(r_idx, base[u], after[u])
-                    fl.append(f)
-                if notion_holds(self.notion, fl, self.set_weights[s]):
-                    hits[s] = True
-                    remaining -= 1
-            if not remaining:
+        if self._sole[base_id] == self.rankings[r_idx].order[0]:
+            return 0
+        row = self._verdicts.setdefault((r_idx, base_id), {})
+        hits = 0
+        for after_id in after_ids:
+            v = row.get(after_id)
+            if v is None:
+                v = row[after_id] = self._verdict(r_idx, base_id, after_id)
+            hits |= v
+            if hits == self.full_mask:
                 break
         return hits
+
+    def neighbour(self, key: bytes, r_idx: int, r2: int) -> bytes:
+        """The class reached when one holder of ranking r_idx switches to r2."""
+        ba = bytearray(key)
+        ba[r_idx] -= 1
+        ba[r2] += 1
+        return bytes(ba)
+
+    def class_hits(self, key: bytes) -> list[tuple[int, int]]:
+        """(witnessed-sets mask, holders) per ranking held on an anonymous class."""
+        base_id = self.outcome_id(key)
+        out = []
+        for r_idx, cnt in enumerate(key):
+            if cnt:
+                after_ids = (self.outcome_id(self.neighbour(key, r_idx, r2))
+                             for r2 in range(self.fact) if r2 != r_idx)
+                out.append((self.voter_hits(r_idx, base_id, after_ids), cnt))
+        return out
 
 
 # --- labeled scans ------------------------------------------------------------
@@ -404,17 +438,21 @@ def _count_sample_classes(rows: Sequence[Sequence[int]], fact: int) -> dict[byte
     return out
 
 
-def _aggregate(spec: CensusSpec, kernel: _ClassKernel,
-               class_counts: dict[bytes, int]) -> tuple[CensusResult, ...]:
+def _results(spec: CensusSpec,
+             weighted_hits: Iterable[tuple[int, list[tuple[int, int]]]]
+             ) -> tuple[CensusResult, ...]:
+    """Per-set counts from (profile weight, [(voter mask, holders), ...]) rows."""
     nsets = len(spec.method_sets)
     profiles = [0] * nsets
     pointed = [0] * nsets
-    for key, cnt in class_counts.items():
-        bits, pts = kernel.class_result(key)
-        for s in range(nsets):
-            if bits[s]:
-                profiles[s] += cnt
-                pointed[s] += cnt * pts[s]
+    for weight, voter_hits in weighted_hits:
+        any_hit = 0
+        for mask, holders in voter_hits:
+            any_hit |= mask
+            for s in _bits(mask):
+                pointed[s] += weight * holders
+        for s in _bits(any_hit):
+            profiles[s] += weight
     return tuple(
         CensusResult(
             set_id=s.id, notion=spec.notion, kind=spec.kind, n=spec.n, m=spec.m,
@@ -424,76 +462,31 @@ def _aggregate(spec: CensusSpec, kernel: _ClassKernel,
     )
 
 
-def _run_direct(spec: CensusSpec, kernel: _ClassKernel) -> tuple[CensusResult, ...]:
-    """Per-profile scan for censuses that include non-anonymous methods."""
+def _direct_hits(spec: CensusSpec, kernel: _ClassKernel
+                 ) -> Iterator[tuple[int, list[tuple[int, int]]]]:
+    """Per-profile rows for censuses that include non-anonymous methods."""
     fact = kernel.fact
     rankings = kernel.rankings
-    nsets = len(spec.method_sets)
-    profiles_count = [0] * nsets
-    pointed_count = [0] * nsets
     if spec.mode == "sample":
-        rows: Iterator[Sequence[int]] = iter(
-            _sample_rows(spec.n, spec.m, spec.samples, spec.seed)
-        )
+        rows: Iterable[Sequence[int]] = _sample_rows(spec.n, spec.m, spec.samples, spec.seed)
     else:
         rows = product(range(fact), repeat=spec.m)
-    nuniv = len(kernel.universe)
     for digits in rows:
         counts = [0] * fact
         for d in digits:
             counts[d] += 1
         key = bytes(counts)
         profile = Profile(tuple(rankings[d] for d in digits))
-        base = kernel.mixed_winners(key, profile)
-        profile_hits = [False] * nsets
-        for voter in range(spec.m):
-            r_idx = digits[voter]
-            ranking = rankings[r_idx]
-            top_single = frozenset((ranking.order[0],))
-            if all(w == top_single for w in base):
-                continue
-            voter_hits = [False] * nsets
-            remaining = nsets
-            flags: list = [None] * nuniv
-            for r2 in range(fact):
-                if r2 == r_idx:
-                    continue
-                ba = bytearray(key)
-                ba[r_idx] -= 1
-                ba[r2] += 1
-                changed = profile.replace_ranking(voter, rankings[r2])
-                after = kernel.mixed_winners(bytes(ba), changed)
-                for u in range(nuniv):
-                    flags[u] = None
-                for s in range(nsets):
-                    if voter_hits[s]:
-                        continue
-                    fl = []
-                    for u in kernel.set_members[s]:
-                        f = flags[u]
-                        if f is None:
-                            f = flags[u] = kernel.flag(r_idx, base[u], after[u])
-                        fl.append(f)
-                    if notion_holds(spec.notion, fl, kernel.set_weights[s]):
-                        voter_hits[s] = True
-                        remaining -= 1
-                if not remaining:
-                    break
-            for s in range(nsets):
-                if voter_hits[s]:
-                    profile_hits[s] = True
-                    pointed_count[s] += 1
-        for s in range(nsets):
-            if profile_hits[s]:
-                profiles_count[s] += 1
-    return tuple(
-        CensusResult(
-            set_id=s.id, notion=spec.notion, kind=spec.kind, n=spec.n, m=spec.m,
-            total=spec.total, witness_profiles=profiles_count[i],
-            witness_pointed=pointed_count[i],
-        )
-        for i, s in enumerate(spec.method_sets)
-    )
+        base_id = kernel.outcome_id(key, profile)
+        voter_hits = []
+        for voter, r_idx in enumerate(digits):
+            after_ids = (
+                kernel.outcome_id(kernel.neighbour(key, r_idx, r2),
+                                  profile.replace_ranking(voter, rankings[r2]))
+                for r2 in range(fact) if r2 != r_idx
+            )
+            voter_hits.append((kernel.voter_hits(r_idx, base_id, after_ids), 1))
+        yield 1, voter_hits
 
 
 def run_census(spec: CensusSpec) -> CensusReport:
@@ -504,13 +497,15 @@ def run_census(spec: CensusSpec) -> CensusReport:
         )
     kernel = _ClassKernel(spec)
     if not kernel.all_anonymous:
-        return CensusReport(spec, _run_direct(spec, kernel))
+        return CensusReport(spec, _results(spec, _direct_hits(spec, kernel)))
     if spec.mode == "sample":
         rows = _sample_rows(spec.n, spec.m, spec.samples, spec.seed)
         class_counts = _count_sample_classes(rows, kernel.fact)
     else:
         class_counts = _count_all_classes(spec.n, spec.m, spec.workers)
-    return CensusReport(spec, _aggregate(spec, kernel, class_counts))
+    return CensusReport(spec, _results(
+        spec, ((cnt, kernel.class_hits(key)) for key, cnt in class_counts.items())
+    ))
 
 
 # --- tables and scans over families of sets -----------------------------------

@@ -22,6 +22,7 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -43,13 +44,22 @@ from .pscf import find_sd_manipulation, induced_lottery, lottery_strings
 from .verify import TARGETS, run_target
 
 
+def _env_name(option: str) -> str:
+    return f"VOTEMANIP_{option.upper().replace('-', '_')}"
+
+
 def _env(option: str, fallback: str | None = None) -> str | None:
-    return os.environ.get(f"VOTEMANIP_{option.upper().replace('-', '_')}", fallback)
+    return os.environ.get(_env_name(option), fallback)
 
 
 def _int_env(option: str, fallback: int | None) -> int | None:
     raw = _env(option)
-    return fallback if raw is None else int(raw)
+    if raw is None:
+        return fallback
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{_env_name(option)} must be an integer, got {raw!r}") from None
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -64,22 +74,26 @@ def _add_notion(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--notion", choices=NOTIONS,
                         default=_env("notion", "sure"))
     parser.add_argument("--kind", choices=KINDS, default=_env("kind", "weak"))
-    parser.add_argument("--weights", default=_env("weights"),
-                        help="comma-separated expected-notion weights, e.g. 1/2,1/4,1/4")
+
+
+# Ids are separated by ',' or ';'; a pdict:x,y,i id keeps its own two commas.
+_METHOD_TOKEN = re.compile(r"\s*pdict:[^,;]*(?:,[^,;]*){0,2}|[^,;]+")
 
 
 def _parse_methods(text: str, labels) -> list:
     names = METHOD_ORDER if text == "all" else tuple(
-        t.strip() for t in text.split(";" if ";" in text else ",") if t.strip()
+        t.strip() for t in _METHOD_TOKEN.findall(text) if t.strip()
     )
-    # pdict specs contain commas, so ';' is accepted as the list separator.
     return [parse_method(name, labels) for name in names]
 
 
 def _parse_weights(text: str | None):
     if text is None:
         return None
-    return tuple(Fraction(part.strip()) for part in text.split(","))
+    try:
+        return tuple(Fraction(part.strip()) for part in text.split(","))
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"weights must be fractions like 1/2,1/2, got {text!r}") from None
 
 
 def _print_config(config: dict, out) -> None:
@@ -322,6 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--voter", type=int, default=_int_env("voter", 0))
     p.add_argument("--methods", default=_env("methods", "all"))
     _add_notion(p)
+    p.add_argument("--weights", default=_env("weights"),
+                   help="comma-separated expected-notion weights, e.g. 1/2,1/4,1/4")
     _add_common(p)
     p.set_defaults(fn=cmd_analyze)
 
@@ -360,9 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (ProfileFormatError, BudgetExceededError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

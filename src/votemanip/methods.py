@@ -232,6 +232,10 @@ def pairwise_dictator_winners(
     x: int, y: int, voter: int, profile: Profile
 ) -> frozenset[int]:
     """Whichever of x and y the given voter ranks higher."""
+    if voter >= profile.m:
+        raise ValueError(
+            f"pairwise dictator voter {voter} out of range for {profile.m} voters"
+        )
     return frozenset({x if profile.rankings[voter].prefers(x, y) else y})
 
 

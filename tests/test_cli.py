@@ -79,6 +79,18 @@ class TestWinners:
         doc = json.loads(proc.stdout)
         assert doc["winners"] == {"borda": "c", "condorcet": "abc"}
 
+    def test_pairwise_dictators_keep_their_commas(self, divided):
+        proc = run_cli("winners", divided, "--methods", "pdict:a,b,0, borda,pdict:b,c,3")
+        rows = [ln.split() for ln in proc.stdout.splitlines() if not ln.startswith("#")]
+        assert rows == [["pdict:a,b,0", "a"], ["borda", "c"], ["pdict:b,c,3", "c"]]
+
+    def test_pairwise_dictator_beyond_the_voters_fails_cleanly(self, divided):
+        proc = run_cli("winners", divided, "--methods", "pdict:a,b,5")
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            "error: pairwise dictator voter 5 out of range for 4 voters"
+        ]
+
     def test_csv_output(self, divided):
         proc = run_cli("winners", divided, "--methods", "borda", "--format", "csv")
         lines = [ln for ln in proc.stdout.splitlines() if not ln.startswith("#")]
@@ -120,6 +132,16 @@ class TestAnalyze:
         )
         assert "voter 0 can switch to bac:" in tilted.stdout
         assert "# weights=['3/4', '1/4']" in tilted.stdout
+
+    def test_unreadable_weights_fail_cleanly(self, divided):
+        proc = run_cli(
+            "analyze", divided, "--methods", "borda,hare", "--notion", "expected",
+            "--weights", "1/0,1",
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            "error: weights must be fractions like 1/2,1/2, got '1/0,1'"
+        ]
 
     def test_voter_out_of_range_fails_cleanly(self, divided):
         proc = run_cli("analyze", divided, "--voter", "9")
@@ -167,6 +189,33 @@ class TestTable:
         assert "# mode=sample" in lines
         assert "# samples=200" in lines
         assert "# seed=77" in lines
+
+    def test_a_lone_pairwise_dictator_is_one_method(self):
+        proc = run_cli(
+            "table", "-n", "3", "-m", "2", "--methods", "pdict:a,b,0",
+            "--format", "csv",
+        )
+        assert proc.returncode == 0, proc.stderr
+        rows = [ln for ln in proc.stdout.splitlines() if not ln.startswith("#")]
+        assert rows[1:] == ['"pdict:a,b,0",sure,weak,3,2,36,0,0,0.0000']
+
+    def test_pairwise_dictator_beyond_the_voters_fails_cleanly(self):
+        proc = run_cli("table", "-n", "3", "-m", "3", "--methods", "borda,pdict:a,b,5")
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            "error: pairwise dictator voter 5 out of range for 3 voters"
+        ]
+
+    def test_weights_are_rejected(self):
+        # Singletons and pairs would need weight vectors of different lengths.
+        for command in ("table", "eliminate"):
+            proc = run_cli(
+                command, "-n", "3", "-m", "3", "--methods", "borda,hare",
+                "--notion", "expected", "--weights", "1/2,1/2",
+            )
+            assert proc.returncode == 2
+            assert "error: unrecognized arguments: --weights 1/2,1/2" in proc.stderr
+            assert proc.stdout == ""
 
     def test_budget_exceeded_fails_cleanly(self):
         proc = run_cli(
@@ -282,6 +331,13 @@ class TestErrorsAndEnvironment:
             env={"VOTEMANIP_FORMAT": "json"},
         )
         assert json.loads(proc.stdout)["winners"] == {"borda": "c"}
+
+    def test_non_integer_environment_variable_fails_cleanly(self, divided):
+        proc = run_cli("winners", divided, env={"VOTEMANIP_WORKERS": "x"})
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            "error: VOTEMANIP_WORKERS must be an integer, got 'x'"
+        ]
 
     def test_explicit_flag_beats_the_environment(self, divided):
         proc = run_cli(

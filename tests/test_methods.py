@@ -236,6 +236,11 @@ class TestPairwiseDictator:
         with pytest.raises(ValueError):
             pairwise_dictator(0, 1, -1, ("a", "b"))
 
+    def test_names_the_voter_missing_from_a_short_profile(self):
+        f = pairwise_dictator(0, 1, 5, ("a", "b", "c"))
+        with pytest.raises(ValueError, match="voter 5 out of range for 2 voters"):
+            f.winners(profile_of("abc bca"))
+
     def test_id_and_anonymity(self):
         f = pairwise_dictator(0, 1, 2, ("a", "b", "c"))
         assert f.id == "pdict:a,b,2"
