@@ -6,15 +6,13 @@ labeled profiles have at least one witnessing voter, along with the number
 of witnessing pointed profiles (profile, voter pairs).  Percentages come
 from exact integer counts and are rounded only when displayed.
 
-Profiles are enumerated in lexicographic order (voter 0's ranking most
-significant) and the enumeration is split into contiguous chunks keyed by
-the first voters' rankings, so multi-worker runs reduce partial sums in a
-fixed order and totals never depend on the worker count.
-
 All eleven base methods and the tiebreak extension are anonymous, so a
 profile's winners, and hence every witness verdict, depend only on how
-many voters hold each ranking.  The labeled scan therefore only counts how
-many profiles fall into each such class, and the kernel works per class:
+many voters hold each ranking.  An exhaustive census therefore walks the
+anonymous classes (multisets of m rankings) rather than the labeled
+profiles, weighting each class by the number of labeled profiles in it,
+the multinomial m!/(c_1! ... c_k!) for holder counts c_i.  The kernel
+works per class:
 
 * outcome ids: the tuple of every universe method's winner set on a class
   is interned, and each class key maps to one small integer id;
@@ -27,13 +25,13 @@ many profiles fall into each such class, and the kernel works per class:
 
 A voter's search is then one table lookup per alternative ballot, OR-ed
 together until every set is hit.  Uncertainty sets containing a pairwise
-dictator are not anonymous and take a direct per-profile path, which runs
-the same per-voter search over interned outcomes.
+dictator are not anonymous and take a direct per-profile path over the
+labeled profiles, which runs the same per-voter search over interned
+outcomes.
 
 Sampling draws each voter's ranking independently and uniformly using
 numpy's PCG64 generator; the whole sample stream is materialized up front
-from the one seed, so sampled counts are also identical for any worker
-count.
+from the one seed, so sampled counts depend on the seed alone.
 """
 
 from __future__ import annotations
@@ -42,10 +40,9 @@ import csv
 import io
 import json
 import math
-import multiprocessing
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -56,6 +53,8 @@ from .dominance import dominates_nonstrict, dominates_strict
 from .methods import VotingMethod
 
 DEFAULT_BUDGET = 20_000_000
+# A class key stores each ranking's holder count in one byte.
+MAX_VOTERS = 255
 
 
 class BudgetExceededError(RuntimeError):
@@ -75,12 +74,13 @@ class CensusSpec:
     mode: str = "exhaustive"
     samples: int = 0
     seed: int | None = None
-    workers: int = 1
     budget: int = DEFAULT_BUDGET
 
     def __post_init__(self) -> None:
         if self.n < 1 or self.m < 1:
             raise ValueError("need at least one candidate and one voter")
+        if self.m > MAX_VOTERS:
+            raise ValueError(f"at most {MAX_VOTERS} voters are supported, got {self.m}")
         if not self.method_sets:
             raise ValueError("a census needs at least one uncertainty set")
         ids = [s.id for s in self.method_sets]
@@ -93,8 +93,6 @@ class CensusSpec:
                 raise ValueError("sample mode needs a positive sample count")
             if self.seed is None:
                 raise ValueError("sample mode needs an explicit seed")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
         normalized = None
         for s in self.method_sets:
             normalized = _validate(self.notion, self.kind, s, self.weights)
@@ -117,7 +115,6 @@ class CensusSpec:
             "mode": self.mode,
             "samples": self.samples if self.mode == "sample" else None,
             "seed": self.seed if self.mode == "sample" else None,
-            "workers": self.workers,
             "budget": self.budget,
         }
 
@@ -162,8 +159,7 @@ def enumerate_profiles(n: int, m: int, budget: int = DEFAULT_BUDGET) -> Iterator
 
 
 def _sample_rows(n: int, m: int, count: int, seed: int) -> list[list[int]]:
-    # One materialized stream per seed keeps sampled censuses reproducible
-    # for any worker count.
+    # One materialized stream per seed keeps sampled censuses reproducible.
     rng = np.random.Generator(np.random.PCG64(seed))
     rows = rng.integers(0, math.factorial(n), size=(count, m), dtype=np.int64)
     return rows.tolist()
@@ -348,83 +344,22 @@ class _ClassKernel:
         return out
 
 
-# --- labeled scans ------------------------------------------------------------
+# --- class sources ----------------------------------------------------------
 
 
-def _count_classes_range(args: tuple[int, int, int, int]) -> dict[bytes, int]:
-    """Counts labeled profiles per ranking-count class over [start, end)."""
-    n, m, start, end = args
+def _class_weights(n: int, m: int) -> Iterator[tuple[bytes, int]]:
+    """(class key, labeled profiles in the class) for every anonymous class.
+
+    A class is a multiset of m rankings; the profiles in it number
+    m!/(c_1! ... c_k!), where c_i voters hold ranking i.
+    """
     fact = math.factorial(n)
-    digits = [0] * m
-    x = start
-    for v in range(m - 1, -1, -1):
-        digits[v] = x % fact
-        x //= fact
-    counts = [0] * fact
-    for d in digits:
-        counts[d] += 1
-    out: dict[bytes, int] = {}
-    remaining = end - start
-    key = bytes(counts)
-    while True:
-        out[key] = out.get(key, 0) + 1
-        remaining -= 1
-        if not remaining:
-            return out
-        v = m - 1
-        while True:  # odometer with carry, voter 0 most significant
-            d = digits[v]
-            counts[d] -= 1
-            if d + 1 < fact:
-                digits[v] = d + 1
-                counts[d + 1] += 1
-                break
-            digits[v] = 0
-            counts[0] += 1
-            v -= 1
-        key = bytes(counts)
-
-
-def _worker_ranges(fact: int, m: int, workers: int) -> list[tuple[int, int]]:
-    """Contiguous index ranges aligned on first-voters ranking prefixes."""
-    total = fact**m
-    if workers <= 1:
-        return [(0, total)]
-    prefix = 2 if m >= 2 else 1
-    step = fact ** (m - prefix)
-    nchunks = fact**prefix
-    base, extra = divmod(nchunks, workers)
-    ranges = []
-    at = 0
-    for w in range(workers):
-        take = base + (1 if w < extra else 0)
-        if take:
-            ranges.append((at * step, (at + take) * step))
-            at += take
-    return ranges
-
-
-def _merge_counts(parts: Sequence[dict[bytes, int]]) -> dict[bytes, int]:
-    merged: dict[bytes, int] = {}
-    for part in parts:
-        for key, cnt in part.items():
-            merged[key] = merged.get(key, 0) + cnt
-    return merged
-
-
-def _count_all_classes(n: int, m: int, workers: int) -> dict[bytes, int]:
-    fact = math.factorial(n)
-    ranges = _worker_ranges(fact, m, workers)
-    if len(ranges) == 1:
-        return _count_classes_range((n, m, ranges[0][0], ranges[0][1]))
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:  # no fork on this platform: identical totals either way
-        parts = [_count_classes_range((n, m, s, e)) for s, e in ranges]
-        return _merge_counts(parts)
-    with ctx.Pool(min(workers, len(ranges))) as pool:
-        parts = pool.map(_count_classes_range, [(n, m, s, e) for s, e in ranges])
-    return _merge_counts(parts)
+    factorials = [math.factorial(c) for c in range(m + 1)]
+    for combo in combinations_with_replacement(range(fact), m):
+        counts = [0] * fact
+        for d in combo:
+            counts[d] += 1
+        yield bytes(counts), factorials[m] // math.prod([factorials[c] for c in counts])
 
 
 def _count_sample_classes(rows: Sequence[Sequence[int]], fact: int) -> dict[bytes, int]:
@@ -500,15 +435,43 @@ def run_census(spec: CensusSpec) -> CensusReport:
         return CensusReport(spec, _results(spec, _direct_hits(spec, kernel)))
     if spec.mode == "sample":
         rows = _sample_rows(spec.n, spec.m, spec.samples, spec.seed)
-        class_counts = _count_sample_classes(rows, kernel.fact)
+        classes = _count_sample_classes(rows, kernel.fact).items()
     else:
-        class_counts = _count_all_classes(spec.n, spec.m, spec.workers)
+        classes = _class_weights(spec.n, spec.m)
     return CensusReport(spec, _results(
-        spec, ((cnt, kernel.class_hits(key)) for key, cnt in class_counts.items())
+        spec, ((weight, kernel.class_hits(key)) for key, weight in classes)
     ))
 
 
 # --- tables and scans over families of sets -----------------------------------
+
+
+def census_counts(
+    sets: Sequence[UncertaintySet],
+    n: int,
+    m: int,
+    notion: str = "sure",
+    kind: str = "weak",
+    basis: str = "profiles",
+    samples: int | None = None,
+    seed: int | None = None,
+    budget: int | None = None,
+) -> dict[str, int]:
+    """Set id -> witness count from one census over ``sets``.
+
+    ``basis`` selects witnessing profiles or witnessing pointed profiles;
+    the census is sampled when ``samples`` is given, and ``budget`` None
+    means ``DEFAULT_BUDGET``.
+    """
+    if basis not in ("profiles", "pointed"):
+        raise ValueError(f"unknown count basis {basis!r}")
+    spec = CensusSpec(
+        n=n, m=m, method_sets=tuple(sets), notion=notion, kind=kind,
+        mode="exhaustive" if samples is None else "sample",
+        samples=samples or 0, seed=seed,
+        budget=DEFAULT_BUDGET if budget is None else budget,
+    )
+    return {r.set_id: getattr(r, f"witness_{basis}") for r in run_census(spec).results}
 
 
 @dataclass(frozen=True)
@@ -544,7 +507,6 @@ def pair_table(
     kind: str = "weak",
     samples: int | None = None,
     seed: int | None = None,
-    workers: int = 1,
     budget: int = DEFAULT_BUDGET,
 ) -> PairTable:
     """One census pass covering every singleton and unordered pair."""
@@ -553,7 +515,7 @@ def pair_table(
     spec = CensusSpec(
         n=n, m=m, method_sets=tuple(sets), notion=notion, kind=kind,
         mode="exhaustive" if samples is None else "sample",
-        samples=samples or 0, seed=seed, workers=workers, budget=budget,
+        samples=samples or 0, seed=seed, budget=budget,
     )
     return PairTable(tuple(methods), run_census(spec))
 
@@ -571,7 +533,6 @@ def elimination_scan(
     notion: str = "sure",
     kind: str = "weak",
     max_set_size: int = 2,
-    workers: int = 1,
     budget: int = DEFAULT_BUDGET,
 ) -> EliminationScanReport:
     """Finds subsets (up to ``max_set_size``) that eliminate manipulation.
@@ -588,7 +549,7 @@ def elimination_scan(
             family.append(UncertaintySet(combo))
     spec = CensusSpec(
         n=n, m=m, method_sets=tuple(family), notion=notion, kind=kind,
-        workers=workers, budget=budget,
+        budget=budget,
     )
     report = run_census(spec)
     counts = {r.set_id: r.witness_profiles for r in report.results}

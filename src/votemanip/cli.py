@@ -10,7 +10,7 @@ Subcommands:
 * ``pscf PROFILE``: induced lottery, with an optional dominance search.
 
 Every option can also be set through an environment variable named
-``VOTEMANIP_<OPTION>`` (for example ``VOTEMANIP_WORKERS=4``); explicit
+``VOTEMANIP_<OPTION>`` (for example ``VOTEMANIP_BUDGET=1000000``); explicit
 flags win.  All output embeds the resolved configuration, and sampled runs
 echo their seed, so any output can be reproduced from the artifact alone.
 """
@@ -29,12 +29,10 @@ from fractions import Fraction
 from .census import (
     DEFAULT_BUDGET,
     BudgetExceededError,
-    CensusSpec,
     elimination_scan,
     pair_table,
     report_csv,
     report_json,
-    run_census,
 )
 from .core import ProfileFormatError, default_labels, read_profile_file
 from .dominance import KINDS
@@ -65,7 +63,9 @@ def _int_env(option: str, fallback: int | None) -> int | None:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("pretty", "csv", "json"),
                         default=_env("format", "pretty"))
-    parser.add_argument("--workers", type=int, default=_int_env("workers", 1))
+
+
+def _add_budget(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--budget", type=int,
                         default=_int_env("budget", DEFAULT_BUDGET))
 
@@ -188,8 +188,7 @@ def cmd_table(args) -> int:
     labels = default_labels(args.n)
     methods = _parse_methods(args.methods, labels)
     table = pair_table(methods, args.n, args.m, args.notion, args.kind,
-                       samples=args.samples, seed=args.seed,
-                       workers=args.workers, budget=args.budget)
+                       samples=args.samples, seed=args.seed, budget=args.budget)
     if args.format == "csv":
         print(report_csv(table.report), end="")
         return 0
@@ -225,8 +224,7 @@ def cmd_eliminate(args) -> int:
     labels = default_labels(args.n)
     methods = _parse_methods(args.methods, labels)
     scan = elimination_scan(methods, args.n, args.m, args.notion, args.kind,
-                            max_set_size=args.max_set_size,
-                            workers=args.workers, budget=args.budget)
+                            max_set_size=args.max_set_size, budget=args.budget)
     if args.format == "csv":
         print(report_csv(scan.report), end="")
         return 0
@@ -244,9 +242,8 @@ def cmd_eliminate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = run_target(args.target, workers=args.workers, budget=args.budget)
-    config = {"command": "verify", "target": args.target,
-              "workers": args.workers, "budget": args.budget}
+    report = run_target(args.target, budget=args.budget)
+    config = {"command": "verify", "target": args.target, "budget": args.budget}
     if args.format == "json":
         print(json.dumps({
             "config": config,
@@ -349,6 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=_int_env("seed", 0))
     _add_notion(p)
     _add_common(p)
+    _add_budget(p)
     p.set_defaults(fn=cmd_table)
 
     p = sub.add_parser("eliminate", help="scan subsets that eliminate manipulation")
@@ -358,11 +356,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-set-size", type=int, default=_int_env("max-set-size", 2))
     _add_notion(p)
     _add_common(p)
+    _add_budget(p)
     p.set_defaults(fn=cmd_eliminate)
 
     p = sub.add_parser("verify", help="re-derive a named frozen claim")
     p.add_argument("target", choices=sorted(TARGETS))
     _add_common(p)
+    _add_budget(p)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("pscf", help="induced lottery and dominance search")

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .core import Profile, Ranking, all_rankings
 from .dominance import KINDS, dominates_nonstrict, dominates_strict
@@ -308,41 +308,12 @@ class ImprovementReport:
     counts: dict[str, int]
 
 
-def _census_counts(
-    sets: Sequence[UncertaintySet],
-    n: int,
-    m: int,
-    notion: str,
-    kind: str,
-    basis: str = "profiles",
-    samples: int | None = None,
-    seed: int | None = None,
-    workers: int = 1,
-    budget: int | None = None,
-) -> dict[str, int]:
-    from .census import CensusSpec, run_census  # deferred: census imports this module
-
-    kwargs = {} if budget is None else {"budget": budget}
-    spec = CensusSpec(
-        n=n, m=m, method_sets=tuple(sets), notion=notion, kind=kind,
-        mode="exhaustive" if samples is None else "sample",
-        samples=samples or 0, seed=seed, workers=workers, **kwargs,
-    )
-    report = run_census(spec)
-    if basis == "profiles":
-        return {r.set_id: r.witness_profiles for r in report.results}
-    if basis == "pointed":
-        return {r.set_id: r.witness_pointed for r in report.results}
-    raise ValueError(f"unknown count basis {basis!r}")
-
-
 def eliminates(
     methods: UncertaintySet,
     n: int,
     m: int,
     notion: str = "sure",
     kind: str = "weak",
-    workers: int = 1,
     budget: int | None = None,
 ) -> EliminationReport:
     """Exhaustively checks whether S eliminates manipulation at (n, m).
@@ -351,13 +322,12 @@ def eliminates(
     every nonempty proper subset of S has at least one.  Singletons are
     reported as a vacuous False.
     """
+    from .census import census_counts  # deferred: census imports this module
+
+    counts = census_counts(methods.subsets() + [methods], n, m, notion, kind,
+                           budget=budget)
     if len(methods) == 1:
-        counts = _census_counts([methods], n, m, notion, kind,
-                                workers=workers, budget=budget)
         return EliminationReport(methods.id, False, True, counts)
-    family = methods.subsets() + [methods]
-    counts = _census_counts(family, n, m, notion, kind,
-                            workers=workers, budget=budget)
     ok = counts[methods.id] == 0 and all(
         counts[sub.id] >= 1 for sub in methods.subsets()
     )
@@ -374,7 +344,6 @@ def less_susceptible(
     basis: str = "profiles",
     samples: int | None = None,
     seed: int | None = None,
-    workers: int = 1,
     budget: int | None = None,
 ) -> bool:
     """True if set1 has strictly fewer witnesses than set2 at (n, m).
@@ -383,8 +352,10 @@ def less_susceptible(
     with ``samples`` set this is an estimate over a sampled census rather
     than a certificate.
     """
-    counts = _census_counts([set1, set2], n, m, notion, kind, basis,
-                            samples, seed, workers, budget)
+    from .census import census_counts  # deferred: census imports this module
+
+    counts = census_counts([set1, set2], n, m, notion, kind, basis,
+                           samples, seed, budget)
     return counts[set1.id] < counts[set2.id]
 
 
@@ -395,19 +366,17 @@ def improves_on_all_subsets(
     notion: str = "sure",
     kind: str = "weak",
     basis: str = "profiles",
-    workers: int = 1,
     budget: int | None = None,
 ) -> ImprovementReport:
     """Exhaustively checks S against every nonempty proper subset.
 
     Singletons hold vacuously and are flagged as such.
     """
+    from .census import census_counts  # deferred: census imports this module
+
+    counts = census_counts(methods.subsets() + [methods], n, m, notion, kind,
+                           basis, budget=budget)
     if len(methods) == 1:
-        counts = _census_counts([methods], n, m, notion, kind, basis,
-                                workers=workers, budget=budget)
         return ImprovementReport(methods.id, True, True, counts)
-    family = methods.subsets() + [methods]
-    counts = _census_counts(family, n, m, notion, kind, basis,
-                            workers=workers, budget=budget)
     ok = all(counts[methods.id] < counts[sub.id] for sub in methods.subsets())
     return ImprovementReport(methods.id, ok, False, counts)

@@ -64,28 +64,6 @@ def _restricted_borda(profile: Profile, alive: Sequence[int]) -> dict[int, int]:
     }
 
 
-def positional_winners(
-    vec: Sequence[int], profile: Profile, alive: Iterable[int] | None = None
-) -> frozenset[int]:
-    """Winners under a positional score vector on a restricted profile.
-
-    ``vec[i]`` is the score a ballot gives to the candidate it ranks i-th
-    among the alive candidates; ``len(vec)`` must equal the number of alive
-    candidates.
-    """
-    alive = tuple(profile.candidates) if alive is None else tuple(alive)
-    if len(vec) != len(alive):
-        raise ValueError(
-            f"score vector has {len(vec)} entries for {len(alive)} candidates"
-        )
-    scores = dict.fromkeys(alive, 0)
-    members = frozenset(alive)
-    for r in profile.rankings:
-        for i, x in enumerate(r.restrict(members)):
-            scores[x] += vec[i]
-    return _argmax(scores)
-
-
 def plurality(profile: Profile) -> frozenset[int]:
     """Candidates ranked first by the most voters."""
     return _argmax(_first_place_counts(profile, profile.candidates))

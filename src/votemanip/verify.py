@@ -10,9 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .census import DEFAULT_BUDGET, CensusSpec, run_census
+from .census import DEFAULT_BUDGET, census_counts
 from .dominance import dominates_strict
-from .fixtures import EXAMPLES, profile_of, ranking_of, set_of
+from .fixtures import EXAMPLES, ranking_of, set_of
 from .manipulation import UncertaintySet, find_sure, method_set
 from .methods import METHODS, parse_method
 
@@ -34,18 +34,12 @@ class VerifyReport:
         return all(c.passed for c in self.checks)
 
 
-def _census_counts(n, m, sets, notion, kind, workers, budget):
-    spec = CensusSpec(n=n, m=m, method_sets=tuple(sets), notion=notion,
-                      kind=kind, workers=workers, budget=budget)
-    return {r.set_id: r.witness_profiles for r in run_census(spec).results}
-
-
-def _pairs_eliminate(target, n, ms, pairs, singles, notion, kind, workers, budget):
+def _pairs_eliminate(target, n, ms, pairs, singles, notion, kind, budget):
     checks = []
     sets = [method_set(*pair) for pair in pairs]
     sets += [method_set(name) for name in singles]
     for m in ms:
-        counts = _census_counts(n, m, sets, notion, kind, workers, budget)
+        counts = census_counts(sets, n, m, notion, kind, budget=budget)
         for pair in pairs:
             sid = "+".join(pair)
             checks.append(Check(
@@ -60,34 +54,32 @@ def _pairs_eliminate(target, n, ms, pairs, singles, notion, kind, workers, budge
     return VerifyReport(target, tuple(checks))
 
 
-def _target_borda_vs_baldwin(workers: int, budget: int) -> VerifyReport:
+def _target_borda_vs_baldwin(budget: int) -> VerifyReport:
     return _pairs_eliminate(
         "borda-baldwin-pairs", 3, range(4, 9),
         [("borda", "baldwin"), ("borda", "strict_nanson")],
         ["borda", "baldwin", "strict_nanson"],
-        "sure", "weak", workers, budget,
+        "sure", "weak", budget,
     )
 
 
-def _target_weak_nanson(workers: int, budget: int) -> VerifyReport:
+def _target_weak_nanson(budget: int) -> VerifyReport:
     return _pairs_eliminate(
         "weak-nanson-pairs", 3, range(4, 9),
         [("weak_nanson", "baldwin"), ("weak_nanson", "strict_nanson")],
         ["weak_nanson", "baldwin", "strict_nanson"],
-        "sure", "weak", workers, budget,
+        "sure", "weak", budget,
     )
 
 
-def _target_borda_tiebreaks(workers: int, budget: int) -> VerifyReport:
+def _target_borda_tiebreaks(budget: int) -> VerifyReport:
     orders = ("abc", "acb", "bac", "bca", "cab", "cba")
     variants = [parse_method(f"borda@{o}") for o in orders]
     family = UncertaintySet(tuple(variants))
     sets = [family] + [UncertaintySet((v,)) for v in variants]
     checks = []
     for m in (4, 5, 6):
-        spec = CensusSpec(n=3, m=m, method_sets=tuple(sets), notion="sure",
-                          kind="weak", workers=workers, budget=budget)
-        counts = {r.set_id: r.witness_profiles for r in run_census(spec).results}
+        counts = census_counts(sets, 3, m, budget=budget)
         checks.append(Check(
             f"(3,{m}) all six tiebreakings together: no witnesses",
             counts[family.id] == 0, f"witnessing profiles = {counts[family.id]}",
@@ -100,11 +92,11 @@ def _target_borda_tiebreaks(workers: int, budget: int) -> VerifyReport:
     return VerifyReport("borda-tiebreaks", tuple(checks))
 
 
-def _target_borda_coombs_baldwin(workers: int, budget: int) -> VerifyReport:
+def _target_borda_coombs_baldwin(budget: int) -> VerifyReport:
     trio = ("borda", "coombs", "baldwin")
     family = method_set(*trio)
     sets = [family] + family.subsets()
-    counts = _census_counts(4, 3, sets, "sure", "weak", workers, budget)
+    counts = census_counts(sets, 4, 3, budget=budget)
     checks = [Check(
         "(4,3) borda+coombs+baldwin: no witnesses",
         counts[family.id] == 0, f"witnessing profiles = {counts[family.id]}",
@@ -117,13 +109,13 @@ def _target_borda_coombs_baldwin(workers: int, budget: int) -> VerifyReport:
     return VerifyReport("borda-coombs-baldwin", tuple(checks))
 
 
-def _target_condorcet_pairs(workers: int, budget: int) -> VerifyReport:
+def _target_condorcet_pairs(budget: int) -> VerifyReport:
     partners = ("baldwin", "copeland", "maxmin", "strict_nanson", "weak_nanson")
     checks = []
     for kind in ("opt", "pes"):
         sets = [method_set("condorcet", p) for p in partners]
         sets += [method_set(name) for name in ("condorcet",) + partners]
-        counts = _census_counts(3, 6, sets, "sure", kind, workers, budget)
+        counts = census_counts(sets, 3, 6, "sure", kind, budget=budget)
         for p in partners:
             sid = f"condorcet+{p}"
             checks.append(Check(
@@ -138,7 +130,7 @@ def _target_condorcet_pairs(workers: int, budget: int) -> VerifyReport:
     return VerifyReport("condorcet-pairs", tuple(checks))
 
 
-def _target_ten_method_profile(workers: int, budget: int) -> VerifyReport:
+def _target_ten_method_profile(budget: int) -> VerifyReport:
     ex = EXAMPLES["ten-method-44"]
     profile = ex.profile
     move = ex.moves[0]
@@ -169,7 +161,7 @@ def _target_ten_method_profile(workers: int, budget: int) -> VerifyReport:
     return VerifyReport("ten-method-profile", tuple(checks))
 
 
-def _target_examples(workers: int, budget: int) -> VerifyReport:
+def _target_examples(budget: int) -> VerifyReport:
     checks = []
     for ex in EXAMPLES.values():
         profile = ex.profile
@@ -197,7 +189,7 @@ def _target_examples(workers: int, budget: int) -> VerifyReport:
     return VerifyReport("examples", tuple(checks))
 
 
-TARGETS: dict[str, Callable[[int, int], VerifyReport]] = {
+TARGETS: dict[str, Callable[[int], VerifyReport]] = {
     "borda-baldwin-pairs": _target_borda_vs_baldwin,
     "weak-nanson-pairs": _target_weak_nanson,
     "borda-tiebreaks": _target_borda_tiebreaks,
@@ -208,11 +200,10 @@ TARGETS: dict[str, Callable[[int, int], VerifyReport]] = {
 }
 
 
-def run_target(target: str, workers: int = 1,
-               budget: int = DEFAULT_BUDGET) -> VerifyReport:
+def run_target(target: str, budget: int = DEFAULT_BUDGET) -> VerifyReport:
     """Runs one named verification target."""
     if target not in TARGETS:
         raise ValueError(
             f"unknown verify target {target!r}; expected one of {sorted(TARGETS)}"
         )
-    return TARGETS[target](workers, budget)
+    return TARGETS[target](budget)

@@ -16,7 +16,12 @@ from itertools import combinations, product
 import pytest
 
 from conftest import record_criterion
-from votemanip.census import CensusSpec, run_census
+from votemanip.census import (
+    CensusSpec,
+    _class_weights,
+    enumerate_profiles,
+    run_census,
+)
 from votemanip.core import Profile, Ranking, all_rankings
 from votemanip.dominance import dominates_nonstrict, dominates_strict
 from votemanip.fixtures import EXAMPLES, profile_of, ranking_of
@@ -37,10 +42,9 @@ from votemanip.verify import run_target
 SEED = 20260816
 
 
-def census(n, m, sets, notion="sure", kind="weak", workers=1, **kw):
+def census(n, m, sets, notion="sure", kind="weak", **kw):
     spec = CensusSpec(
-        n=n, m=m, method_sets=tuple(sets), notion=notion, kind=kind,
-        workers=workers, **kw,
+        n=n, m=m, method_sets=tuple(sets), notion=notion, kind=kind, **kw,
     )
     return {r.set_id: r for r in run_census(spec).results}
 
@@ -87,7 +91,7 @@ def test_c02_exhaustive_census_at_3_7():
         method_set("plurality"),
         method_set("hare"),
         method_set("plurality", "hare"),
-    ), workers=2)
+    ))
     assert got["plurality"].witness_profiles == 129360
     assert got["hare"].witness_profiles == 35280
     assert got["plurality+hare"].witness_profiles == 35280
@@ -121,8 +125,8 @@ def test_c02_exhaustive_census_at_3_7():
 
 def test_c03_borda_family_pairs_eliminate_for_four_to_eight_voters():
     reports = [
-        run_target("borda-baldwin-pairs", workers=4),
-        run_target("weak-nanson-pairs", workers=4),
+        run_target("borda-baldwin-pairs"),
+        run_target("weak-nanson-pairs"),
     ]
     failed = [c.name for r in reports for c in r.checks if not c.passed]
     checks = sum(len(r.checks) for r in reports)
@@ -135,7 +139,7 @@ def test_c03_borda_family_pairs_eliminate_for_four_to_eight_voters():
 
 
 def test_c04_six_borda_tiebreakings_are_jointly_immune():
-    report = run_target("borda-tiebreaks", workers=4)
+    report = run_target("borda-tiebreaks")
     failed = [c.name for c in report.checks if not c.passed]
     record_criterion(
         "C4", not failed,
@@ -147,7 +151,7 @@ def test_c04_six_borda_tiebreakings_are_jointly_immune():
 
 
 def test_c05_condorcet_pairs_block_optimists_and_pessimists():
-    report = run_target("condorcet-pairs", workers=4)
+    report = run_target("condorcet-pairs")
     failed = [c.name for c in report.checks if not c.passed]
     record_criterion(
         "C5", not failed,
@@ -159,7 +163,7 @@ def test_c05_condorcet_pairs_block_optimists_and_pessimists():
 
 
 def test_c06_borda_coombs_baldwin_trio_at_4_3():
-    report = run_target("borda-coombs-baldwin", workers=4)
+    report = run_target("borda-coombs-baldwin")
     failed = [c.name for c in report.checks if not c.passed]
     record_criterion(
         "C6", not failed,
@@ -368,49 +372,44 @@ def test_c08_property_suites():
 
 
 def test_c09_sampled_census_matches_the_exhaustive_value():
-    exhaustive = census(4, 5, (method_set("borda"),), workers=4)["borda"]
+    exhaustive = census(4, 5, (method_set("borda"),))["borda"]
     assert exhaustive.witness_profiles == 4_693_920
     assert exhaustive.total == 7_962_624
     p_true = exhaustive.witness_profiles / exhaustive.total
 
-    # Sampling never uses workers (the whole stream is drawn from the seed
-    # and scanned in this process), so the 1/4/8 comparison cannot fail
-    # today; it pins that guarantee for when sampling is parallelized.
-    sampled = [
-        census(
-            4, 5, (method_set("borda"),),
-            mode="sample", samples=10_000, seed=SEED, workers=w,
-        )["borda"]
-        for w in (1, 4, 8)
-    ]
-    identical = sampled[0] == sampled[1] == sampled[2]
-    p_hat = sampled[0].witness_profiles / sampled[0].total
+    sampled = census(
+        4, 5, (method_set("borda"),), mode="sample", samples=10_000, seed=SEED,
+    )["borda"]
+    p_hat = sampled.witness_profiles / sampled.total
     se = math.sqrt(p_true * (1 - p_true) / 10_000)
     within = abs(p_hat - p_true) <= 3 * se
     record_criterion(
-        "C9", identical and within,
+        "C9", within,
         f"exhaustive {p_true:.4%}, sampled {p_hat:.4%} "
-        f"(|diff| = {abs(p_hat - p_true):.4%}, 3se = {3 * se:.4%}); "
-        f"worker counts 1/4/8 identical: {identical}",
+        f"(|diff| = {abs(p_hat - p_true):.4%}, 3se = {3 * se:.4%})",
     )
-    assert identical and within
+    assert within
 
 
-def test_c10_exhaustive_census_is_worker_count_invariant():
-    sets = (
-        method_set("plurality", "copeland"),
-        method_set("borda"),
-        method_set("strict_nanson"),
-        method_set("borda", "strict_nanson"),
-    )
-    runs = [
-        run_census(CensusSpec(n=3, m=4, method_sets=sets, workers=w)).results
-        for w in (1, 4, 8)
-    ]
-    identical = runs[0] == runs[1] == runs[2]
-    counts = tuple(r.witness_profiles for r in runs[0])
+def test_c10_exhaustive_class_weights_equal_the_labeled_enumeration():
+    # The engine weights each anonymous class by the multinomial
+    # m!/(c_1! ... c_k!); here the weights are recounted from the labeled
+    # profiles themselves.
+    bad = []
+    for n, m in ((3, 4), (4, 3), (2, 9), (3, 6)):
+        index = {r: i for i, r in enumerate(all_rankings(n))}
+        labeled: dict[bytes, int] = {}
+        for p in enumerate_profiles(n, m):
+            counts = [0] * len(index)
+            for r in p.rankings:
+                counts[index[r]] += 1
+            labeled[bytes(counts)] = labeled.get(bytes(counts), 0) + 1
+        weights = dict(_class_weights(n, m))
+        if weights != labeled or sum(weights.values()) != math.factorial(n) ** m:
+            bad.append((n, m))
     record_criterion(
-        "C10", identical,
-        f"counts {counts} identical across workers 1/4/8",
+        "C10", not bad,
+        "class weights equal labeled class counts and sum to (n!)^m at "
+        "(3,4), (4,3), (2,9), (3,6)" + (f"; FAILED at {bad}" if bad else ""),
     )
-    assert identical
+    assert not bad

@@ -196,7 +196,7 @@ class TestFrozenCounts:
             method_set("hare"),
             method_set("plurality", "hare"),
         )
-        report = run_census(CensusSpec(n=3, m=7, method_sets=sets, workers=2))
+        report = run_census(CensusSpec(n=3, m=7, method_sets=sets))
         got = {r.set_id: (r.witness_profiles, r.witness_pointed)
                for r in report.results}
         assert got["plurality"] == (129360, 215040)
@@ -232,7 +232,7 @@ class TestFrozenCounts:
             method_set("borda", "hare"),
         )
         report = run_census(
-            CensusSpec(n=3, m=7, method_sets=sets, notion="safe", workers=2)
+            CensusSpec(n=3, m=7, method_sets=sets, notion="safe")
         )
         got = {r.set_id: (r.witness_profiles, r.witness_pointed)
                for r in report.results}
@@ -284,19 +284,6 @@ class TestEliminationScan:
 
 
 class TestDeterminism:
-    def test_worker_count_never_changes_exhaustive_results(self):
-        sets = (
-            method_set("plurality", "copeland"),
-            method_set("borda"),
-            method_set("strict_nanson"),
-            method_set("borda", "strict_nanson"),
-        )
-        reports = [
-            run_census(CensusSpec(n=3, m=4, method_sets=sets, workers=w)).results
-            for w in (1, 2, 4)
-        ]
-        assert reports[0] == reports[1] == reports[2]
-
     def test_same_seed_same_sample_counts(self):
         def run(seed):
             return run_census(
@@ -308,20 +295,6 @@ class TestDeterminism:
 
         assert run(42) == run(42)
         assert run(42) != run(43)
-
-    def test_sample_stream_is_worker_count_independent(self):
-        # Sampling never uses workers, so this cannot fail today; it pins
-        # the guarantee for when sampling is parallelized.
-        results = [
-            run_census(
-                CensusSpec(
-                    n=4, m=4, method_sets=(method_set("borda"),),
-                    mode="sample", samples=400, seed=5, workers=w,
-                )
-            ).results
-            for w in (1, 4)
-        ]
-        assert results[0] == results[1]
 
 
 class TestSampling:
@@ -396,9 +369,20 @@ class TestSpecValidation:
                 samples=10,
             )
 
-    def test_workers_and_notions_are_validated(self):
-        with pytest.raises(ValueError, match="workers"):
-            CensusSpec(n=3, m=4, method_sets=(method_set("borda"),), workers=0)
+    def test_more_than_255_voters_are_rejected(self):
+        # A class key stores each ranking's holder count in one byte.
+        with pytest.raises(ValueError, match="at most 255 voters"):
+            CensusSpec(
+                n=2, m=256, method_sets=(method_set("borda"),), mode="sample",
+                samples=5, seed=1,
+            )
+        at_limit = run_census(CensusSpec(
+            n=2, m=255, method_sets=(method_set("borda"),), mode="sample",
+            samples=5, seed=1,
+        ))
+        assert at_limit.results[0].total == 5
+
+    def test_notions_are_validated(self):
         with pytest.raises(ValueError, match="unknown notion"):
             CensusSpec(n=3, m=4, method_sets=(method_set("borda"),), notion="x")
         with pytest.raises(ValueError, match="one-method"):

@@ -217,6 +217,16 @@ class TestTable:
             assert "error: unrecognized arguments: --weights 1/2,1/2" in proc.stderr
             assert proc.stdout == ""
 
+    def test_more_than_255_voters_fail_cleanly(self):
+        proc = run_cli(
+            "table", "-n", "2", "-m", "600", "--methods", "borda",
+            "--samples", "5", "--seed", "1",
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            "error: at most 255 voters are supported, got 600"
+        ]
+
     def test_budget_exceeded_fails_cleanly(self):
         proc = run_cli(
             "table", "-n", "3", "-m", "9", "--methods", "borda",
@@ -272,7 +282,7 @@ class TestVerify:
         "target", ["borda-tiebreaks", "borda-coombs-baldwin", "condorcet-pairs"]
     )
     def test_fast_census_targets_pass(self, target):
-        report = run_target(target, workers=2)
+        report = run_target(target)
         assert report.passed, [c for c in report.checks if not c.passed]
 
     def test_run_target_rejects_unknown_names(self):
@@ -332,12 +342,24 @@ class TestErrorsAndEnvironment:
         )
         assert json.loads(proc.stdout)["winners"] == {"borda": "c"}
 
-    def test_non_integer_environment_variable_fails_cleanly(self, divided):
-        proc = run_cli("winners", divided, env={"VOTEMANIP_WORKERS": "x"})
+    def test_non_integer_environment_variable_fails_cleanly(self):
+        proc = run_cli("table", "-n", "3", "-m", "2", env={"VOTEMANIP_BUDGET": "x"})
         assert proc.returncode == 2
         assert proc.stderr.splitlines() == [
-            "error: VOTEMANIP_WORKERS must be an integer, got 'x'"
+            "error: VOTEMANIP_BUDGET must be an integer, got 'x'"
         ]
+
+    def test_budget_is_an_option_of_census_commands_only(self, divided):
+        proc = run_cli("winners", divided, "--budget", "5")
+        assert proc.returncode == 2
+        assert "error: unrecognized arguments: --budget 5" in proc.stderr
+        assert proc.stdout == ""
+
+    def test_workers_is_not_an_option(self):
+        proc = run_cli("table", "-n", "3", "-m", "2", "--methods", "borda",
+                       "--workers", "2")
+        assert proc.returncode == 2
+        assert "error: unrecognized arguments: --workers 2" in proc.stderr
 
     def test_explicit_flag_beats_the_environment(self, divided):
         proc = run_cli(

@@ -478,6 +478,11 @@ class TestCensusJudgments:
         with pytest.raises(ValueError, match="duplicate"):
             less_susceptible(method_set("borda"), method_set("borda"), 3, 4)
 
+    def test_unknown_count_basis_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown count basis 'voters'"):
+            less_susceptible(method_set("borda", "hare"), method_set("borda"), 3, 2,
+                             basis="voters")
+
     def test_adding_a_dictator_lowers_expected_susceptibility(self):
         pair = method_set("borda", "coombs")
         trio = method_set("borda", "coombs", "pdict:a,b,0")

@@ -15,7 +15,6 @@ from votemanip.methods import (
     parse_method,
     plurality,
     plurality_with_runoff,
-    positional_winners,
     tiebroken,
 )
 
@@ -98,22 +97,6 @@ class TestHandWorkedCases:
         p = profile_of("abc abc abc bca cba")
         assert winners_by_name("hare", p) == {0}
         assert winners_by_name("coombs", p) == {0}
-
-
-class TestPositionalScores:
-    def test_vector_length_must_match(self):
-        with pytest.raises(ValueError):
-            positional_winners((1, 0), profile_of("abc bca"))
-
-    @given(st.lists(st.sampled_from(all_rankings(3)), min_size=1, max_size=5))
-    def test_plurality_is_the_top_only_vector(self, rs):
-        p = Profile(tuple(rs))
-        assert positional_winners((1, 0, 0), p) == plurality(p)
-
-    @given(st.lists(st.sampled_from(all_rankings(3)), min_size=1, max_size=5))
-    def test_borda_is_the_descending_vector(self, rs):
-        p = Profile(tuple(rs))
-        assert positional_winners((2, 1, 0), p) == winners_by_name("borda", p)
 
 
 def majority_maximal(profile: Profile, alive: frozenset[int]) -> frozenset[int]:
