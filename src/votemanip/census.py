@@ -14,8 +14,16 @@ profiles, weighting each class by the number of labeled profiles in it,
 the multinomial m!/(c_1! ... c_k!) for holder counts c_i.  The kernel
 works per class:
 
+* batched winners: a class is a row of ranking counts, and each method's
+  batched form (``fn.on_counts``, see ``methods``) scores a whole block of
+  rows in one numpy call, with blocks kept under ``BLOCK_CELLS`` cells.  An
+  exhaustive census scores every class this way before its search; a
+  sampled census scores each sampled class's neighbourhood (the class and
+  every one-voter switch from it) as it reaches the class, and keeps no
+  memo of classes between them;
 * outcome ids: the tuple of every universe method's winner set on a class
-  is interned, and each class key maps to one small integer id;
+  is interned, only for the distinct rows of winner bitmasks in a block,
+  and each class maps to one small integer id;
 * verdict table: whether one voter's ballot switch witnesses the notion
   depends only on the voter's ranking and the outcome ids before and after
   it, so that triple maps, memoized, to a bitmask of the sets witnessed
@@ -24,10 +32,12 @@ works per class:
   keyed by those masks calls ``notion_holds`` once per set.
 
 A voter's search is then one table lookup per alternative ballot, OR-ed
-together until every set is hit.  Uncertainty sets containing a pairwise
-dictator are not anonymous and take a direct per-profile path over the
-labeled profiles, which runs the same per-voter search over interned
-outcomes.
+together until every set is hit.  Uncertainty sets containing a method
+without a batched form (a pairwise dictator, which is not anonymous, or a
+custom ``fn``) take a direct per-profile path over the labeled profiles:
+the batched methods' part of each outcome still comes from count blocks,
+the other methods run on the profile, and the same per-voter search runs
+over the interned outcomes.
 
 Sampling draws each voter's ranking independently and uniformly using
 numpy's PCG64 generator; the whole sample stream is materialized up front
@@ -42,8 +52,9 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product
-from typing import Iterable, Iterator, Sequence
+from functools import lru_cache
+from itertools import combinations, combinations_with_replacement, islice, product
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -53,6 +64,11 @@ from .dominance import dominates_nonstrict, dominates_strict
 from .methods import VotingMethod
 
 DEFAULT_BUDGET = 20_000_000
+# Cells per batched call: each row of a block costs its n! ranking counts
+# plus n*n tally cells for every ranking it can hold.  This keeps each
+# call's arrays under a MB whatever n and m are; larger blocks gain little
+# time and raise a census's peak RSS.
+BLOCK_CELLS = 1 << 16
 # A class key stores each ranking's holder count in one byte.
 MAX_VOTERS = 255
 
@@ -187,14 +203,29 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+@lru_cache(maxsize=None)
+def _bitmask(winners: frozenset[int]) -> int:
+    return sum(1 << x for x in winners)
+
+
 class _ClassKernel:
-    """Interned outcomes and a memoized verdict table for one census.
+    """Batched winner evaluation, interned outcomes and a memoized verdict
+    table for one census.
 
     An outcome is the tuple of winner sets of every universe method on one
-    profile; each distinct outcome gets a small integer id.  Winners are
-    memoized per class key ``bytes(counts)``, where ``counts[i]`` is the
-    number of voters holding the i-th lexicographic ranking: exactly the
-    information an anonymous method can see.
+    profile; each distinct outcome gets a small integer id.  A class is
+    given by its ranking counts, ``counts[i]`` being the number of voters
+    holding the i-th lexicographic ranking: exactly what an anonymous method
+    can see.  ``outcome_ids`` takes a block of such rows and has every
+    method with a batched form (``fn.on_counts``) score the whole block in
+    one call; only the distinct rows of winner bitmasks are interned.
+    Classes are keyed by ``bytes(counts)``.
+
+    An exhaustive census first fills a class-key -> id memo for every class
+    (``remember``), block by block, and then looks neighbours up in it.  A
+    sampled census keeps no memo: each class's neighbourhood (the class and
+    every one-voter switch from it) is scored as one block when the class is
+    searched, so memory does not grow with the sample.
 
     The verdict of a ballot switch depends only on the switching voter's
     ranking and the outcome ids before and after it; ``voter_hits`` looks
@@ -222,13 +253,22 @@ class _ClassKernel:
         self.universe = tuple(universe)
         self.set_members = tuple(members)
         self.full_mask = (1 << len(members)) - 1
-        self.all_anonymous = all(f.anonymous for f in self.universe)
-        self._anon = tuple(u for u, f in enumerate(self.universe) if f.anonymous)
-        # class key -> id of the anonymous methods' outcome on that class
-        self._winners: dict[bytes, int] = {}
+        batched = [u for u, f in enumerate(self.universe)
+                   if f.anonymous and hasattr(f.fn, "on_counts")]
+        self.all_batched = len(batched) == len(self.universe)
+        self._on_counts = tuple(self.universe[u].fn.on_counts for u in batched)
+        # (universe index, fn) of every method without a batched form
+        self._scalar = tuple((u, f.fn) for u, f in enumerate(self.universe)
+                             if u not in batched)
+        self._block_rows = max(1, BLOCK_CELLS // (
+            self.fact + min(spec.m, self.fact) * spec.n ** 2))
+        # class key -> outcome id, filled by ``remember`` (exhaustive only)
+        self._memo: dict[bytes, int] | None = None
+        # outcome id per tuple of winner bitmasks; per id, the bitmasks, the
+        # winner sets and the candidate every method elects alone (else -1)
+        self._outcome_ids: dict[tuple[int, ...], int] = {}
+        self._masks: list[tuple[int, ...]] = []
         self._outcomes: list[tuple[frozenset[int], ...]] = []
-        self._outcome_ids: dict[tuple[frozenset[int], ...], int] = {}
-        # per outcome id: the candidate every method elects alone, else -1
         self._sole: list[int] = []
         self._flags: dict[tuple, tuple[bool, bool, bool]] = {}
         # (r_idx, base_id) -> {after_id: witnessed-sets mask}
@@ -236,40 +276,81 @@ class _ClassKernel:
         # (improves, not_worse, worsens) universe masks -> witnessed-sets mask
         self._by_flags: dict[tuple[int, int, int], int] = {}
 
-    def _profile_for(self, key: bytes) -> Profile:
-        rs: list = []
-        for idx, cnt in enumerate(key):
-            if cnt:
-                rs.extend((self.rankings[idx],) * cnt)
-        return Profile(tuple(rs))
-
-    def _intern(self, outcome: tuple[frozenset[int], ...]) -> int:
-        oid = self._outcome_ids.get(outcome)
+    def _intern(self, masks: tuple[int, ...]) -> int:
+        oid = self._outcome_ids.get(masks)
         if oid is None:
-            oid = self._outcome_ids[outcome] = len(self._outcomes)
-            self._outcomes.append(outcome)
-            elected = frozenset().union(*outcome)
-            self._sole.append(next(iter(elected)) if len(elected) == 1 else -1)
+            oid = self._outcome_ids[masks] = len(self._outcomes)
+            self._masks.append(masks)
+            self._outcomes.append(tuple(frozenset(_bits(w)) for w in masks))
+            elected = 0
+            for w in masks:
+                elected |= w
+            self._sole.append(elected.bit_length() - 1 if elected & (elected - 1) == 0 else -1)
         return oid
 
-    def outcome_id(self, key: bytes, profile: Profile | None = None) -> int:
-        """Id of the universe's winner sets on a class, or on ``profile``.
+    def outcome_ids(self, rows: np.ndarray) -> np.ndarray:
+        """Outcome id per row of a ``(k, n!)`` block of ranking counts.
 
-        The anonymous methods are evaluated once per class; ``profile``,
-        any member of the class, is needed only for the others.
+        When some universe method has no batched form, an id stands for the
+        batched methods' part of the outcome only (see ``merge``).
         """
-        oid = self._winners.get(key)
-        if oid is None:
-            synthetic = self._profile_for(key)
-            oid = self._winners[key] = self._intern(
-                tuple(self.universe[u].fn(synthetic) for u in self._anon)
+        if not self._on_counts:
+            return np.full(len(rows), self._intern(()))
+        masks = np.stack([f(rows) for f in self._on_counts], axis=1)
+        distinct, inverse = np.unique(masks, axis=0, return_inverse=True)
+        ids = np.array([self._intern(tuple(w)) for w in distinct.tolist()])
+        return ids[inverse.reshape(-1)]
+
+    def remember(self, keys: Iterable[bytes]) -> Iterable[bytes]:
+        """Fills the class memo for ``keys``, one block of classes at a time,
+        and returns the keys in their original order."""
+        self._memo = memo = {}
+        keys = iter(keys)
+        while chunk := list(islice(keys, self._block_rows)):
+            rows = np.frombuffer(b"".join(chunk), np.uint8).reshape(len(chunk), self.fact)
+            memo.update(zip(chunk, self.outcome_ids(rows).tolist()))
+        return memo.keys()
+
+    def _neighbourhood(self, key: bytes) -> dict[int, list[int]]:
+        """Ranking r held on the class -> outcome id after one holder of r
+        switches to r2, for every r2 (r2 == r gives the class itself).
+
+        The switches are scored in blocks of at most ``BLOCK_CELLS`` cells.
+        """
+        base = np.frombuffer(key, np.uint8)
+        held = np.flatnonzero(base)
+        switches = np.arange(len(held) * self.fact)
+        ids = np.empty(len(switches), dtype=np.int64)
+        for lo in range(0, len(switches), self._block_rows):
+            s = switches[lo:lo + self._block_rows]
+            block = np.repeat(base[None], len(s), axis=0)
+            at = np.arange(len(s))
+            block[at, held[s // self.fact]] -= 1
+            block[at, s % self.fact] += 1
+            ids[lo:lo + len(s)] = self.outcome_ids(block)
+        return dict(zip(held.tolist(), ids.reshape(len(held), self.fact).tolist()))
+
+    def switch_ids(self, key: bytes) -> tuple[int, Callable[[int], Iterable[int]]]:
+        """The class's outcome id, and a map from a ranking r it holds to
+        the outcome ids after one holder of r switches to each other
+        ranking, in ranking order (lazily, when the class memo is filled).
+        """
+        memo = self._memo
+        if memo is not None:
+            return memo[key], lambda r: (
+                memo[self.neighbour(key, r, r2)] for r2 in range(self.fact) if r2 != r
             )
-        if self.all_anonymous:
-            return oid
-        anon = iter(self._outcomes[oid])
-        return self._intern(tuple(
-            next(anon) if f.anonymous else f.fn(profile) for f in self.universe
-        ))
+        after = self._neighbourhood(key)
+        r0 = next(iter(after))
+        return after[r0][r0], lambda r: after[r][:r] + after[r][r + 1:]
+
+    def merge(self, part_id: int, profile: Profile) -> int:
+        """Id of the whole universe's outcome on ``profile``, given the
+        batched methods' part of it; the other methods run on the profile."""
+        masks = list(self._masks[part_id])
+        for u, fn in self._scalar:
+            masks.insert(u, _bitmask(fn(profile)))
+        return self._intern(tuple(masks))
 
     def flag(self, r_idx: int, before: frozenset[int], after: frozenset[int]
              ) -> tuple[bool, bool, bool]:
@@ -334,32 +415,38 @@ class _ClassKernel:
 
     def class_hits(self, key: bytes) -> list[tuple[int, int]]:
         """(witnessed-sets mask, holders) per ranking held on an anonymous class."""
-        base_id = self.outcome_id(key)
-        out = []
-        for r_idx, cnt in enumerate(key):
-            if cnt:
-                after_ids = (self.outcome_id(self.neighbour(key, r_idx, r2))
-                             for r2 in range(self.fact) if r2 != r_idx)
-                out.append((self.voter_hits(r_idx, base_id, after_ids), cnt))
-        return out
+        base_id, after = self.switch_ids(key)
+        return [(self.voter_hits(r_idx, base_id, after(r_idx)), cnt)
+                for r_idx, cnt in enumerate(key) if cnt]
 
 
 # --- class sources ----------------------------------------------------------
 
 
-def _class_weights(n: int, m: int) -> Iterator[tuple[bytes, int]]:
-    """(class key, labeled profiles in the class) for every anonymous class.
-
-    A class is a multiset of m rankings; the profiles in it number
-    m!/(c_1! ... c_k!), where c_i voters hold ranking i.
-    """
+def _class_keys(n: int, m: int) -> Iterator[bytes]:
+    """The key of every anonymous class, a multiset of m rankings."""
     fact = math.factorial(n)
-    factorials = [math.factorial(c) for c in range(m + 1)]
     for combo in combinations_with_replacement(range(fact), m):
         counts = [0] * fact
         for d in combo:
             counts[d] += 1
-        yield bytes(counts), factorials[m] // math.prod([factorials[c] for c in counts])
+        yield bytes(counts)
+
+
+def _weighted(keys: Iterable[bytes], m: int) -> Iterator[tuple[bytes, int]]:
+    """(class key, labeled profiles in the class) per key.
+
+    The profiles in a class number m!/(c_1! ... c_k!), where c_i voters
+    hold ranking i.
+    """
+    factorials = [math.factorial(c) for c in range(m + 1)]
+    for key in keys:
+        yield key, factorials[m] // math.prod([factorials[c] for c in key])
+
+
+def _class_weights(n: int, m: int) -> Iterator[tuple[bytes, int]]:
+    """(class key, labeled profiles in the class) for every anonymous class."""
+    return _weighted(_class_keys(n, m), m)
 
 
 def _count_sample_classes(rows: Sequence[Sequence[int]], fact: int) -> dict[bytes, int]:
@@ -399,26 +486,28 @@ def _results(spec: CensusSpec,
 
 def _direct_hits(spec: CensusSpec, kernel: _ClassKernel
                  ) -> Iterator[tuple[int, list[tuple[int, int]]]]:
-    """Per-profile rows for censuses that include non-anonymous methods."""
+    """Per-profile rows for censuses with a method that has no batched form
+    (a pairwise dictator, or a custom ``fn``)."""
     fact = kernel.fact
     rankings = kernel.rankings
     if spec.mode == "sample":
         rows: Iterable[Sequence[int]] = _sample_rows(spec.n, spec.m, spec.samples, spec.seed)
     else:
         rows = product(range(fact), repeat=spec.m)
+        kernel.remember(_class_keys(spec.n, spec.m))
     for digits in rows:
         counts = [0] * fact
         for d in digits:
             counts[d] += 1
-        key = bytes(counts)
         profile = Profile(tuple(rankings[d] for d in digits))
-        base_id = kernel.outcome_id(key, profile)
+        part_id, after = kernel.switch_ids(bytes(counts))
+        base_id = kernel.merge(part_id, profile)
         voter_hits = []
         for voter, r_idx in enumerate(digits):
+            others = (r2 for r2 in range(fact) if r2 != r_idx)
             after_ids = (
-                kernel.outcome_id(kernel.neighbour(key, r_idx, r2),
-                                  profile.replace_ranking(voter, rankings[r2]))
-                for r2 in range(fact) if r2 != r_idx
+                kernel.merge(part, profile.replace_ranking(voter, rankings[r2]))
+                for part, r2 in zip(after(r_idx), others)
             )
             voter_hits.append((kernel.voter_hits(r_idx, base_id, after_ids), 1))
         yield 1, voter_hits
@@ -431,13 +520,13 @@ def run_census(spec: CensusSpec) -> CensusReport:
             f"{spec.total} profiles exceed the budget of {spec.budget}"
         )
     kernel = _ClassKernel(spec)
-    if not kernel.all_anonymous:
+    if not kernel.all_batched:
         return CensusReport(spec, _results(spec, _direct_hits(spec, kernel)))
     if spec.mode == "sample":
         rows = _sample_rows(spec.n, spec.m, spec.samples, spec.seed)
         classes = _count_sample_classes(rows, kernel.fact).items()
     else:
-        classes = _class_weights(spec.n, spec.m)
+        classes = _weighted(kernel.remember(_class_keys(spec.n, spec.m)), spec.m)
     return CensusReport(spec, _results(
         spec, ((weight, kernel.class_hits(key)) for key, weight in classes)
     ))

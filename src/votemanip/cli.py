@@ -39,7 +39,7 @@ from .dominance import KINDS
 from .manipulation import NOTIONS, UncertaintySet, find_manipulation
 from .methods import METHOD_ORDER, parse_method
 from .pscf import find_sd_manipulation, induced_lottery, lottery_strings
-from .verify import TARGETS, run_target
+from .verify import CENSUS_TARGETS, TARGETS, run_target
 
 
 def _env_name(option: str) -> str:
@@ -242,8 +242,13 @@ def cmd_eliminate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = run_target(args.target, budget=args.budget)
-    config = {"command": "verify", "target": args.target, "budget": args.budget}
+    # VOTEMANIP_BUDGET is a default for census targets; only an explicit
+    # --budget is an error on a target that runs no census.
+    budget = args.budget
+    if budget is None and args.target in CENSUS_TARGETS:
+        budget = _int_env("budget", DEFAULT_BUDGET)
+    report = run_target(args.target, budget)
+    config = {"command": "verify", "target": args.target, "budget": budget}
     if args.format == "json":
         print(json.dumps({
             "config": config,
@@ -362,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="re-derive a named frozen claim")
     p.add_argument("target", choices=sorted(TARGETS))
     _add_common(p)
-    _add_budget(p)
+    p.add_argument("--budget", type=int, default=None)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("pscf", help="induced lottery and dominance search")

@@ -28,6 +28,8 @@ from functools import cached_property, lru_cache
 from itertools import permutations
 from typing import Iterable, Sequence
 
+import numpy as np
+
 
 class ProfileFormatError(ValueError):
     """A profile file or document that cannot be parsed."""
@@ -110,6 +112,39 @@ def all_rankings(n: int) -> tuple[Ranking, ...]:
 def ranking_index(n: int) -> dict[tuple[int, ...], int]:
     """Maps a ranking's order tuple to its index in :func:`all_rankings`."""
     return {r.order: i for i, r in enumerate(all_rankings(n))}
+
+
+@lru_cache(maxsize=None)
+def pairs_above(n: int) -> np.ndarray:
+    """``(n!, n(n-1)/2)`` array: row r lists ``x * n + y`` for every pair
+    (x, y) that ranking r puts x above y.
+
+    A voter holding ranking r adds one to each listed cell of the flattened
+    ``n * n`` tally, so a block's tallies (its ranking counts times the
+    pairwise indicator matrix) need only the rankings actually held.
+    """
+    rankings = all_rankings(n)
+    return np.array(
+        [[x * n + y for i, x in enumerate(r.order) for y in r.order[i + 1:]]
+         for r in rankings],
+        dtype=np.int64,
+    ).reshape(len(rankings), n * (n - 1) // 2)
+
+
+@lru_cache(maxsize=None)
+def alive_extremes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(best, worst)``, each ``(2^n, n!)`` of ``uint8``: ``best[A, r]`` is
+    ranking r's highest member of the candidate set with bitmask A, and
+    ``worst[A, r]`` its lowest (both 0 for the empty set)."""
+    order = np.array([r.order for r in all_rankings(n)], dtype=np.uint8)
+    best = np.zeros((1 << n, len(order)), dtype=np.uint8)
+    worst = np.zeros_like(best)
+    rows = np.arange(len(order))
+    for alive in range(1, 1 << n):
+        member = (alive >> order.astype(np.int64)) & 1 == 1  # by place
+        best[alive] = order[rows, member.argmax(axis=1)]
+        worst[alive] = order[rows, n - 1 - member[:, ::-1].argmax(axis=1)]
+    return best, worst
 
 
 @dataclass(frozen=True)

@@ -19,14 +19,22 @@ the two Nanson variants):
 
 Average comparisons in the Nanson variants are exact: ``k * score`` is
 compared against the integer score total of the ``k`` alive candidates.
+
+Each of the eleven methods, and the tiebroken form of each, also carries a
+batched form ``fn.on_counts`` that the census engine uses on blocks of
+anonymous classes (see "batched forms" below).  The scalar functions stay
+the reference: the batched forms must agree with them on every class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .core import Profile, Ranking, default_labels
+import numpy as np
+
+from .core import Profile, Ranking, alive_extremes, default_labels, pairs_above
 
 MethodFn = Callable[[Profile], frozenset[int]]
 
@@ -217,6 +225,227 @@ def pairwise_dictator_winners(
     return frozenset({x if profile.rankings[voter].prefers(x, y) else y})
 
 
+# --- batched forms on ranking counts -------------------------------------------
+#
+# ``f.on_counts(rows)`` is f evaluated on a whole block at once: row i of the
+# (k, n!) integer array ``rows`` holds how many voters hold each ranking of
+# ``all_rankings(n)``, and the result is f's k winner sets as int64 bitmasks
+# (bit x for candidate x).  Only anonymous methods can have one, since a row
+# forgets which voter holds what.  All arithmetic is on exact integers.
+
+
+def _degree(width: int) -> int:
+    """The n with n! == width."""
+    n = fact = 1
+    while fact < width:
+        n += 1
+        fact *= n
+    if fact != width:
+        raise ValueError(f"{width} ranking counts per row is not n! for any n")
+    return n
+
+
+def _members(masks: np.ndarray, n: int) -> np.ndarray:
+    """``(k, n)`` booleans: candidate x is in the set with bitmask ``masks[i]``."""
+    return (masks[:, None] >> np.arange(n)) & 1 == 1
+
+
+def _bitmask(hits: np.ndarray) -> np.ndarray:
+    """Bitmask per row of a ``(k, n)`` boolean array."""
+    return np.where(hits, 1 << np.arange(hits.shape[1]), 0).sum(axis=1)
+
+
+def _top(scores: np.ndarray, alive: np.ndarray | None = None) -> np.ndarray:
+    """Bitmask per row of the highest scorers, among ``alive`` ones if given."""
+    if alive is not None:
+        scores = np.where(alive, scores, np.iinfo(np.int64).min)
+    return _bitmask(scores == scores.max(axis=1, keepdims=True))
+
+
+class _Counts:
+    """A block's nonzero ranking counts, one (row, ranking, holders) entry
+    each, so the work per row follows the rankings held, not n!.
+
+    Sums run through ``np.bincount`` with float64 weights; every total is
+    an integer far below 2**53, so they are exact and cast back losslessly.
+    """
+
+    def __init__(self, rows: np.ndarray) -> None:
+        self.k = len(rows)
+        self.n = _degree(rows.shape[1])
+        self.full = np.full(self.k, (1 << self.n) - 1, dtype=np.int64)
+        flat = rows.ravel()
+        cells = np.flatnonzero(flat)
+        self.holders = flat[cells].astype(np.float64)
+        self.row, self.ranking = np.divmod(cells, rows.shape[1])
+
+    def _sum(self, cells: np.ndarray, holders: np.ndarray, size: int) -> np.ndarray:
+        return np.bincount(cells, holders, minlength=size).astype(np.int64)
+
+    def voters(self) -> np.ndarray:
+        """Voters per row."""
+        return self._sum(self.row, self.holders, self.k)
+
+    def tallies(self) -> np.ndarray:
+        """``(k, n, n)``: entry [i, x, y] counts row i's voters ranking x
+        above y, i.e. the block times the pairwise indicator matrix."""
+        n = self.n
+        pairs = pairs_above(n)
+        cells = pairs[self.ranking]
+        cells += (self.row * n * n)[:, None]
+        holders = np.repeat(self.holders, pairs.shape[1])
+        return self._sum(cells.ravel(), holders, self.k * n * n).reshape(self.k, n, n)
+
+    def places(self, alive: np.ndarray, worst: bool = False) -> np.ndarray:
+        """``(k, n)``: row i's voters whose best (or worst) member of the set
+        with bitmask ``alive[i]`` is x."""
+        table = alive_extremes(self.n)[worst]
+        cells = self.row * self.n + table[alive[self.row], self.ranking]
+        return self._sum(cells, self.holders, self.k * self.n).reshape(self.k, self.n)
+
+
+def _eliminate(block: _Counts,
+               step: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+               ) -> np.ndarray:
+    """Masked elimination rounds from the full candidate set.
+
+    ``step(alive)`` gives every row's next alive bitmask and whether the row
+    stops there; rows stop for good once one candidate is left.  Each round
+    drops at least one candidate from every open row, so there are at most
+    n - 1 rounds.
+    """
+    alive = block.full
+    open_ = alive & (alive - 1) != 0
+    while open_.any():
+        after, stop = step(alive)
+        alive = np.where(open_, after, alive)
+        open_ &= ~stop & (alive & (alive - 1) != 0)
+    return alive
+
+
+def _borda_within(tallies: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    """Borda scores restricted to each row's ``inside`` candidates."""
+    return (tallies * inside[:, None, :]).sum(axis=2)
+
+
+def _plurality_on_counts(rows: np.ndarray) -> np.ndarray:
+    block = _Counts(rows)
+    return _top(block.places(block.full))
+
+
+def _borda_on_counts(rows: np.ndarray) -> np.ndarray:
+    return _top(_Counts(rows).tallies().sum(axis=2))
+
+
+def _condorcet_on_counts(rows: np.ndarray) -> np.ndarray:
+    block = _Counts(rows)
+    tallies = block.tallies()
+    beats = tallies > tallies.transpose(0, 2, 1)
+    winner = _bitmask(beats.sum(axis=2) == block.n - 1)
+    return np.where(winner == 0, block.full, winner)
+
+
+def _copeland_on_counts(rows: np.ndarray) -> np.ndarray:
+    tallies = _Counts(rows).tallies()
+    net = tallies - tallies.transpose(0, 2, 1)
+    return _top((net > 0).sum(axis=2) - (net < 0).sum(axis=2))
+
+
+def _maxmin_on_counts(rows: np.ndarray) -> np.ndarray:
+    tallies = _Counts(rows).tallies()
+    own = np.eye(tallies.shape[1], dtype=bool)
+    return _top(np.where(own, np.iinfo(np.int64).max, tallies).min(axis=2))
+
+
+def _runoff_on_counts(rows: np.ndarray) -> np.ndarray:
+    block = _Counts(rows)
+    firsts = block.places(block.full)
+    top = _top(firsts)
+    second = _top(firsts, ~_members(top, block.n))
+    finalists = np.where(top & (top - 1) != 0, top, top | second)
+    return _top(block.places(finalists), _members(finalists, block.n))
+
+
+def _first_or_last_elimination(rows: np.ndarray, worst: bool) -> np.ndarray:
+    """Hare (drop the fewest first places) or Coombs (the most last places),
+    each with the strict-majority check on first places."""
+    block = _Counts(rows)
+    voters = block.voters()[:, None]
+
+    def step(alive):
+        inside = _members(alive, block.n)
+        firsts = block.places(alive)
+        majority = _bitmask(2 * firsts > voters)
+        if worst:
+            dropped = _top(block.places(alive, worst=True), inside)
+        else:
+            dropped = _top(-firsts, inside)
+        tied = dropped == alive
+        won = majority != 0
+        after = np.where(won, majority, np.where(tied, alive, alive & ~dropped))
+        return after, won | tied
+
+    return _eliminate(block, step)
+
+
+def _baldwin_on_counts(rows: np.ndarray) -> np.ndarray:
+    block = _Counts(rows)
+    tallies = block.tallies()
+
+    def step(alive):
+        inside = _members(alive, block.n)
+        dropped = _top(-_borda_within(tallies, inside), inside)
+        tied = dropped == alive
+        return np.where(tied, alive, alive & ~dropped), tied
+
+    return _eliminate(block, step)
+
+
+def _nanson_on_counts(rows: np.ndarray, strict: bool) -> np.ndarray:
+    """Strict Nanson keeps scores at or above the average, weak Nanson only
+    those strictly above it; all compared exactly as size * score vs total."""
+    block = _Counts(rows)
+    tallies = block.tallies()
+
+    def step(alive):
+        inside = _members(alive, block.n)
+        scores = _borda_within(tallies, inside)
+        size = inside.sum(axis=1)[:, None]
+        total = np.where(inside, scores, 0).sum(axis=1)[:, None]
+        kept = _bitmask(inside & (size * scores >= total if strict
+                                  else size * scores > total))
+        if strict:
+            return kept, kept == alive
+        return np.where(kept == 0, alive, kept), kept == 0
+
+    return _eliminate(block, step)
+
+
+plurality.on_counts = _plurality_on_counts
+borda.on_counts = _borda_on_counts
+condorcet.on_counts = _condorcet_on_counts
+copeland.on_counts = _copeland_on_counts
+maxmin.on_counts = _maxmin_on_counts
+plurality_with_runoff.on_counts = _runoff_on_counts
+hare.on_counts = lambda rows: _first_or_last_elimination(rows, worst=False)
+coombs.on_counts = lambda rows: _first_or_last_elimination(rows, worst=True)
+baldwin.on_counts = _baldwin_on_counts
+strict_nanson.on_counts = lambda rows: _nanson_on_counts(rows, strict=True)
+weak_nanson.on_counts = lambda rows: _nanson_on_counts(rows, strict=False)
+
+
+@lru_cache(maxsize=None)
+def _tiebreak_table(order: Ranking) -> np.ndarray:
+    """For every candidate bitmask, the bitmask of its best member under
+    ``order`` (0 for the empty set)."""
+    table = [0] * (1 << order.n)
+    for x in reversed(order.order):
+        for mask in range(1 << order.n):
+            if mask >> x & 1:
+                table[mask] = 1 << x
+    return np.array(table, dtype=np.int64)
+
+
 @dataclass(frozen=True)
 class VotingMethod:
     """A named resolution-procedure; equality and hashing go by id."""
@@ -261,11 +490,14 @@ METHODS: dict[str, VotingMethod] = {
 def tiebroken(inner: VotingMethod, order: Ranking) -> VotingMethod:
     """A copy of ``inner`` whose ties are broken by ``order``."""
     order_text = "".join(default_labels(order.n)[x] for x in order.order)
-    return VotingMethod(
-        id=f"{inner.id}@{order_text}",
-        fn=lambda profile: tiebroken_winners(inner.fn, order, profile),
-        anonymous=inner.anonymous,
-    )
+
+    def fn(profile: Profile) -> frozenset[int]:
+        return tiebroken_winners(inner.fn, order, profile)
+
+    inner_on_counts = getattr(inner.fn, "on_counts", None)
+    if inner_on_counts is not None:
+        fn.on_counts = lambda rows: _tiebreak_table(order)[inner_on_counts(rows)]
+    return VotingMethod(id=f"{inner.id}@{order_text}", fn=fn, anonymous=inner.anonymous)
 
 
 def pairwise_dictator(x: int, y: int, voter: int, labels: Sequence[str]) -> VotingMethod:

@@ -130,7 +130,7 @@ def _target_condorcet_pairs(budget: int) -> VerifyReport:
     return VerifyReport("condorcet-pairs", tuple(checks))
 
 
-def _target_ten_method_profile(budget: int) -> VerifyReport:
+def _target_ten_method_profile() -> VerifyReport:
     ex = EXAMPLES["ten-method-44"]
     profile = ex.profile
     move = ex.moves[0]
@@ -161,7 +161,7 @@ def _target_ten_method_profile(budget: int) -> VerifyReport:
     return VerifyReport("ten-method-profile", tuple(checks))
 
 
-def _target_examples(budget: int) -> VerifyReport:
+def _target_examples() -> VerifyReport:
     checks = []
     for ex in EXAMPLES.values():
         profile = ex.profile
@@ -189,21 +189,37 @@ def _target_examples(budget: int) -> VerifyReport:
     return VerifyReport("examples", tuple(checks))
 
 
-TARGETS: dict[str, Callable[[int], VerifyReport]] = {
+# Targets that run a census; each takes the census budget.
+CENSUS_TARGETS: dict[str, Callable[[int], VerifyReport]] = {
     "borda-baldwin-pairs": _target_borda_vs_baldwin,
     "weak-nanson-pairs": _target_weak_nanson,
     "borda-tiebreaks": _target_borda_tiebreaks,
     "borda-coombs-baldwin": _target_borda_coombs_baldwin,
     "condorcet-pairs": _target_condorcet_pairs,
+}
+
+TARGETS: dict[str, Callable[..., VerifyReport]] = {
+    **CENSUS_TARGETS,
     "ten-method-profile": _target_ten_method_profile,
     "examples": _target_examples,
 }
 
 
-def run_target(target: str, budget: int = DEFAULT_BUDGET) -> VerifyReport:
-    """Runs one named verification target."""
+def run_target(target: str, budget: int | None = None) -> VerifyReport:
+    """Runs one named verification target.
+
+    ``budget`` caps the census of a census target (None means
+    ``DEFAULT_BUDGET``); the other targets run no census and reject one.
+    """
     if target not in TARGETS:
         raise ValueError(
             f"unknown verify target {target!r}; expected one of {sorted(TARGETS)}"
         )
-    return TARGETS[target](budget)
+    if target in CENSUS_TARGETS:
+        return CENSUS_TARGETS[target](DEFAULT_BUDGET if budget is None else budget)
+    if budget is not None:
+        raise ValueError(
+            f"verify target {target!r} runs no census, so it takes no budget; "
+            f"the census targets are {', '.join(sorted(CENSUS_TARGETS))}"
+        )
+    return TARGETS[target]()

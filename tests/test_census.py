@@ -3,7 +3,7 @@
 import json
 import math
 from fractions import Fraction
-from functools import cache
+from functools import cache, wraps
 
 import pytest
 
@@ -18,6 +18,7 @@ from votemanip.census import (
     report_json,
     run_census,
     sample_profiles,
+    _ClassKernel,
     _sample_rows,
 )
 from votemanip.dominance import KINDS
@@ -107,12 +108,70 @@ class TestAgainstNaiveSearch:
         )
         assert engine_counts(spec) == naive_counts(spec)
 
+    def test_sampled_census_with_wide_rows_matches(self):
+        # 720-wide rows: each class's 1,440 switches are scored in several blocks
+        spec = CensusSpec(
+            n=6, m=2, method_sets=(method_set("borda"), method_set("hare"),
+                                   method_set("borda", "hare")),
+            mode="sample", samples=20, seed=5,
+        )
+        assert engine_counts(spec) == naive_counts(spec)
+
     def test_sampled_non_anonymous_census_matches(self):
         spec = CensusSpec(
             n=3, m=3, method_sets=(method_set("borda", "pdict:a,c,1"),),
             mode="sample", samples=200, seed=7,
         )
         assert engine_counts(spec) == naive_counts(spec)
+
+
+class TestMethodRouting:
+    """Methods with a batched form are scored on count blocks; a method
+    without one sends the census down the per-profile direct scan."""
+
+    @pytest.mark.parametrize("samples", [None, 40])
+    def test_a_method_without_a_batched_form_takes_the_direct_scan(self, samples):
+        borda = METHODS["borda"]
+        custom = VotingMethod("my_borda", lambda profile: borda.fn(profile))
+        spec = CensusSpec(
+            n=3, m=3, mode="exhaustive" if samples is None else "sample",
+            samples=samples or 0, seed=3,
+            method_sets=(UncertaintySet((custom,)), UncertaintySet((custom, METHODS["hare"])),
+                         method_set("hare")),
+        )
+        assert not _ClassKernel(spec).all_batched
+        counts = engine_counts(spec)
+        assert counts == naive_counts(spec)
+        batched = engine_counts(CensusSpec(
+            n=3, m=3, mode=spec.mode, samples=spec.samples, seed=spec.seed,
+            method_sets=(method_set("borda"), method_set("borda", "hare"), method_set("hare")),
+        ))
+        assert list(counts.values()) == list(batched.values())
+
+    @pytest.mark.parametrize("n,m,samples", [(3, 4, None), (4, 3, 60)])
+    def test_wrapped_methods_keep_the_batched_path(self, n, m, samples):
+        calls = 0
+
+        def counted(f: VotingMethod) -> VotingMethod:
+            # wraps copies fn.on_counts, as a timing wrapper would
+            @wraps(f.fn)
+            def fn(profile):
+                nonlocal calls
+                calls += 1
+                return f.fn(profile)
+            return VotingMethod(f.id, fn, f.anonymous)
+
+        names = (("borda",), ("hare", "copeland"), ("borda@" + "cabd"[:n],))
+        plain = [method_set(*s) for s in names]
+
+        def spec(sets):
+            return CensusSpec(n=n, m=m, method_sets=tuple(sets),
+                              mode="exhaustive" if samples is None else "sample",
+                              samples=samples or 0, seed=8)
+
+        wrapped = engine_counts(spec(UncertaintySet(tuple(counted(f) for f in s)) for s in plain))
+        assert calls == 0
+        assert wrapped == engine_counts(spec(plain)) == naive_counts(spec(plain))
 
 
 def mixed_family(n: int, notion: str, weighted: bool, direct: bool) -> tuple:

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from votemanip.verify import TARGETS, run_target
+from votemanip.verify import CENSUS_TARGETS, TARGETS, run_target
 
 
 def run_cli(*args, env=None):
@@ -284,6 +284,28 @@ class TestVerify:
     def test_fast_census_targets_pass(self, target):
         report = run_target(target)
         assert report.passed, [c for c in report.checks if not c.passed]
+
+    @pytest.mark.parametrize("target", ["ten-method-profile", "examples"])
+    def test_targets_without_a_census_reject_a_budget(self, target):
+        proc = run_cli("verify", target, "--budget", "1")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        [line] = proc.stderr.splitlines()
+        assert line.startswith(f"error: verify target {target!r} runs no census")
+        assert all(name in line for name in CENSUS_TARGETS)
+        with pytest.raises(ValueError, match="runs no census"):
+            run_target(target, budget=1)
+
+    def test_budget_environment_variable_leaves_other_targets_alone(self):
+        proc = run_cli("verify", "examples", env={"VOTEMANIP_BUDGET": "1"})
+        assert proc.returncode == 0
+        assert "# budget=None" in proc.stdout
+        proc = run_cli("verify", "borda-coombs-baldwin",
+                       env={"VOTEMANIP_BUDGET": "1"})
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            "error: 13824 profiles exceed the budget of 1"
+        ]
 
     def test_run_target_rejects_unknown_names(self):
         with pytest.raises(ValueError, match="unknown verify target"):

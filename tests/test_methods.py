@@ -1,12 +1,15 @@
 """Winner sets of the eleven methods and the two extensions."""
 
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from votemanip.core import Profile, Ranking, all_rankings
+from votemanip.census import BLOCK_CELLS, CensusSpec, _ClassKernel
+from votemanip.core import Profile, Ranking, all_rankings, default_labels
 from votemanip.fixtures import EXAMPLES, profile_of, ranking_of, set_of
+from votemanip.manipulation import UncertaintySet
 from votemanip.methods import (
     METHOD_ORDER,
     METHODS,
@@ -270,3 +273,76 @@ class TestMethodRegistry:
         with pytest.raises(ValueError):
             parse_method("pdict:a,q,0", labels=("a", "b", "c"))
         assert parse_method("borda@ba", labels=("a", "b")).id == "borda@ba"
+
+
+def batched_methods(n: int) -> list[VotingMethod]:
+    """The eleven methods and two tiebroken forms (borda@acb, hare@cab at n=3)."""
+    labels = "".join(default_labels(n))
+    return [METHODS[name] for name in METHOD_ORDER] + [
+        parse_method(f"borda@{labels[0]}{labels[:0:-1]}"),
+        parse_method(f"hare@{labels[-1]}{labels[:-1]}"),
+    ]
+
+
+def count_row(n: int, combo) -> list[int]:
+    row = [0] * len(all_rankings(n))
+    for d in combo:
+        row[d] += 1
+    return row
+
+
+def member(n: int, combo) -> Profile:
+    return Profile(tuple(all_rankings(n)[d] for d in combo))
+
+
+def bitmask(winners) -> int:
+    return sum(1 << x for x in winners)
+
+
+class TestBatchedForms:
+    """``fn.on_counts`` on a class's ranking-count row against the scalar
+    ``fn`` on a member profile of the class."""
+
+    def check(self, n, combos):
+        rows = np.array([count_row(n, c) for c in combos], dtype=np.uint8)
+        profiles = [member(n, c) for c in combos]
+        for f in batched_methods(n):
+            got = f.fn.on_counts(rows).tolist()
+            assert got == [bitmask(f.fn(p)) for p in profiles], f.id
+
+    @pytest.mark.parametrize("n,m", [
+        (1, 1), (1, 3),
+        *((2, m) for m in range(1, 7)),
+        *((3, m) for m in range(1, 7)),
+        *((4, m) for m in range(1, 5)),
+        (5, 1), (5, 2),
+    ])
+    def test_every_class_matches_the_scalar_method(self, n, m):
+        self.check(n, list(combinations_with_replacement(range(len(all_rankings(n))), m)))
+
+    @pytest.mark.parametrize("n,m,count", [(5, 7, 300), (6, 3, 200)])
+    def test_random_classes_match_the_scalar_method(self, n, m, count):
+        rng = np.random.default_rng(n * 100 + m)
+        self.check(n, rng.integers(0, len(all_rankings(n)), size=(count, m)).tolist())
+
+    def test_a_class_memo_past_the_block_limit_matches(self):
+        # The kernel scores classes in blocks of a fixed size, so more
+        # classes than fit in one block cross chunk boundaries.
+        n, m = 6, 3
+        methods = batched_methods(n)
+        spec = CensusSpec(n=n, m=m, method_sets=tuple(UncertaintySet((f,)) for f in methods))
+        kernel = _ClassKernel(spec)
+        rows_per_block = kernel._block_rows
+        assert rows_per_block * 720 < BLOCK_CELLS
+        combos = np.random.default_rng(7).integers(0, 720, size=(2 * rows_per_block + 50, m))
+        keys = {bytes(count_row(n, c)): c for c in combos.tolist()}
+        assert len(keys) > 2 * rows_per_block
+        kernel.remember(keys)
+        for key, combo in keys.items():
+            outcome = kernel._outcomes[kernel.switch_ids(key)[0]]
+            assert outcome == tuple(f.fn(member(n, combo)) for f in methods)
+
+    def test_tiebroken_custom_methods_have_no_batched_form(self):
+        custom = VotingMethod("custom", lambda profile: frozenset(profile.candidates))
+        assert not hasattr(tiebroken(custom, ranking_of("abc")).fn, "on_counts")
+        assert hasattr(tiebroken(METHODS["borda"], ranking_of("abc")).fn, "on_counts")
