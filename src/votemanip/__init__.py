@@ -10,164 +10,39 @@ over whole profile spaces, exactly or by sampling, and
 :mod:`votemanip.pscf` treats the method set as a lottery instead.
 """
 
+from types import ModuleType as _ModuleType
+
 from .census import (
-    DEFAULT_BUDGET,
-    BudgetExceededError,
-    CensusReport,
-    CensusResult,
-    CensusSpec,
-    EliminationScanReport,
-    PairTable,
-    elimination_scan,
-    enumerate_profiles,
-    pair_table,
-    report_csv,
-    report_json,
-    run_census,
-    sample_profiles,
+    DEFAULT_BUDGET, BudgetExceededError, CensusReport, CensusResult, CensusSpec,
+    EliminationReport, EliminationScanReport, ImprovementReport, PairTable,
+    census_of, eliminates, elimination_scan, enumerate_profiles, family_census,
+    improves_on_all_subsets, less_susceptible, pair_table, report_csv,
+    report_json, run_census, sample_profiles,
 )
 from .core import (
-    PairwiseTally,
-    Profile,
-    ProfileFormatError,
-    Ranking,
-    all_rankings,
-    default_labels,
-    format_profile_json,
-    format_profile_text,
-    pairwise_tally,
-    parse_profile_json,
-    parse_profile_text,
-    read_profile_file,
+    PairwiseTally, Profile, ProfileFormatError, Ranking, all_rankings,
+    default_labels, format_profile_json, format_profile_text, pairwise_tally,
+    parse_profile_json, parse_profile_text, read_profile_file,
 )
 from .dominance import KINDS, dominates_nonstrict, dominates_strict
 from .manipulation import (
-    NOTIONS,
-    EliminationReport,
-    ImprovementReport,
-    MethodOutcome,
-    UncertaintySet,
-    Witness,
-    add_24_voters,
-    add_bottom_candidate,
-    add_two_voters,
-    classify_transition,
-    eliminates,
-    find_expected,
-    find_harmless,
-    find_manipulation,
-    find_safe,
-    find_sure,
-    improves_on_all_subsets,
-    less_susceptible,
-    method_set,
-    notion_holds,
-    profile_witnesses,
+    NOTIONS, MethodOutcome, UncertaintySet, Witness, add_24_voters,
+    add_bottom_candidate, add_two_voters, classify_transition, find_manipulation,
+    method_set, notion_holds, profile_witnesses, subset_family,
 )
 from .methods import (
-    METHOD_ORDER,
-    METHODS,
-    VotingMethod,
-    baldwin,
-    borda,
-    condorcet,
-    coombs,
-    copeland,
-    hare,
-    maxmin,
-    pairwise_dictator,
-    parse_method,
-    plurality,
-    plurality_with_runoff,
-    strict_nanson,
-    tiebroken,
-    weak_nanson,
+    METHOD_ORDER, METHODS, VotingMethod, baldwin, borda, condorcet, coombs,
+    copeland, hare, maxmin, pairwise_dictator, parse_method, plurality,
+    plurality_with_runoff, strict_nanson, tiebroken, weak_nanson,
 )
 from .pscf import (
-    SDWitness,
-    find_sd_manipulation,
-    induced_lottery,
-    lottery_strings,
+    SDWitness, find_sd_manipulation, induced_lottery, lottery_strings,
     stochastically_dominates,
 )
 from .verify import TARGETS, VerifyReport, run_target
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BudgetExceededError",
-    "CensusReport",
-    "CensusResult",
-    "CensusSpec",
-    "DEFAULT_BUDGET",
-    "EliminationReport",
-    "EliminationScanReport",
-    "ImprovementReport",
-    "KINDS",
-    "METHODS",
-    "METHOD_ORDER",
-    "MethodOutcome",
-    "NOTIONS",
-    "PairTable",
-    "PairwiseTally",
-    "Profile",
-    "ProfileFormatError",
-    "Ranking",
-    "SDWitness",
-    "TARGETS",
-    "UncertaintySet",
-    "VerifyReport",
-    "VotingMethod",
-    "Witness",
-    "add_24_voters",
-    "add_bottom_candidate",
-    "add_two_voters",
-    "all_rankings",
-    "baldwin",
-    "borda",
-    "classify_transition",
-    "condorcet",
-    "coombs",
-    "copeland",
-    "default_labels",
-    "dominates_nonstrict",
-    "dominates_strict",
-    "eliminates",
-    "elimination_scan",
-    "enumerate_profiles",
-    "find_expected",
-    "find_harmless",
-    "find_manipulation",
-    "find_safe",
-    "find_sd_manipulation",
-    "find_sure",
-    "format_profile_json",
-    "format_profile_text",
-    "hare",
-    "improves_on_all_subsets",
-    "induced_lottery",
-    "less_susceptible",
-    "lottery_strings",
-    "maxmin",
-    "method_set",
-    "notion_holds",
-    "pair_table",
-    "pairwise_dictator",
-    "pairwise_tally",
-    "parse_method",
-    "parse_profile_json",
-    "parse_profile_text",
-    "plurality",
-    "plurality_with_runoff",
-    "profile_witnesses",
-    "read_profile_file",
-    "report_csv",
-    "report_json",
-    "run_census",
-    "run_target",
-    "sample_profiles",
-    "stochastically_dominates",
-    "strict_nanson",
-    "tiebroken",
-    "weak_nanson",
-]
+# Every name imported above, and no submodule.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -42,6 +42,16 @@ over the interned outcomes.
 Sampling draws each voter's ranking independently and uniformly using
 numpy's PCG64 generator; the whole sample stream is materialized up front
 from the one seed, so sampled counts depend on the seed alone.
+
+``census_of`` is the one place a census request is built from sets and
+options.  ``family_census`` runs one census over every nonempty subset of
+a method list up to size k, and the paper's census-level results are views
+of it: ``pair_table`` (k=2), ``elimination_scan`` (k=``max_set_size``),
+and ``eliminates`` and ``improves_on_all_subsets`` for one set S (k=|S|).
+The elimination rule (no witness for S, at least one for every nonempty
+proper subset) has one definition, ``_eliminates``.  ``less_susceptible``
+compares two sets from one census.  ``report_csv`` and ``report_json`` use
+the config echo and writers that the command line renders with.
 """
 
 from __future__ import annotations
@@ -50,6 +60,7 @@ import csv
 import io
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -59,7 +70,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .core import Profile, all_rankings
-from .manipulation import UncertaintySet, _validate, notion_holds
+from .manipulation import UncertaintySet, _validate, notion_holds, subset_family
 from .dominance import dominates_nonstrict, dominates_strict
 from .methods import VotingMethod
 
@@ -160,6 +171,12 @@ class CensusReport:
 
     def by_set(self) -> dict[str, CensusResult]:
         return {r.set_id: r for r in self.results}
+
+    def counts(self, basis: str = "profiles") -> dict[str, int]:
+        """Set id -> witnessing profiles, or pointed profiles for ``basis``
+        'pointed'."""
+        _check_basis(basis)
+        return {r.set_id: getattr(r, f"witness_{basis}") for r in self.results}
 
 
 # --- profile sources --------------------------------------------------------
@@ -423,14 +440,20 @@ class _ClassKernel:
 # --- class sources ----------------------------------------------------------
 
 
+def _class_key(digits: Iterable[int], fact: int) -> bytes:
+    """The key of the class of a profile given by its voters' ranking
+    indices: each of the ``fact`` rankings' holder count, one byte each."""
+    counts = [0] * fact
+    for d in digits:
+        counts[d] += 1
+    return bytes(counts)
+
+
 def _class_keys(n: int, m: int) -> Iterator[bytes]:
     """The key of every anonymous class, a multiset of m rankings."""
     fact = math.factorial(n)
-    for combo in combinations_with_replacement(range(fact), m):
-        counts = [0] * fact
-        for d in combo:
-            counts[d] += 1
-        yield bytes(counts)
+    return (_class_key(combo, fact)
+            for combo in combinations_with_replacement(range(fact), m))
 
 
 def _weighted(keys: Iterable[bytes], m: int) -> Iterator[tuple[bytes, int]]:
@@ -447,17 +470,6 @@ def _weighted(keys: Iterable[bytes], m: int) -> Iterator[tuple[bytes, int]]:
 def _class_weights(n: int, m: int) -> Iterator[tuple[bytes, int]]:
     """(class key, labeled profiles in the class) for every anonymous class."""
     return _weighted(_class_keys(n, m), m)
-
-
-def _count_sample_classes(rows: Sequence[Sequence[int]], fact: int) -> dict[bytes, int]:
-    out: dict[bytes, int] = {}
-    for row in rows:
-        counts = [0] * fact
-        for d in row:
-            counts[d] += 1
-        key = bytes(counts)
-        out[key] = out.get(key, 0) + 1
-    return out
 
 
 def _results(spec: CensusSpec,
@@ -496,11 +508,8 @@ def _direct_hits(spec: CensusSpec, kernel: _ClassKernel
         rows = product(range(fact), repeat=spec.m)
         kernel.remember(_class_keys(spec.n, spec.m))
     for digits in rows:
-        counts = [0] * fact
-        for d in digits:
-            counts[d] += 1
         profile = Profile(tuple(rankings[d] for d in digits))
-        part_id, after = kernel.switch_ids(bytes(counts))
+        part_id, after = kernel.switch_ids(_class_key(digits, fact))
         base_id = kernel.merge(part_id, profile)
         voter_hits = []
         for voter, r_idx in enumerate(digits):
@@ -524,7 +533,7 @@ def run_census(spec: CensusSpec) -> CensusReport:
         return CensusReport(spec, _results(spec, _direct_hits(spec, kernel)))
     if spec.mode == "sample":
         rows = _sample_rows(spec.n, spec.m, spec.samples, spec.seed)
-        classes = _count_sample_classes(rows, kernel.fact).items()
+        classes = Counter(_class_key(row, kernel.fact) for row in rows).items()
     else:
         classes = _weighted(kernel.remember(_class_keys(spec.n, spec.m)), spec.m)
     return CensusReport(spec, _results(
@@ -532,35 +541,58 @@ def run_census(spec: CensusSpec) -> CensusReport:
     ))
 
 
-# --- tables and scans over families of sets -----------------------------------
+# --- censuses over families of sets -----------------------------------------
 
 
-def census_counts(
+def census_of(
     sets: Sequence[UncertaintySet],
     n: int,
     m: int,
     notion: str = "sure",
     kind: str = "weak",
-    basis: str = "profiles",
     samples: int | None = None,
     seed: int | None = None,
     budget: int | None = None,
-) -> dict[str, int]:
-    """Set id -> witness count from one census over ``sets``.
-
-    ``basis`` selects witnessing profiles or witnessing pointed profiles;
-    the census is sampled when ``samples`` is given, and ``budget`` None
-    means ``DEFAULT_BUDGET``.
-    """
-    if basis not in ("profiles", "pointed"):
-        raise ValueError(f"unknown count basis {basis!r}")
-    spec = CensusSpec(
+) -> CensusReport:
+    """One census over ``sets``: sampled when ``samples`` is given, and
+    ``budget`` None means ``DEFAULT_BUDGET``."""
+    return run_census(CensusSpec(
         n=n, m=m, method_sets=tuple(sets), notion=notion, kind=kind,
         mode="exhaustive" if samples is None else "sample",
         samples=samples or 0, seed=seed,
         budget=DEFAULT_BUDGET if budget is None else budget,
-    )
-    return {r.set_id: getattr(r, f"witness_{basis}") for r in run_census(spec).results}
+    ))
+
+
+def family_census(
+    methods: Sequence[VotingMethod],
+    k: int,
+    n: int,
+    m: int,
+    notion: str = "sure",
+    kind: str = "weak",
+    samples: int | None = None,
+    seed: int | None = None,
+    budget: int | None = None,
+) -> CensusReport:
+    """One census over every nonempty subset of ``methods`` with at most
+    ``k`` members, by size and then in ``combinations`` order
+    (``subset_family``).  The pair table (k=2), the elimination scan
+    (k=``max_set_size``) and the judgments on one set S (k=|S|) below are
+    views of it."""
+    return census_of(subset_family(methods, k), n, m, notion, kind, samples, seed, budget)
+
+
+def _check_basis(basis: str) -> None:
+    if basis not in ("profiles", "pointed"):
+        raise ValueError(f"unknown count basis {basis!r}")
+
+
+def _eliminates(s: UncertaintySet, counts: dict[str, int]) -> bool:
+    """The elimination rule: S has no witnessing profile while every
+    nonempty proper subset has at least one (so S has two or more members)."""
+    return len(s) > 1 and counts[s.id] == 0 and all(
+        counts[sub.id] >= 1 for sub in s.subsets())
 
 
 @dataclass(frozen=True)
@@ -587,6 +619,11 @@ class PairTable:
             and pair < self.cell(g, g).witness_profiles
         )
 
+    def below_both_pairs(self) -> list[str]:
+        """Ids of the pairs strictly below both singletons, in table order."""
+        return [UncertaintySet(pair).id for pair in combinations(self.methods, 2)
+                if self.below_both(*pair)]
+
 
 def pair_table(
     methods: Sequence[VotingMethod],
@@ -599,14 +636,8 @@ def pair_table(
     budget: int = DEFAULT_BUDGET,
 ) -> PairTable:
     """One census pass covering every singleton and unordered pair."""
-    sets = [UncertaintySet((f,)) for f in methods]
-    sets += [UncertaintySet(pair) for pair in combinations(methods, 2)]
-    spec = CensusSpec(
-        n=n, m=m, method_sets=tuple(sets), notion=notion, kind=kind,
-        mode="exhaustive" if samples is None else "sample",
-        samples=samples or 0, seed=seed, budget=budget,
-    )
-    return PairTable(tuple(methods), run_census(spec))
+    return PairTable(tuple(methods),
+                     family_census(methods, 2, n, m, notion, kind, samples, seed, budget))
 
 
 @dataclass(frozen=True)
@@ -624,34 +655,98 @@ def elimination_scan(
     max_set_size: int = 2,
     budget: int = DEFAULT_BUDGET,
 ) -> EliminationScanReport:
-    """Finds subsets (up to ``max_set_size``) that eliminate manipulation.
-
-    A set qualifies when it has zero witnessing profiles while every
-    nonempty proper subset has at least one; all counts come from a single
-    exhaustive census over the whole subset family.
-    """
+    """Finds subsets (up to ``max_set_size``) that eliminate manipulation,
+    by the elimination rule, from one exhaustive census of the family."""
     if max_set_size < 2:
         raise ValueError("a set needs at least two methods to eliminate anything")
-    family: list[UncertaintySet] = []
-    for size in range(1, max_set_size + 1):
-        for combo in combinations(methods, size):
-            family.append(UncertaintySet(combo))
-    spec = CensusSpec(
-        n=n, m=m, method_sets=tuple(family), notion=notion, kind=kind,
-        budget=budget,
-    )
-    report = run_census(spec)
-    counts = {r.set_id: r.witness_profiles for r in report.results}
-    eliminating = []
-    for s in family:
-        if len(s) < 2 or counts[s.id] != 0:
-            continue
-        if all(counts[sub.id] >= 1 for sub in s.subsets()):
-            eliminating.append(s.id)
-    return EliminationScanReport(report, tuple(eliminating))
+    report = family_census(methods, max_set_size, n, m, notion, kind, budget=budget)
+    counts = report.counts()
+    return EliminationScanReport(report, tuple(
+        s.id for s in report.spec.method_sets if _eliminates(s, counts)))
 
 
-# --- serialization -------------------------------------------------------------
+@dataclass
+class EliminationReport:
+    """Whether a set has no witnesses while every proper subset has some."""
+
+    set_id: str
+    eliminates: bool
+    vacuous: bool  # singleton sets have no proper nonempty subsets
+    counts: dict[str, int]  # set id -> witnessing-profile count
+
+
+@dataclass
+class ImprovementReport:
+    """Whether a set has strictly fewer witnesses than all proper subsets."""
+
+    set_id: str
+    improves: bool
+    vacuous: bool
+    counts: dict[str, int]
+
+
+def eliminates(
+    methods: UncertaintySet,
+    n: int,
+    m: int,
+    notion: str = "sure",
+    kind: str = "weak",
+    budget: int | None = None,
+) -> EliminationReport:
+    """Exhaustively checks whether S eliminates manipulation at (n, m), by
+    the elimination rule.  Singletons are reported as a vacuous False."""
+    counts = family_census(methods, len(methods), n, m, notion, kind,
+                           budget=budget).counts()
+    return EliminationReport(methods.id, _eliminates(methods, counts),
+                             len(methods) == 1, counts)
+
+
+def improves_on_all_subsets(
+    methods: UncertaintySet,
+    n: int,
+    m: int,
+    notion: str = "sure",
+    kind: str = "weak",
+    basis: str = "profiles",
+    budget: int | None = None,
+) -> ImprovementReport:
+    """Exhaustively checks S against every nonempty proper subset.
+
+    Singletons hold vacuously and are flagged as such.
+    """
+    _check_basis(basis)  # before the census runs
+    counts = family_census(methods, len(methods), n, m, notion, kind,
+                           budget=budget).counts(basis)
+    # the family is S's proper subsets followed by S itself
+    ok = all(counts[sid] > counts[methods.id] for sid in counts if sid != methods.id)
+    return ImprovementReport(methods.id, ok, len(methods) == 1, counts)
+
+
+def less_susceptible(
+    set1: UncertaintySet,
+    set2: UncertaintySet,
+    n: int,
+    m: int,
+    notion: str = "sure",
+    kind: str = "weak",
+    basis: str = "profiles",
+    samples: int | None = None,
+    seed: int | None = None,
+    budget: int | None = None,
+) -> bool:
+    """True if set1 has strictly fewer witnesses than set2 at (n, m).
+
+    ``basis`` selects witnessing profiles or witnessing pointed profiles;
+    with ``samples`` set this is an estimate over a sampled census rather
+    than a certificate.
+    """
+    _check_basis(basis)  # before the census runs
+    counts = census_of((set1, set2), n, m, notion, kind, samples, seed,
+                       budget).counts(basis)
+    return counts[set1.id] < counts[set2.id]
+
+
+# --- serialization -----------------------------------------------------------
 
 
 CSV_COLUMNS = (
@@ -660,37 +755,47 @@ CSV_COLUMNS = (
 )
 
 
-def report_csv(report: CensusReport) -> str:
-    """CSV rows for a census, preceded by '#' config-echo lines."""
+def config_echo(config: dict) -> str:
+    """The '# key=value' lines that open every csv and pretty output."""
+    return "".join(f"# {k}={v}\n" for k, v in config.items())
+
+
+def csv_text(config: dict, columns: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """The config echo, then ``columns`` and ``rows`` as CSV."""
     buf = io.StringIO()
-    for k, v in report.spec.config().items():
-        buf.write(f"# {k}={v}\n")
+    buf.write(config_echo(config))
     writer = csv.writer(buf)
-    writer.writerow(CSV_COLUMNS)
-    for r in report.results:
-        writer.writerow([
-            r.set_id, r.notion, r.kind, r.n, r.m, r.total,
-            r.witness_profiles, r.witness_pointed, f"{r.percentage:.4f}",
-        ])
+    writer.writerow(columns)
+    writer.writerows(rows)
     return buf.getvalue()
 
 
+def json_text(config: dict, body: dict) -> str:
+    """One JSON document: the config, then the entries of ``body``."""
+    return json.dumps({"config": config, **body}, indent=2) + "\n"
+
+
+def _values(r: CensusResult) -> tuple:
+    """``r`` in ``CSV_COLUMNS`` order, up to the percentage."""
+    return (r.set_id, r.notion, r.kind, r.n, r.m, r.total,
+            r.witness_profiles, r.witness_pointed)
+
+
+def report_rows(report: CensusReport) -> list[tuple]:
+    """One CSV row per set, the percentage to four places."""
+    return [(*_values(r), f"{r.percentage:.4f}") for r in report.results]
+
+
+def report_body(report: CensusReport) -> dict:
+    """The JSON body of a census: one object per set, keyed by column."""
+    return {"results": [dict(zip(CSV_COLUMNS, (*_values(r), r.percentage)))
+                        for r in report.results]}
+
+
+def report_csv(report: CensusReport) -> str:
+    """CSV rows for a census, preceded by '#' config-echo lines."""
+    return csv_text(report.spec.config(), CSV_COLUMNS, report_rows(report))
+
+
 def report_json(report: CensusReport) -> str:
-    doc = {
-        "config": report.spec.config(),
-        "results": [
-            {
-                "set": r.set_id,
-                "notion": r.notion,
-                "kind": r.kind,
-                "n": r.n,
-                "m": r.m,
-                "total": r.total,
-                "witness_profiles": r.witness_profiles,
-                "witness_pointed": r.witness_pointed,
-                "percentage": r.percentage,
-            }
-            for r in report.results
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    return json_text(report.spec.config(), report_body(report))

@@ -11,28 +11,34 @@ Subcommands:
 
 Every option can also be set through an environment variable named
 ``VOTEMANIP_<OPTION>`` (for example ``VOTEMANIP_BUDGET=1000000``); explicit
-flags win.  All output embeds the resolved configuration, and sampled runs
-echo their seed, so any output can be reproduced from the artifact alone.
+flags win, and a value from the environment must be one the flag accepts.
+All output embeds the resolved configuration, and sampled runs echo their
+seed, so any output can be reproduced from the artifact alone.  Every
+command renders through ``_render``: pretty lines or CSV rows after the
+``# key=value`` configuration echo, or one JSON document with a ``config``
+object.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import os
 import re
 import sys
 from fractions import Fraction
+from typing import Iterable, Iterator, Sequence
 
 from .census import (
+    CSV_COLUMNS,
     DEFAULT_BUDGET,
     BudgetExceededError,
+    config_echo,
+    csv_text,
     elimination_scan,
+    json_text,
     pair_table,
-    report_csv,
-    report_json,
+    report_body,
+    report_rows,
 )
 from .core import ProfileFormatError, default_labels, read_profile_file
 from .dominance import KINDS
@@ -60,9 +66,28 @@ def _int_env(option: str, fallback: int | None) -> int | None:
         raise ValueError(f"{_env_name(option)} must be an integer, got {raw!r}") from None
 
 
+# The options with a fixed set of values, and those values.
+_CHOICES = {"format": ("pretty", "csv", "json"), "notion": NOTIONS, "kind": KINDS}
+
+
+def _add_choice(parser: argparse.ArgumentParser, option: str, fallback: str) -> None:
+    parser.add_argument(f"--{option}", choices=_CHOICES[option],
+                        default=_env(option, fallback))
+
+
+def _check_choices(args: argparse.Namespace) -> None:
+    """argparse checks only explicit values against ``choices``, so a value
+    outside them came from the environment; checked for the options the
+    command has, after parsing, so an explicit flag still wins."""
+    for option, choices in _CHOICES.items():
+        value = getattr(args, option, None)  # None: the command has no such option
+        if value is not None and value not in choices:
+            raise ValueError(f"{_env_name(option)} must be one of "
+                             f"{', '.join(choices)}, got {value!r}")
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("pretty", "csv", "json"),
-                        default=_env("format", "pretty"))
+    _add_choice(parser, "format", "pretty")
 
 
 def _add_budget(parser: argparse.ArgumentParser) -> None:
@@ -71,9 +96,8 @@ def _add_budget(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_notion(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--notion", choices=NOTIONS,
-                        default=_env("notion", "sure"))
-    parser.add_argument("--kind", choices=KINDS, default=_env("kind", "weak"))
+    _add_choice(parser, "notion", "sure")
+    _add_choice(parser, "kind", "weak")
 
 
 # Ids are separated by ',' or ';'; a pdict:x,y,i id keeps its own two commas.
@@ -96,18 +120,44 @@ def _parse_weights(text: str | None):
         raise ValueError(f"weights must be fractions like 1/2,1/2, got {text!r}") from None
 
 
-def _print_config(config: dict, out) -> None:
-    for k, v in config.items():
-        out.write(f"# {k}={v}\n")
+def _render(fmt: str, config: dict, columns: Sequence[str], rows: Iterable[Sequence],
+            body: dict, pretty: Iterable[str]) -> None:
+    """Prints a command's output in ``fmt``: the config and ``body`` as one
+    JSON document; the config echo, ``columns`` and ``rows`` as CSV; or the
+    config echo and the ``pretty`` lines, consumed only in that format."""
+    if fmt == "json":
+        sys.stdout.write(json_text(config, body))
+    elif fmt == "csv":
+        sys.stdout.write(csv_text(config, columns, rows))
+    else:
+        sys.stdout.write(config_echo(config))
+        for line in pretty:
+            print(line)
 
 
 def _fmt_set(winners, labels) -> str:
     return "".join(labels[x] for x in sorted(winners))
 
 
+def _fmt_ranking(ranking, labels) -> str:
+    return "".join(labels[x] for x in ranking.order)
+
+
+def _fmt_lottery(lottery, labels) -> str:
+    return ", ".join(f"{lab}: {p}" for lab, p in zip(labels, lottery_strings(lottery)))
+
+
 def _check_voter(voter: int, profile) -> None:
     if not 0 <= voter < profile.m:
         raise ValueError(f"voter {voter} out of range for {profile.m} voters")
+
+
+def _aligned(rows) -> Iterator[str]:
+    """``id  winners`` lines, ids padded to the longest; lazy, so that only
+    the pretty format takes that width."""
+    width = max(len(mid) for mid, _ in rows)
+    for mid, winners in rows:
+        yield f"{mid:<{width}}  {winners}"
 
 
 def cmd_winners(args) -> int:
@@ -116,20 +166,8 @@ def cmd_winners(args) -> int:
     config = {"command": "winners", "profile": args.profile,
               "methods": [f.id for f in methods]}
     rows = [(f.id, _fmt_set(f.winners(profile), labels)) for f in methods]
-    if args.format == "json":
-        print(json.dumps({"config": config, "winners": dict(rows)}, indent=2))
-    elif args.format == "csv":
-        buf = io.StringIO()
-        _print_config(config, buf)
-        writer = csv.writer(buf)
-        writer.writerow(["method", "winners"])
-        writer.writerows(rows)
-        print(buf.getvalue(), end="")
-    else:
-        _print_config(config, sys.stdout)
-        width = max(len(mid) for mid, _ in rows)
-        for mid, winners in rows:
-            print(f"{mid:<{width}}  {winners}")
+    _render(args.format, config, ("method", "winners"), rows,
+            {"winners": dict(rows)}, _aligned(rows))
     return 0
 
 
@@ -144,43 +182,24 @@ def cmd_analyze(args) -> int:
               "methods": [f.id for f in methods], "notion": args.notion,
               "kind": args.kind,
               "weights": None if weights is None else [str(w) for w in weights]}
-    if args.format == "json":
-        doc = {"config": config, "witness": None}
-        if witness is not None:
-            doc["witness"] = {
-                "voter": witness.voter,
-                "sincere": "".join(labels[x] for x in witness.true_ranking.order),
-                "ballot": "".join(labels[x] for x in witness.new_ranking.order),
-                "outcomes": [
-                    {"method": o.method_id, "before": _fmt_set(o.before, labels),
-                     "after": _fmt_set(o.after, labels), "relation": o.relation}
-                    for o in witness.outcomes
-                ],
-            }
-        print(json.dumps(doc, indent=2))
-        return 0
-    if args.format == "csv":
-        buf = io.StringIO()
-        _print_config(config, buf)
-        writer = csv.writer(buf)
-        writer.writerow(["voter", "ballot", "method", "before", "after", "relation"])
-        if witness is not None:
-            ballot = "".join(labels[x] for x in witness.new_ranking.order)
-            for o in witness.outcomes:
-                writer.writerow([witness.voter, ballot, o.method_id,
-                                 _fmt_set(o.before, labels),
-                                 _fmt_set(o.after, labels), o.relation])
-        print(buf.getvalue(), end="")
-        return 0
-    _print_config(config, sys.stdout)
+    columns = ("voter", "ballot", "method", "before", "after", "relation")
     if witness is None:
-        print(f"voter {args.voter}: no {args.notion}-{args.kind} manipulation")
-        return 0
-    ballot = "".join(labels[x] for x in witness.new_ranking.order)
-    print(f"voter {args.voter} can switch to {ballot}:")
-    for o in witness.outcomes:
-        print(f"  {o.method_id}: {_fmt_set(o.before, labels)} -> "
-              f"{_fmt_set(o.after, labels)} ({o.relation})")
+        rows, body = [], {"witness": None}
+        pretty = [f"voter {args.voter}: no {args.notion}-{args.kind} manipulation"]
+    else:
+        ballot = _fmt_ranking(witness.new_ranking, labels)
+        rows = [(witness.voter, ballot, o.method_id, _fmt_set(o.before, labels),
+                 _fmt_set(o.after, labels), o.relation) for o in witness.outcomes]
+        body = {"witness": {
+            "voter": witness.voter,
+            "sincere": _fmt_ranking(witness.true_ranking, labels),
+            "ballot": ballot,
+            "outcomes": [dict(zip(columns[2:], row[2:])) for row in rows],
+        }}
+        pretty = [f"voter {args.voter} can switch to {ballot}:"]
+        pretty += [f"  {mid}: {before} -> {after} ({relation})"
+                   for _, _, mid, before, after, relation in rows]
+    _render(args.format, config, columns, rows, body, pretty)
     return 0
 
 
@@ -189,34 +208,16 @@ def cmd_table(args) -> int:
     methods = _parse_methods(args.methods, labels)
     table = pair_table(methods, args.n, args.m, args.notion, args.kind,
                        samples=args.samples, seed=args.seed, budget=args.budget)
-    if args.format == "csv":
-        print(report_csv(table.report), end="")
-        return 0
-    if args.format == "json":
-        doc = json.loads(report_json(table.report))
-        doc["below_both_pairs"] = [
-            UncertaintySet((f, g)).id
-            for i, f in enumerate(methods)
-            for g in methods[i + 1:]
-            if table.below_both(f, g)
-        ]
-        print(json.dumps(doc, indent=2))
-        return 0
-    _print_config(table.report.spec.config(), sys.stdout)
-    print("set".ljust(40), "witness_profiles".rjust(16), "percentage".rjust(11))
-    for r in table.report.results:
-        print(r.set_id.ljust(40), str(r.witness_profiles).rjust(16),
-              f"{r.percentage:10.1f}%")
-    flagged = [
-        UncertaintySet((f, g)).id
-        for i, f in enumerate(methods)
-        for g in methods[i + 1:]
-        if table.below_both(f, g)
-    ]
-    if flagged:
-        print("pairs strictly below both of their singletons:")
-        for sid in flagged:
-            print(f"  {sid}")
+    report = table.report
+    below = table.below_both_pairs()
+    pretty = [f"{'set':<40} {'witness_profiles':>16} {'percentage':>11}"]
+    pretty += [f"{r.set_id:<40} {r.witness_profiles:>16} {r.percentage:10.1f}%"
+               for r in report.results]
+    if below:
+        pretty += ["pairs strictly below both of their singletons:"]
+        pretty += [f"  {sid}" for sid in below]
+    _render(args.format, report.spec.config(), CSV_COLUMNS, report_rows(report),
+            {**report_body(report), "below_both_pairs": below}, pretty)
     return 0
 
 
@@ -225,19 +226,11 @@ def cmd_eliminate(args) -> int:
     methods = _parse_methods(args.methods, labels)
     scan = elimination_scan(methods, args.n, args.m, args.notion, args.kind,
                             max_set_size=args.max_set_size, budget=args.budget)
-    if args.format == "csv":
-        print(report_csv(scan.report), end="")
-        return 0
-    if args.format == "json":
-        doc = json.loads(report_json(scan.report))
-        doc["eliminating"] = list(scan.eliminating)
-        print(json.dumps(doc, indent=2))
-        return 0
-    _print_config(scan.report.spec.config(), sys.stdout)
-    if not scan.eliminating:
-        print("no subset eliminates manipulation at this size")
-    for sid in scan.eliminating:
-        print(f"eliminates: {sid}")
+    report = scan.report
+    pretty = [f"eliminates: {sid}" for sid in scan.eliminating] or [
+        "no subset eliminates manipulation at this size"]
+    _render(args.format, report.spec.config(), CSV_COLUMNS, report_rows(report),
+            {**report_body(report), "eliminating": list(scan.eliminating)}, pretty)
     return 0
 
 
@@ -249,28 +242,14 @@ def cmd_verify(args) -> int:
         budget = _int_env("budget", DEFAULT_BUDGET)
     report = run_target(args.target, budget)
     config = {"command": "verify", "target": args.target, "budget": budget}
-    if args.format == "json":
-        print(json.dumps({
-            "config": config,
-            "passed": report.passed,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "detail": c.detail}
-                for c in report.checks
-            ],
-        }, indent=2))
-    elif args.format == "csv":
-        buf = io.StringIO()
-        _print_config(config, buf)
-        writer = csv.writer(buf)
-        writer.writerow(["check", "passed", "detail"])
-        for c in report.checks:
-            writer.writerow([c.name, c.passed, c.detail])
-        print(buf.getvalue(), end="")
-    else:
-        _print_config(config, sys.stdout)
-        for c in report.checks:
-            print(f"[{'PASS' if c.passed else 'FAIL'}] {c.name} ({c.detail})")
-        print(f"{args.target}: {'all checks passed' if report.passed else 'FAILED'}")
+    columns = ("check", "passed", "detail")
+    rows = [(c.name, c.passed, c.detail) for c in report.checks]
+    body = {"passed": report.passed,
+            "checks": [dict(zip(("name", "passed", "detail"), row)) for row in rows]}
+    pretty = [f"[{'PASS' if passed else 'FAIL'}] {name} ({detail})"
+              for name, passed, detail in rows]
+    pretty += [f"{args.target}: {'all checks passed' if report.passed else 'FAILED'}"]
+    _render(args.format, config, columns, rows, body, pretty)
     return 0 if report.passed else 1
 
 
@@ -282,41 +261,23 @@ def cmd_pscf(args) -> int:
     lottery = induced_lottery(methods, profile)
     config = {"command": "pscf", "profile": args.profile,
               "methods": [f.id for f in methods], "voter": args.voter}
-    entries = dict(zip(labels, lottery_strings(lottery)))
+    rows = list(zip(labels, lottery_strings(lottery)))
     witness = None
+    pretty = [f"lottery: {_fmt_lottery(lottery, labels)}"]
     if args.voter is not None:
         witness = find_sd_manipulation(profile, args.voter, methods)
-    if args.format == "json":
-        doc = {"config": config, "lottery": entries, "witness": None}
-        if witness is not None:
-            doc["witness"] = {
-                "voter": witness.voter,
-                "ballot": "".join(labels[x] for x in witness.new_ranking.order),
-                "before": dict(zip(labels, lottery_strings(witness.before))),
-                "after": dict(zip(labels, lottery_strings(witness.after))),
-            }
-        print(json.dumps(doc, indent=2))
-        return 0
-    if args.format == "csv":
-        buf = io.StringIO()
-        _print_config(config, buf)
-        writer = csv.writer(buf)
-        writer.writerow(["candidate", "probability"])
-        for lab, prob in entries.items():
-            writer.writerow([lab, prob])
-        print(buf.getvalue(), end="")
-        return 0
-    _print_config(config, sys.stdout)
-    print("lottery: " + ", ".join(f"{lab}: {p}" for lab, p in entries.items()))
-    if args.voter is not None:
-        if witness is None:
-            print(f"voter {args.voter}: no ballot improves the lottery")
-        else:
-            ballot = "".join(labels[x] for x in witness.new_ranking.order)
-            after = ", ".join(
-                f"{lab}: {p}" for lab, p in zip(labels, lottery_strings(witness.after))
-            )
-            print(f"voter {args.voter} can switch to {ballot}: {after}")
+        pretty += [
+            f"voter {args.voter}: no ballot improves the lottery" if witness is None else
+            f"voter {args.voter} can switch to {_fmt_ranking(witness.new_ranking, labels)}: "
+            f"{_fmt_lottery(witness.after, labels)}"
+        ]
+    body = {"lottery": dict(rows), "witness": None if witness is None else {
+        "voter": witness.voter,
+        "ballot": _fmt_ranking(witness.new_ranking, labels),
+        "before": dict(zip(labels, lottery_strings(witness.before))),
+        "after": dict(zip(labels, lottery_strings(witness.after))),
+    }}
+    _render(args.format, config, ("candidate", "probability"), rows, body, pretty)
     return 0
 
 
@@ -383,6 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        _check_choices(args)
         return args.fn(args)
     except (ProfileFormatError, BudgetExceededError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

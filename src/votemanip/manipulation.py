@@ -15,10 +15,11 @@ from :mod:`votemanip.dominance`:
   strictly-worse ones;
 * ``single``: the one-method special case, where all of the above agree.
 
-The census-level judgments at the bottom (does S eliminate manipulation
-outright, is one set less susceptible than another) compare witness counts
-over whole profile spaces and delegate the counting to
-:mod:`votemanip.census`.
+``find_manipulation`` searches one voter's ballots for a witness of any
+notion; it is the scalar reference the census engine is tested against.
+``subset_family`` lists the sets a family census covers.  The census-level
+judgments (does S eliminate manipulation outright, is one set less
+susceptible than another) live in :mod:`votemanip.census`.
 """
 
 from __future__ import annotations
@@ -65,11 +66,14 @@ class UncertaintySet:
 
     def subsets(self) -> list["UncertaintySet"]:
         """All nonempty proper subsets, in size order, preserving method order."""
-        out = []
-        for size in range(1, len(self.methods)):
-            for combo in combinations(self.methods, size):
-                out.append(UncertaintySet(combo))
-        return out
+        return subset_family(self.methods, len(self.methods) - 1)
+
+
+def subset_family(methods: Sequence[VotingMethod], k: int) -> list[UncertaintySet]:
+    """Every nonempty subset of ``methods`` with at most ``k`` members, by
+    size and then in ``combinations`` order."""
+    return [UncertaintySet(combo) for size in range(1, k + 1)
+            for combo in combinations(methods, size)]
 
 
 def method_set(*names: str, labels: Sequence[str] | None = None) -> UncertaintySet:
@@ -217,27 +221,6 @@ def find_manipulation(
     return None
 
 
-def find_sure(profile: Profile, voter: int, methods: UncertaintySet,
-              kind: str = "weak") -> Witness | None:
-    return find_manipulation(profile, voter, methods, "sure", kind)
-
-
-def find_safe(profile: Profile, voter: int, methods: UncertaintySet,
-              kind: str = "weak") -> Witness | None:
-    return find_manipulation(profile, voter, methods, "safe", kind)
-
-
-def find_harmless(profile: Profile, voter: int, methods: UncertaintySet,
-                  kind: str = "weak") -> Witness | None:
-    return find_manipulation(profile, voter, methods, "harmless", kind)
-
-
-def find_expected(profile: Profile, voter: int, methods: UncertaintySet,
-                  kind: str = "weak",
-                  weights: Sequence[Fraction] | None = None) -> Witness | None:
-    return find_manipulation(profile, voter, methods, "expected", kind, weights)
-
-
 def profile_witnesses(
     profile: Profile,
     notion: str,
@@ -283,100 +266,3 @@ def add_bottom_candidate(profile: Profile) -> Profile:
     """Appends a new candidate ranked last by every voter."""
     n = profile.n
     return Profile(tuple(Ranking(r.order + (n,)) for r in profile.rankings))
-
-
-# --- census-level judgments -------------------------------------------------
-
-
-@dataclass
-class EliminationReport:
-    """Whether a set has no witnesses while every proper subset has some."""
-
-    set_id: str
-    eliminates: bool
-    vacuous: bool  # singleton sets have no proper nonempty subsets
-    counts: dict[str, int]  # set id -> witnessing-profile count
-
-
-@dataclass
-class ImprovementReport:
-    """Whether a set has strictly fewer witnesses than all proper subsets."""
-
-    set_id: str
-    improves: bool
-    vacuous: bool
-    counts: dict[str, int]
-
-
-def eliminates(
-    methods: UncertaintySet,
-    n: int,
-    m: int,
-    notion: str = "sure",
-    kind: str = "weak",
-    budget: int | None = None,
-) -> EliminationReport:
-    """Exhaustively checks whether S eliminates manipulation at (n, m).
-
-    S qualifies when no profile has a witnessing voter for S itself while
-    every nonempty proper subset of S has at least one.  Singletons are
-    reported as a vacuous False.
-    """
-    from .census import census_counts  # deferred: census imports this module
-
-    counts = census_counts(methods.subsets() + [methods], n, m, notion, kind,
-                           budget=budget)
-    if len(methods) == 1:
-        return EliminationReport(methods.id, False, True, counts)
-    ok = counts[methods.id] == 0 and all(
-        counts[sub.id] >= 1 for sub in methods.subsets()
-    )
-    return EliminationReport(methods.id, ok, False, counts)
-
-
-def less_susceptible(
-    set1: UncertaintySet,
-    set2: UncertaintySet,
-    n: int,
-    m: int,
-    notion: str = "sure",
-    kind: str = "weak",
-    basis: str = "profiles",
-    samples: int | None = None,
-    seed: int | None = None,
-    budget: int | None = None,
-) -> bool:
-    """True if set1 has strictly fewer witnesses than set2 at (n, m).
-
-    ``basis`` selects witnessing profiles or witnessing pointed profiles;
-    with ``samples`` set this is an estimate over a sampled census rather
-    than a certificate.
-    """
-    from .census import census_counts  # deferred: census imports this module
-
-    counts = census_counts([set1, set2], n, m, notion, kind, basis,
-                           samples, seed, budget)
-    return counts[set1.id] < counts[set2.id]
-
-
-def improves_on_all_subsets(
-    methods: UncertaintySet,
-    n: int,
-    m: int,
-    notion: str = "sure",
-    kind: str = "weak",
-    basis: str = "profiles",
-    budget: int | None = None,
-) -> ImprovementReport:
-    """Exhaustively checks S against every nonempty proper subset.
-
-    Singletons hold vacuously and are flagged as such.
-    """
-    from .census import census_counts  # deferred: census imports this module
-
-    counts = census_counts(methods.subsets() + [methods], n, m, notion, kind,
-                           basis, budget=budget)
-    if len(methods) == 1:
-        return ImprovementReport(methods.id, True, True, counts)
-    ok = all(counts[methods.id] < counts[sub.id] for sub in methods.subsets())
-    return ImprovementReport(methods.id, ok, False, counts)

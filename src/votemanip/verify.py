@@ -10,10 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .census import DEFAULT_BUDGET, census_counts
+from .census import DEFAULT_BUDGET, census_of, family_census
 from .dominance import dominates_strict
 from .fixtures import EXAMPLES, ranking_of, set_of
-from .manipulation import UncertaintySet, find_sure, method_set
+from .manipulation import UncertaintySet, find_manipulation, method_set
 from .methods import METHODS, parse_method
 
 
@@ -39,7 +39,7 @@ def _pairs_eliminate(target, n, ms, pairs, singles, notion, kind, budget):
     sets = [method_set(*pair) for pair in pairs]
     sets += [method_set(name) for name in singles]
     for m in ms:
-        counts = census_counts(sets, n, m, notion, kind, budget=budget)
+        counts = census_of(sets, n, m, notion, kind, budget=budget).counts()
         for pair in pairs:
             sid = "+".join(pair)
             checks.append(Check(
@@ -79,7 +79,7 @@ def _target_borda_tiebreaks(budget: int) -> VerifyReport:
     sets = [family] + [UncertaintySet((v,)) for v in variants]
     checks = []
     for m in (4, 5, 6):
-        counts = census_counts(sets, 3, m, budget=budget)
+        counts = census_of(sets, 3, m, budget=budget).counts()
         checks.append(Check(
             f"(3,{m}) all six tiebreakings together: no witnesses",
             counts[family.id] == 0, f"witnessing profiles = {counts[family.id]}",
@@ -95,8 +95,7 @@ def _target_borda_tiebreaks(budget: int) -> VerifyReport:
 def _target_borda_coombs_baldwin(budget: int) -> VerifyReport:
     trio = ("borda", "coombs", "baldwin")
     family = method_set(*trio)
-    sets = [family] + family.subsets()
-    counts = census_counts(sets, 4, 3, budget=budget)
+    counts = family_census(family, len(family), 4, 3, budget=budget).counts()
     checks = [Check(
         "(4,3) borda+coombs+baldwin: no witnesses",
         counts[family.id] == 0, f"witnessing profiles = {counts[family.id]}",
@@ -115,7 +114,7 @@ def _target_condorcet_pairs(budget: int) -> VerifyReport:
     for kind in ("opt", "pes"):
         sets = [method_set("condorcet", p) for p in partners]
         sets += [method_set(name) for name in ("condorcet",) + partners]
-        counts = census_counts(sets, 3, 6, "sure", kind, budget=budget)
+        counts = census_of(sets, 3, 6, "sure", kind, budget=budget).counts()
         for p in partners:
             sid = f"condorcet+{p}"
             checks.append(Check(
@@ -151,7 +150,8 @@ def _target_ten_method_profile() -> VerifyReport:
         ))
     # One shared improving transition witnesses every nonempty subset, so
     # checking the full set certifies the sweep; the detector must agree.
-    witness = find_sure(profile, move.voter, UncertaintySet(tuple(ten)), "weak")
+    witness = find_manipulation(profile, move.voter, UncertaintySet(tuple(ten)),
+                                "sure", "weak")
     checks.append(Check(
         "detector finds a sure-weak witness for all ten methods at once",
         witness is not None,

@@ -29,9 +29,7 @@ from votemanip.manipulation import (
     add_24_voters,
     add_bottom_candidate,
     add_two_voters,
-    find_expected,
-    find_harmless,
-    find_safe,
+    find_manipulation,
     method_set,
     notion_holds,
 )
@@ -183,16 +181,16 @@ def test_c07_worked_examples_reproduce_exactly():
 
     F = Fraction
     divided = EXAMPLES["sure-weak-34"].profile
-    w = find_harmless(divided, 0, method_set("borda", "baldwin"))
+    w = find_manipulation(divided, 0, method_set("borda", "baldwin"), "harmless")
     if w is None or w.new_ranking != ranking_of("bac"):
         problems.append("divided-profile harmless witness")
 
     mixed = EXAMPLES["unsafe-35"].profile
     trio = method_set("baldwin", "borda", "hare")
-    w = find_expected(mixed, 0, trio)
+    w = find_manipulation(mixed, 0, trio, "expected")
     if w is None or w.new_ranking != ranking_of("bac"):
         problems.append("mixed-profile expected witness")
-    if find_expected(mixed, 0, method_set("hare", "borda")) is not None:
+    if find_manipulation(mixed, 0, method_set("hare", "borda"), "expected") is not None:
         problems.append("mixed-profile uniform pair should have no witness")
     if induced_lottery(trio, mixed) != (F(2, 3), F(0), F(1, 3)):
         problems.append("mixed-profile lottery")
@@ -202,10 +200,10 @@ def test_c07_worked_examples_reproduce_exactly():
         problems.append("mixed-profile move must not be an SD improvement")
 
     guarded = EXAMPLES["pdict-35"].profile
-    w = find_safe(guarded, 0, method_set("borda", "coombs"))
+    w = find_manipulation(guarded, 0, method_set("borda", "coombs"), "safe")
     if w is None or w.new_ranking != ranking_of("cba"):
         problems.append("guarded-profile safe witness")
-    if find_safe(guarded, 0, method_set("borda", "coombs", "pdict:a,b,0")):
+    if find_manipulation(guarded, 0, method_set("borda", "coombs", "pdict:a,b,0"), "safe"):
         problems.append("dictator must block the safe witness")
 
     tied = EXAMPLES["sd-not-safe-34"].profile

@@ -371,6 +371,28 @@ class TestErrorsAndEnvironment:
             "error: VOTEMANIP_BUDGET must be an integer, got 'x'"
         ]
 
+    @pytest.mark.parametrize("variable,command,choices", [
+        ("VOTEMANIP_FORMAT", "winners", "pretty, csv, json"),
+        ("VOTEMANIP_NOTION", "analyze", "single, sure, safe, harmless, expected"),
+        ("VOTEMANIP_KIND", "analyze", "weak, opt, pes"),
+    ])
+    def test_environment_default_outside_the_choices_fails_cleanly(
+            self, divided, variable, command, choices):
+        proc = run_cli(command, divided, env={variable: "xml"})
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            f"error: {variable} must be one of {choices}, got 'xml'"
+        ]
+
+    def test_environment_value_outside_the_choices_yields_to_a_flag(self, divided):
+        proc = run_cli("analyze", divided, "--notion", "safe", "--kind", "opt",
+                       env={"VOTEMANIP_NOTION": "xml", "VOTEMANIP_KIND": "xml"})
+        assert proc.returncode == 0, proc.stderr
+        # winners has no --notion, so the variable does not concern it
+        proc = run_cli("winners", divided, env={"VOTEMANIP_NOTION": "xml"})
+        assert proc.returncode == 0, proc.stderr
+
     def test_budget_is_an_option_of_census_commands_only(self, divided):
         proc = run_cli("winners", divided, "--budget", "5")
         assert proc.returncode == 2

@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from votemanip.census import eliminates, improves_on_all_subsets, less_susceptible
 from votemanip.core import Profile, Ranking, all_rankings
 from votemanip.fixtures import EXAMPLES, profile_of, ranking_of, set_of
 from votemanip.manipulation import (
@@ -15,14 +16,7 @@ from votemanip.manipulation import (
     add_bottom_candidate,
     add_two_voters,
     classify_transition,
-    eliminates,
-    find_expected,
-    find_harmless,
     find_manipulation,
-    find_safe,
-    find_sure,
-    improves_on_all_subsets,
-    less_susceptible,
     method_set,
     notion_holds,
     profile_witnesses,
@@ -127,12 +121,14 @@ class TestValidation:
 
     def test_weights_must_be_a_distribution(self):
         with pytest.raises(ValueError, match="weights for"):
-            find_expected(self.p, 0, self.pair, weights=(Fraction(1),))
+            find_manipulation(self.p, 0, self.pair, "expected", weights=(Fraction(1),))
         with pytest.raises(ValueError, match="sum to 1"):
-            find_expected(self.p, 0, self.pair, weights=(Fraction(1), Fraction(1)))
+            find_manipulation(self.p, 0, self.pair, "expected",
+                              weights=(Fraction(1), Fraction(1)))
         with pytest.raises(ValueError, match="nonnegative"):
-            find_expected(
-                self.p, 0, self.pair, weights=(Fraction(3, 2), Fraction(-1, 2))
+            find_manipulation(
+                self.p, 0, self.pair, "expected",
+                weights=(Fraction(3, 2), Fraction(-1, 2)),
             )
 
     def test_classify_rejects_the_sincere_ballot(self):
@@ -148,11 +144,11 @@ class TestDividedProfile:
         self.pair = method_set("borda", "baldwin")
 
     def test_no_sure_or_safe_witness_for_the_pair(self):
-        assert find_sure(self.p, 0, self.pair) is None
-        assert find_safe(self.p, 0, self.pair) is None
+        assert find_manipulation(self.p, 0, self.pair, "sure") is None
+        assert find_manipulation(self.p, 0, self.pair, "safe") is None
 
     def test_harmless_witness_is_bac(self):
-        w = find_harmless(self.p, 0, self.pair)
+        w = find_manipulation(self.p, 0, self.pair, "harmless")
         assert ballot(w) == "bac"
         assert [o.relation for o in w.outcomes] == ["better", "neutral"]
 
@@ -187,30 +183,31 @@ class TestMixedOutcomeProfile:
         self.pair = method_set("hare", "borda")
 
     def test_expected_witness_under_the_uniform_trio(self):
-        w = find_expected(self.p, 0, self.trio)
+        w = find_manipulation(self.p, 0, self.trio, "expected")
         assert ballot(w) == "bac"
         assert [o.relation for o in w.outcomes] == ["better", "worse", "better"]
 
     def test_one_for_one_trade_fails_the_uniform_pair(self):
-        assert find_expected(self.p, 0, self.pair) is None
+        assert find_manipulation(self.p, 0, self.pair, "expected") is None
 
     def test_tilted_weights_rescue_the_pair(self):
-        w = find_expected(
-            self.p, 0, self.pair, weights=(Fraction(3, 4), Fraction(1, 4))
+        w = find_manipulation(
+            self.p, 0, self.pair, "expected",
+            weights=(Fraction(3, 4), Fraction(1, 4)),
         )
         assert ballot(w) == "bac"
         assert [o.relation for o in w.outcomes] == ["better", "worse"]
 
     def test_stronger_notions_fail_for_voter_0(self):
-        assert find_sure(self.p, 0, self.pair) is None
-        assert find_safe(self.p, 0, self.pair) is None
-        assert find_harmless(self.p, 0, self.pair) is None
+        assert find_manipulation(self.p, 0, self.pair, "sure") is None
+        assert find_manipulation(self.p, 0, self.pair, "safe") is None
+        assert find_manipulation(self.p, 0, self.pair, "harmless") is None
 
     def test_voter_2_has_a_safe_witness_instead(self):
-        w = find_safe(self.p, 2, self.pair)
+        w = find_manipulation(self.p, 2, self.pair, "safe")
         assert ballot(w) == "abc"
         assert [o.relation for o in w.outcomes] == ["neutral", "better"]
-        assert find_sure(self.p, 2, self.pair) is None
+        assert find_manipulation(self.p, 2, self.pair, "sure") is None
 
 
 class TestDictatorBlocksSafety:
@@ -241,16 +238,16 @@ class TestDictatorBlocksSafety:
         assert [ballot_text(a) for a in improving] == ["cba"]
 
     def test_safe_and_harmless_for_the_pair(self):
-        for finder in (find_safe, find_harmless):
-            w = finder(self.p, 0, self.pair)
+        for notion in ("safe", "harmless"):
+            w = find_manipulation(self.p, 0, self.pair, notion)
             assert ballot(w) == "cba"
             assert [o.relation for o in w.outcomes] == ["better", "neutral"]
 
     def test_adding_the_dictator_blocks_safe(self):
-        assert find_safe(self.p, 0, self.with_dictator) is None
+        assert find_manipulation(self.p, 0, self.with_dictator, "safe") is None
 
     def test_sure_fails_even_for_the_pair(self):
-        assert find_sure(self.p, 0, self.pair) is None
+        assert find_manipulation(self.p, 0, self.pair, "sure") is None
 
 
 def ballot_text(r: Ranking) -> str:
@@ -291,8 +288,8 @@ class TestNotionRelationships:
             for rs in product(all_rankings(3), repeat=2):
                 p = Profile(rs)
                 for voter in range(2):
-                    safe = find_safe(p, voter, pair, kind)
-                    harmless = find_harmless(p, voter, pair, kind)
+                    safe = find_manipulation(p, voter, pair, "safe", kind)
+                    harmless = find_manipulation(p, voter, pair, "harmless", kind)
                     assert (safe is None) == (harmless is None)
 
     def test_single_method_sets_collapse_every_notion(self):
@@ -315,7 +312,7 @@ class TestNotionRelationships:
         for rs in product(all_rankings(3), repeat=4):
             p = Profile(rs)
             for voter in range(4):
-                w = find_sure(p, voter, pair)
+                w = find_manipulation(p, voter, pair, "sure")
                 if w is None:
                     continue
                 hits += 1
