@@ -12,32 +12,39 @@ many voters hold each ranking.  An exhaustive census therefore walks the
 anonymous classes (multisets of m rankings) rather than the labeled
 profiles, weighting each class by the number of labeled profiles in it,
 the multinomial m!/(c_1! ... c_k!) for holder counts c_i.  The kernel
-works per class:
+works on arrays, a chunk of classes at a time:
 
-* batched winners: a class is a row of ranking counts, and each method's
-  batched form (``fn.on_counts``, see ``methods``) scores a whole block of
-  rows in one numpy call, with blocks kept under ``BLOCK_CELLS`` cells.  An
-  exhaustive census scores every class this way before its search; a
-  sampled census scores each sampled class's neighbourhood (the class and
-  every one-voter switch from it) as it reaches the class, and keeps no
-  memo of classes between them;
-* outcome ids: the tuple of every universe method's winner set on a class
-  is interned, only for the distinct rows of winner bitmasks in a block,
-  and each class maps to one small integer id;
-* verdict table: whether one voter's ballot switch witnesses the notion
-  depends only on the voter's ranking and the outcome ids before and after
-  it, so that triple maps, memoized, to a bitmask of the sets witnessed
-  (bit s for set s).  A miss folds the per-method dominance flags into
-  three universe masks (improves, not_worse, worsens), and a second memo
-  keyed by those masks calls ``notion_holds`` once per set.
+* class ranks: a class is a sorted row of m ranking indices, and its colex
+  rank sum_i C(a_i + i, i + 1) numbers the C(n! + m - 1, m) classes without
+  gaps (``_Colex``).  The rank of the class one voter's switch reaches is
+  the class's rank plus a difference of two running sums over its holder
+  counts, computed for every switch of a chunk at once;
+* batched winners: a class is also a row of ranking counts, and each
+  method's batched form (``fn.on_counts``, see ``methods``) scores a whole
+  block of rows in one numpy call, with blocks kept under ``BLOCK_CELLS``
+  cells.  The tuple of every method's winner set on a class is one
+  outcome, interned as a small integer id.  An exhaustive census fills one
+  id array indexed by class rank before its search and reads each switch's
+  outcome from it; a sampled census scores each chunk's switched classes
+  as it reaches them;
+* verdicts: whether one voter's ballot switch witnesses the notion depends
+  only on the voter's ranking and the outcomes before and after it.  A
+  chunk's switches are reduced to their distinct (ranking, before, after)
+  triples, those to per-method winner moves whose dominance flags are
+  memoized, and the flags folded per triple into a row that a second memo
+  maps, calling ``notion_holds`` once per set, to a bitmask of the sets
+  witnessed (uint64 words, bit s for set s).  OR-ing the triples' masks over
+  a voter's alternative ballots gives the sets that voter witnesses;
+* aggregation: class weights times the any-voter and per-holder bits, in
+  int64 while (n!)^m * m fits and in exact Python integers beyond.
 
-A voter's search is then one table lookup per alternative ballot, OR-ed
-together until every set is hit.  Uncertainty sets containing a method
-without a batched form (a pairwise dictator, which is not anonymous, or a
-custom ``fn``) take a direct per-profile path over the labeled profiles:
-the batched methods' part of each outcome still comes from count blocks,
-the other methods run on the profile, and the same per-voter search runs
-over the interned outcomes.
+Uncertainty sets containing a method without a batched form (a pairwise
+dictator, which is not anonymous, or a custom ``fn``) take a direct path
+over the labeled profiles: the batched methods' part of each outcome still
+comes from a class's rank, the other methods run on the profile, and the
+same verdict pass judges every voter's switches.  The exhaustive class walk
+is budgeted by its classes, the direct path and sampling by the profiles
+they judge.
 
 Sampling draws each voter's ranking independently and uniformly using
 numpy's PCG64 generator; the whole sample stream is materialized up front
@@ -60,12 +67,11 @@ import csv
 import io
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, islice, product
-from typing import Callable, Iterable, Iterator, Sequence
+from itertools import combinations, product
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -80,12 +86,12 @@ DEFAULT_BUDGET = 20_000_000
 # call's arrays under a MB whatever n and m are; larger blocks gain little
 # time and raise a census's peak RSS.
 BLOCK_CELLS = 1 << 16
-# A class key stores each ranking's holder count in one byte.
+# A count row stores each ranking's holder count in one byte.
 MAX_VOTERS = 255
 
 
 class BudgetExceededError(RuntimeError):
-    """A census that would enumerate more profiles than the budget allows."""
+    """A census that would judge more classes or profiles than the budget allows."""
 
 
 @dataclass(frozen=True)
@@ -191,11 +197,10 @@ def enumerate_profiles(n: int, m: int, budget: int = DEFAULT_BUDGET) -> Iterator
         yield Profile(combo)
 
 
-def _sample_rows(n: int, m: int, count: int, seed: int) -> list[list[int]]:
+def _sample_rows(n: int, m: int, count: int, seed: int) -> np.ndarray:
     # One materialized stream per seed keeps sampled censuses reproducible.
     rng = np.random.Generator(np.random.PCG64(seed))
-    rows = rng.integers(0, math.factorial(n), size=(count, m), dtype=np.int64)
-    return rows.tolist()
+    return rng.integers(0, math.factorial(n), size=(count, m), dtype=np.int64)
 
 
 def sample_profiles(n: int, m: int, count: int, seed: int) -> list[Profile]:
@@ -205,7 +210,7 @@ def sample_profiles(n: int, m: int, count: int, seed: int) -> list[Profile]:
     rankings = all_rankings(n)
     return [
         Profile(tuple(rankings[d] for d in row))
-        for row in _sample_rows(n, m, count, seed)
+        for row in _sample_rows(n, m, count, seed).tolist()
     ]
 
 
@@ -225,35 +230,152 @@ def _bitmask(winners: frozenset[int]) -> int:
     return sum(1 << x for x in winners)
 
 
+def _counts(classes: np.ndarray, fact: int) -> np.ndarray:
+    """``(k, fact)`` holder counts, one byte each, of k profiles or classes
+    given by their voters' ranking indices."""
+    k = len(classes)
+    cells = np.arange(k)[:, None] * fact + classes
+    return np.bincount(cells.ravel(), minlength=k * fact).reshape(k, fact).astype(np.uint8)
+
+
+def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first index of each distinct row of a 2-D array, and each row's
+    distinct row.  Rows are compared as opaque byte strings, which sorts
+    far faster than ``np.unique(axis=0)``."""
+    a = np.ascontiguousarray(a)
+    rows = a.view(np.dtype((np.void, a.itemsize * a.shape[1]))).ravel()
+    _, index, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    return index, inverse.reshape(-1)
+
+
+class _Colex:
+    """The anonymous classes at (n, m) in colex order.
+
+    A class is a sorted row a_0 <= ... <= a_{m-1} of ranking indices below
+    ``fact``, and its rank sum_i C(a_i + i, i + 1) runs over every number
+    below C(fact + m - 1, m).  Counted by rankings instead, with s_v voters
+    holding a ranking below v, the same rank is the last rank minus
+    sum_v C(v + s_v - 1, v) over v >= 1; a switch from r to r2 moves s_v by
+    one for every v between them, so its rank is the class's rank plus a
+    difference of two running sums.
+    """
+
+    def __init__(self, fact: int, m: int) -> None:
+        self.fact = fact
+        self.m = m
+        self.classes = math.comb(fact + m - 1, m)
+        # term[i, v]: the rank term of ranking v at place i of a sorted row
+        self.term = np.array([[math.comb(v + i, i + 1) for v in range(fact)]
+                              for i in range(m)], np.int64)
+        # below[v, s]: the term of ranking v with s voters below it
+        self.below = np.array([[math.comb(v + s - 1, v) if v else 0 for s in range(m + 2)]
+                               for v in range(fact)], np.int64)
+        self.binomial = np.array([[math.comb(a, b) for b in range(m + 1)]
+                                  for a in range(m + 1)], object)
+
+    def weights(self, counts: np.ndarray) -> np.ndarray:
+        """m!/(c_1! ... c_k!) per row of holder counts c_i, exact: the labeled
+        profiles in each class.  It is the product of C(e_i, c_i) over the
+        held rankings, e_i the voters holding ranking i or one before it."""
+        row, r = np.nonzero(counts)
+        held = counts[row, r]
+        upto = np.cumsum(counts, axis=1)[row, r]
+        starts = np.flatnonzero(np.r_[True, row[1:] != row[:-1]])
+        return np.multiply.reduceat(self.binomial[upto, held], starts)
+
+    def _terms(self, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per row of holder counts, the voters below each ranking and the
+        ranking's rank term."""
+        s = np.cumsum(counts, axis=1, dtype=np.int64) - counts  # voters below each ranking
+        return s, self.below[np.arange(self.fact), s]
+
+    def rank(self, counts: np.ndarray) -> np.ndarray:
+        """The rank of the class of each row of holder counts."""
+        return self.classes - 1 - self._terms(counts)[1].sum(axis=1)
+
+    def unrank(self, ranks: np.ndarray) -> np.ndarray:
+        """``(len(ranks), fact)`` holder counts of the classes: each place of
+        the sorted row, last first, takes the largest ranking whose term fits
+        in what is left of the rank."""
+        classes = np.empty((len(ranks), self.m), np.int64)
+        left = ranks.copy()
+        for i in range(self.m - 1, -1, -1):
+            classes[:, i] = np.searchsorted(self.term[i], left, side="right") - 1
+            left -= self.term[i, classes[:, i]]
+        return _counts(classes, self.fact)
+
+    def switch_ranks(self, counts: np.ndarray, ranks: np.ndarray,
+                     row: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """``(len(r), fact)``: the rank of the class reached when one holder of
+        ranking ``r[j]`` in class ``row[j]`` (holder counts ``counts``, ranks
+        ``ranks``) switches to each ranking."""
+        s, here = self._terms(counts)
+        v = np.arange(self.fact)
+        # A switch up to r2 > r leaves one voter fewer below each ranking in
+        # (r, r2], which adds down[r2] - down[r] to the rank; a switch down
+        # puts one more below each ranking in (r2, r] and adds up[r2] - up[r].
+        up = np.cumsum(self.below[v, s + 1] - here, axis=1)
+        down = np.cumsum(here - self.below[v, np.maximum(s - 1, 0)], axis=1)
+        return ranks[row, None] + np.where(
+            v > r[:, None], down[row] - down[row, r, None], up[row] - up[row, r, None])
+
+
+class _Outcomes:
+    """Interned outcomes.  An outcome is the tuple of winner bitmasks of
+    some methods on one profile; each distinct one gets a small integer id."""
+
+    def __init__(self) -> None:
+        self._ids: dict[tuple[int, ...], int] = {}
+        self.masks: list[tuple[int, ...]] = []
+        self._arrays: tuple[np.ndarray, np.ndarray] | None = None
+
+    def intern(self, masks: tuple[int, ...]) -> int:
+        oid = self._ids.get(masks)
+        if oid is None:
+            oid = self._ids[masks] = len(self.masks)
+            self.masks.append(masks)
+            self._arrays = None
+        return oid
+
+    def ids(self, masks: np.ndarray) -> np.ndarray:
+        """Id per row of a ``(k, methods)`` array of winner bitmasks."""
+        index, inverse = _distinct_rows(masks)
+        ids = np.array([self.intern(tuple(w)) for w in masks[index].tolist()], np.int32)
+        return ids[inverse]
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ``(ids, methods)`` winner bitmasks, and per id the union of
+        its winner sets."""
+        if self._arrays is None:
+            masks = np.array(self.masks, np.int64)
+            self._arrays = masks, np.bitwise_or.reduce(masks, axis=1)
+        return self._arrays
+
+
 class _ClassKernel:
-    """Batched winner evaluation, interned outcomes and a memoized verdict
-    table for one census.
+    """Batched winner evaluation, interned outcomes and the array verdict
+    pass of one census.
 
-    An outcome is the tuple of winner sets of every universe method on one
-    profile; each distinct outcome gets a small integer id.  A class is
-    given by its ranking counts, ``counts[i]`` being the number of voters
-    holding the i-th lexicographic ranking: exactly what an anonymous method
-    can see.  ``outcome_ids`` takes a block of such rows and has every
-    method with a batched form (``fn.on_counts``) score the whole block in
-    one call; only the distinct rows of winner bitmasks are interned.
-    Classes are keyed by ``bytes(counts)``.
+    A class is given by its ranking counts, ``counts[i]`` being the number
+    of voters holding the i-th lexicographic ranking: exactly what an
+    anonymous method can see.  ``outcome_ids`` takes a block of such rows
+    and has every method with a batched form (``fn.on_counts``) score the
+    whole block in one call; only the distinct rows of winner bitmasks are
+    interned.  Those ids (``part``) cover the batched methods only; when a
+    method has no batched form, ``whole_ids`` runs it on the profile and
+    interns the whole outcome in ``whole``.
 
-    An exhaustive census first fills a class-key -> id memo for every class
-    (``remember``), block by block, and then looks neighbours up in it.  A
-    sampled census keeps no memo: each class's neighbourhood (the class and
-    every one-voter switch from it) is scored as one block when the class is
-    searched, so memory does not grow with the sample.
-
-    The verdict of a ballot switch depends only on the switching voter's
-    ranking and the outcome ids before and after it; ``voter_hits`` looks
-    that triple up in a memoized table of bitmasks, bit s set when set s
-    is witnessed.
+    ``hits`` takes, per holder ranking, the outcome before and after each
+    switch and returns the sets some switch witnesses, as multi-word
+    bitmasks (bit s for set s).
     """
 
     def __init__(self, spec: CensusSpec) -> None:
         self.notion = spec.notion
         self.kind = spec.kind
         self.weights = spec.weights
+        self.n = spec.n
+        self.m = spec.m
         self.rankings = all_rankings(spec.n)
         self.fact = len(self.rankings)
         universe: list[VotingMethod] = []
@@ -269,7 +391,7 @@ class _ClassKernel:
             members.append(tuple(idxs))
         self.universe = tuple(universe)
         self.set_members = tuple(members)
-        self.full_mask = (1 << len(members)) - 1
+        self.words = -(-len(members) // 64)  # uint64 words per set mask
         batched = [u for u, f in enumerate(self.universe)
                    if f.anonymous and hasattr(f.fn, "on_counts")]
         self.all_batched = len(batched) == len(self.universe)
@@ -279,266 +401,253 @@ class _ClassKernel:
                              if u not in batched)
         self._block_rows = max(1, BLOCK_CELLS // (
             self.fact + min(spec.m, self.fact) * spec.n ** 2))
-        # class key -> outcome id, filled by ``remember`` (exhaustive only)
-        self._memo: dict[bytes, int] | None = None
-        # outcome id per tuple of winner bitmasks; per id, the bitmasks, the
-        # winner sets and the candidate every method elects alone (else -1)
-        self._outcome_ids: dict[tuple[int, ...], int] = {}
-        self._masks: list[tuple[int, ...]] = []
-        self._outcomes: list[tuple[frozenset[int], ...]] = []
-        self._sole: list[int] = []
-        self._flags: dict[tuple, tuple[bool, bool, bool]] = {}
-        # (r_idx, base_id) -> {after_id: witnessed-sets mask}
-        self._verdicts: dict[tuple[int, int], dict[int, int]] = {}
-        # (improves, not_worse, worsens) universe masks -> witnessed-sets mask
-        self._by_flags: dict[tuple[int, int, int], int] = {}
+        self.part = _Outcomes()
+        self.whole = self.part if self.all_batched else _Outcomes()
+        self._top = np.array([1 << r.order[0] for r in self.rankings])  # as a bitmask
+        # packed (ranking, before, after) winner move -> flag code
+        self._flags: dict[int, int] = {}
+        # flag code per universe method -> witnessed-set words
+        self._by_flags: dict[bytes, list[int]] = {}
 
-    def _intern(self, masks: tuple[int, ...]) -> int:
-        oid = self._outcome_ids.get(masks)
-        if oid is None:
-            oid = self._outcome_ids[masks] = len(self._outcomes)
-            self._masks.append(masks)
-            self._outcomes.append(tuple(frozenset(_bits(w)) for w in masks))
-            elected = 0
-            for w in masks:
-                elected |= w
-            self._sole.append(elected.bit_length() - 1 if elected & (elected - 1) == 0 else -1)
-        return oid
+    def chunk(self, pairs: int) -> int:
+        """Classes or profiles per search chunk when each has up to ``pairs``
+        holder rankings: a chunk's widest arrays then have about
+        ``BLOCK_CELLS`` cells."""
+        return max(1, BLOCK_CELLS // (pairs * (self.fact * len(self.universe) + self.m)))
 
     def outcome_ids(self, rows: np.ndarray) -> np.ndarray:
-        """Outcome id per row of a ``(k, n!)`` block of ranking counts.
-
-        When some universe method has no batched form, an id stands for the
-        batched methods' part of the outcome only (see ``merge``).
-        """
+        """Part id per row of a ``(k, n!)`` array of ranking counts, scored
+        in blocks of at most ``BLOCK_CELLS`` cells."""
         if not self._on_counts:
-            return np.full(len(rows), self._intern(()))
-        masks = np.stack([f(rows) for f in self._on_counts], axis=1)
-        distinct, inverse = np.unique(masks, axis=0, return_inverse=True)
-        ids = np.array([self._intern(tuple(w)) for w in distinct.tolist()])
-        return ids[inverse.reshape(-1)]
+            return np.full(len(rows), self.part.intern(()), np.int32)
+        step = self._block_rows
+        return np.concatenate([
+            self.part.ids(np.stack([f(rows[lo:lo + step]) for f in self._on_counts], axis=1))
+            for lo in range(0, len(rows), step)
+        ])
 
-    def remember(self, keys: Iterable[bytes]) -> Iterable[bytes]:
-        """Fills the class memo for ``keys``, one block of classes at a time,
-        and returns the keys in their original order."""
-        self._memo = memo = {}
-        keys = iter(keys)
-        while chunk := list(islice(keys, self._block_rows)):
-            rows = np.frombuffer(b"".join(chunk), np.uint8).reshape(len(chunk), self.fact)
-            memo.update(zip(chunk, self.outcome_ids(rows).tolist()))
-        return memo.keys()
+    def class_ids(self, colex: _Colex) -> np.ndarray:
+        """The part id of every class, indexed by colex rank, in the
+        narrowest unsigned type that holds the ids seen so far."""
+        ids = np.empty(colex.classes, np.uint8)
+        for lo in range(0, colex.classes, self._block_rows):
+            counts = colex.unrank(np.arange(lo, min(lo + self._block_rows, colex.classes)))
+            block = self.outcome_ids(counts)
+            ids = ids.astype(np.promote_types(ids.dtype, np.min_scalar_type(block.max())),
+                             copy=False)
+            ids[lo:lo + len(counts)] = block
+        return ids
 
-    def _neighbourhood(self, key: bytes) -> dict[int, list[int]]:
-        """Ranking r held on the class -> outcome id after one holder of r
-        switches to r2, for every r2 (r2 == r gives the class itself).
+    def neighbourhood(self, counts: np.ndarray, row: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """``(len(r), n!)``: the part id after one holder of ranking ``r[j]``
+        in class ``counts[row[j]]`` switches to each ranking."""
+        ids = np.empty(len(r) * self.fact, np.int32)
+        for lo in range(0, len(ids), self._block_rows):
+            pair, r2 = np.divmod(np.arange(lo, min(lo + self._block_rows, len(ids))), self.fact)
+            block = counts[row[pair]]
+            at = np.arange(len(pair))
+            block[at, r[pair]] -= 1
+            block[at, r2] += 1
+            ids[lo:lo + len(pair)] = self.outcome_ids(block)
+        return ids.reshape(len(r), self.fact)
 
-        The switches are scored in blocks of at most ``BLOCK_CELLS`` cells.
+    def whole_ids(self, digits: np.ndarray, parts: np.ndarray) -> np.ndarray:
+        """Whole id per profile given by its voters' ranking indices, from
+        the part ids of its class; the other methods run on the profile."""
+        ids = []
+        for part_id, row in zip(parts.tolist(), digits.tolist()):
+            profile = Profile(tuple(self.rankings[d] for d in row))
+            masks = list(self.part.masks[part_id])
+            for u, fn in self._scalar:
+                masks.insert(u, _bitmask(fn(profile)))
+            ids.append(self.whole.intern(tuple(masks)))
+        return np.array(ids, np.int32)
+
+    def hits(self, r: np.ndarray, base: np.ndarray, after: np.ndarray) -> np.ndarray:
+        """``(len(r), words)`` uint64: the sets witnessed by some switch of a
+        voter with ranking ``r[j]`` that takes whole outcome ``base[j]`` to
+        ``after[j, r2]``.
+
+        Only the distinct (ranking, before, after) triples are judged.  An
+        unchanged outcome witnesses nothing, and no outcome beats a
+        unanimous win for the voter's top candidate.
         """
-        base = np.frombuffer(key, np.uint8)
-        held = np.flatnonzero(base)
-        switches = np.arange(len(held) * self.fact)
-        ids = np.empty(len(switches), dtype=np.int64)
-        for lo in range(0, len(switches), self._block_rows):
-            s = switches[lo:lo + self._block_rows]
-            block = np.repeat(base[None], len(s), axis=0)
-            at = np.arange(len(s))
-            block[at, held[s // self.fact]] -= 1
-            block[at, s % self.fact] += 1
-            ids[lo:lo + len(s)] = self.outcome_ids(block)
-        return dict(zip(held.tolist(), ids.reshape(len(held), self.fact).tolist()))
+        masks, elected = self.whole.arrays()
+        out = np.zeros((len(r), self.words), np.uint64)
+        live = (after != base[:, None]) & (elected[base] != self._top[r])[:, None]
+        pair, col = np.nonzero(live)
+        if not len(pair):
+            return out
+        ids = len(masks)
+        triples, inverse = np.unique(
+            (r[pair] * ids + base[pair]) * ids + after[pair, col], return_inverse=True)
+        rb, after_id = np.divmod(triples, ids)
+        r_idx, base_id = np.divmod(rb, ids)
+        hit = self._verdicts(r_idx, masks[base_id], masks[after_id])[inverse.reshape(-1)]
+        starts = np.flatnonzero(np.r_[True, pair[1:] != pair[:-1]])
+        out[pair[starts]] = np.bitwise_or.reduceat(hit, starts, axis=0)
+        return out
 
-    def switch_ids(self, key: bytes) -> tuple[int, Callable[[int], Iterable[int]]]:
-        """The class's outcome id, and a map from a ranking r it holds to
-        the outcome ids after one holder of r switches to each other
-        ranking, in ranking order (lazily, when the class memo is filled).
-        """
-        memo = self._memo
-        if memo is not None:
-            return memo[key], lambda r: (
-                memo[self.neighbour(key, r, r2)] for r2 in range(self.fact) if r2 != r
+    def _verdicts(self, r_idx: np.ndarray, before: np.ndarray, after: np.ndarray) -> np.ndarray:
+        """Witnessed-set words per triple, from per-method winner bitmasks."""
+        n = self.n
+        moves = (r_idx[:, None] << 2 * n) | (before << n) | after
+        keys, inverse = np.unique(moves, return_inverse=True)
+        codes = np.array([self._flag(k) for k in keys.tolist()], np.uint8)[inverse]
+        codes = codes.reshape(moves.shape)  # a row of flag codes per triple
+        index, inverse = _distinct_rows(codes)
+        words = np.array([self._witnessed(row.tobytes()) for row in codes[index]], np.uint64)
+        return words.reshape(len(index), self.words)[inverse]
+
+    def _flag(self, move: int) -> int:
+        """Flag code of a packed winner move: 1 improves, 2 not worse, 4 worsens."""
+        code = self._flags.get(move)
+        if code is None:
+            full = (1 << self.n) - 1
+            ranking = self.rankings[move >> 2 * self.n]
+            before = frozenset(_bits(move >> self.n & full))
+            after = frozenset(_bits(move & full))
+            code = self._flags[move] = (
+                dominates_strict(self.kind, after, before, ranking)
+                | dominates_nonstrict(self.kind, after, before, ranking) << 1
+                | dominates_strict(self.kind, before, after, ranking) << 2
             )
-        after = self._neighbourhood(key)
-        r0 = next(iter(after))
-        return after[r0][r0], lambda r: after[r][:r] + after[r][r + 1:]
+        return code
 
-    def merge(self, part_id: int, profile: Profile) -> int:
-        """Id of the whole universe's outcome on ``profile``, given the
-        batched methods' part of it; the other methods run on the profile."""
-        masks = list(self._masks[part_id])
-        for u, fn in self._scalar:
-            masks.insert(u, _bitmask(fn(profile)))
-        return self._intern(tuple(masks))
-
-    def flag(self, r_idx: int, before: frozenset[int], after: frozenset[int]
-             ) -> tuple[bool, bool, bool]:
-        """(improves, not_worse, worsens) for a winner-set move, memoized."""
-        cache_key = (r_idx, before, after)
-        f = self._flags.get(cache_key)
-        if f is None:
-            ranking = self.rankings[r_idx]
-            f = self._flags[cache_key] = (
-                dominates_strict(self.kind, after, before, ranking),
-                dominates_nonstrict(self.kind, after, before, ranking),
-                dominates_strict(self.kind, before, after, ranking),
-            )
-        return f
-
-    def _verdict(self, r_idx: int, base_id: int, after_id: int) -> int:
-        base, after = self._outcomes[base_id], self._outcomes[after_id]
-        improves = not_worse = worsens = 0
-        for u in range(len(self.universe)):
-            imp, nw, wor = self.flag(r_idx, base[u], after[u])
-            improves |= imp << u
-            not_worse |= nw << u
-            worsens |= wor << u
-        witnessed = self._by_flags.get((improves, not_worse, worsens))
-        if witnessed is None:
+    def _witnessed(self, codes: bytes) -> list[int]:
+        """Witnessed-set words for one flag code per universe method."""
+        words = self._by_flags.get(codes)
+        if words is None:
+            flags = [(c & 1 == 1, c & 2 == 2, c & 4 == 4) for c in codes]
             witnessed = 0
             for s, members in enumerate(self.set_members):
-                fl = [(improves >> u & 1 == 1, not_worse >> u & 1 == 1,
-                       worsens >> u & 1 == 1) for u in members]
-                if notion_holds(self.notion, fl, self.weights):
+                if notion_holds(self.notion, [flags[u] for u in members], self.weights):
                     witnessed |= 1 << s
-            self._by_flags[improves, not_worse, worsens] = witnessed
-        return witnessed
-
-    def voter_hits(self, r_idx: int, base_id: int, after_ids: Iterable[int]) -> int:
-        """Mask of the sets some switch witnesses for a voter with ranking
-        ``r_idx``, given the outcome ids of the voter's alternative ballots.
-
-        ``after_ids`` is consumed lazily and abandoned once every set is hit.
-        """
-        # No outcome beats a unanimous win for this voter's top candidate,
-        # so no notion can be witnessed from here.
-        if self._sole[base_id] == self.rankings[r_idx].order[0]:
-            return 0
-        row = self._verdicts.setdefault((r_idx, base_id), {})
-        hits = 0
-        for after_id in after_ids:
-            v = row.get(after_id)
-            if v is None:
-                v = row[after_id] = self._verdict(r_idx, base_id, after_id)
-            hits |= v
-            if hits == self.full_mask:
-                break
-        return hits
-
-    def neighbour(self, key: bytes, r_idx: int, r2: int) -> bytes:
-        """The class reached when one holder of ranking r_idx switches to r2."""
-        ba = bytearray(key)
-        ba[r_idx] -= 1
-        ba[r2] += 1
-        return bytes(ba)
-
-    def class_hits(self, key: bytes) -> list[tuple[int, int]]:
-        """(witnessed-sets mask, holders) per ranking held on an anonymous class."""
-        base_id, after = self.switch_ids(key)
-        return [(self.voter_hits(r_idx, base_id, after(r_idx)), cnt)
-                for r_idx, cnt in enumerate(key) if cnt]
+            words = self._by_flags[codes] = [
+                witnessed >> 64 * w & (1 << 64) - 1 for w in range(self.words)]
+        return words
 
 
-# --- class sources ----------------------------------------------------------
+# --- census passes ----------------------------------------------------------
+#
+# Each pass yields chunks of (weight per class or profile, the class or
+# profile of each holder ranking, its holders, its witnessed-set words).
 
 
-def _class_key(digits: Iterable[int], fact: int) -> bytes:
-    """The key of the class of a profile given by its voters' ranking
-    indices: each of the ``fact`` rankings' holder count, one byte each."""
-    counts = [0] * fact
-    for d in digits:
-        counts[d] += 1
-    return bytes(counts)
+def _class_walk(spec: CensusSpec, kernel: _ClassKernel) -> Iterator[tuple]:
+    """Every anonymous class, weighted by its labeled profiles."""
+    colex = _Colex(kernel.fact, spec.m)
+    ids = kernel.class_ids(colex)
+    step = kernel.chunk(min(spec.m, kernel.fact))
+    for lo in range(0, colex.classes, step):
+        ranks = np.arange(lo, min(lo + step, colex.classes))
+        counts = colex.unrank(ranks)
+        row, r = np.nonzero(counts)
+        after = ids[colex.switch_ranks(counts, ranks, row, r)]
+        yield (colex.weights(counts), row, counts[row, r],
+               kernel.hits(r, ids[ranks][row], after))
 
 
-def _class_keys(n: int, m: int) -> Iterator[bytes]:
-    """The key of every anonymous class, a multiset of m rankings."""
-    fact = math.factorial(n)
-    return (_class_key(combo, fact)
-            for combo in combinations_with_replacement(range(fact), m))
+def _sampled_classes(spec: CensusSpec, kernel: _ClassKernel) -> Iterator[tuple]:
+    """The sample's distinct classes, weighted by how often each was drawn."""
+    sample = np.sort(_sample_rows(spec.n, spec.m, spec.samples, spec.seed), axis=1)
+    index, inverse = _distinct_rows(sample)
+    classes, weights = sample[index], np.bincount(inverse)
+    step = kernel.chunk(min(spec.m, kernel.fact))
+    for lo in range(0, len(classes), step):
+        counts = _counts(classes[lo:lo + step], kernel.fact)
+        row, r = np.nonzero(counts)
+        base = kernel.outcome_ids(counts)[row]
+        yield (weights[lo:lo + step], row, counts[row, r],
+               kernel.hits(r, base, kernel.neighbourhood(counts, row, r)))
 
 
-def _weighted(keys: Iterable[bytes], m: int) -> Iterator[tuple[bytes, int]]:
-    """(class key, labeled profiles in the class) per key.
+def _direct_profiles(spec: CensusSpec, kernel: _ClassKernel) -> Iterator[tuple]:
+    """Labeled profiles, for censuses with a method that has no batched form
+    (a pairwise dictator, or a custom ``fn``): every voter is searched."""
+    fact, m = kernel.fact, spec.m
+    step = kernel.chunk(m)
+    if spec.mode == "sample":
+        sample = _sample_rows(spec.n, spec.m, spec.samples, spec.seed)
+        for lo in range(0, len(sample), step):
+            digits = sample[lo:lo + step]
+            row, voter = np.divmod(np.arange(digits.size), m)
+            # every profile one voter's switch reaches, fact per voter
+            moved = np.repeat(digits[row], fact, axis=0)
+            moved[np.arange(len(moved)), np.repeat(voter, fact)] = np.tile(
+                np.arange(fact), len(row))
+            base, after = (kernel.whole_ids(d, kernel.outcome_ids(_counts(d, fact)))
+                           for d in (digits, moved))
+            yield (np.ones(len(digits), np.int64), row, np.ones(len(row), np.uint8),
+                   kernel.hits(digits.ravel(), base[row], after.reshape(len(row), fact)))
+        return
+    # Every labeled profile's whole id, its part read from its class's rank;
+    # a switch then moves one digit of the labeled index.
+    colex = _Colex(fact, m)
+    ids = kernel.class_ids(colex)
+    place = fact ** np.arange(m - 1, -1, -1)  # voter 0 most significant
+    whole = np.empty(fact ** m, np.int32)
+    for lo in range(0, len(whole), step):
+        digits = np.arange(lo, min(lo + step, len(whole)))[:, None] // place % fact
+        whole[lo:lo + len(digits)] = kernel.whole_ids(
+            digits, ids[colex.rank(_counts(digits, fact))])
+    for lo in range(0, len(whole), step):
+        index = np.arange(lo, min(lo + step, len(whole)))
+        digits = index[:, None] // place % fact
+        row = np.repeat(np.arange(len(index)), m)
+        r = digits.ravel()
+        shift = np.tile(place, len(index))[:, None]  # of each voter's digit
+        moved = index[row, None] + (np.arange(fact) - r[:, None]) * shift
+        yield (np.ones(len(index), np.int64), row, np.ones(len(r), np.uint8),
+               kernel.hits(r, whole[index[row]], whole[moved]))
 
-    The profiles in a class number m!/(c_1! ... c_k!), where c_i voters
-    hold ranking i.
-    """
-    factorials = [math.factorial(c) for c in range(m + 1)]
-    for key in keys:
-        yield key, factorials[m] // math.prod([factorials[c] for c in key])
+
+def _set_bits(words: np.ndarray, nsets: int) -> np.ndarray:
+    """``(k, nsets)`` 0/1 per set from ``(k, words)`` uint64 set masks."""
+    return np.unpackbits(words.astype("<u8").view(np.uint8), axis=1,
+                         bitorder="little")[:, :nsets]
 
 
-def _class_weights(n: int, m: int) -> Iterator[tuple[bytes, int]]:
-    """(class key, labeled profiles in the class) for every anonymous class."""
-    return _weighted(_class_keys(n, m), m)
-
-
-def _results(spec: CensusSpec,
-             weighted_hits: Iterable[tuple[int, list[tuple[int, int]]]]
-             ) -> tuple[CensusResult, ...]:
-    """Per-set counts from (profile weight, [(voter mask, holders), ...]) rows."""
+def _results(spec: CensusSpec, chunks: Iterable[tuple]) -> tuple[CensusResult, ...]:
+    """Per-set counts: a class or profile counts its weight for each set
+    any of its voters witnesses, and a holder ranking its weight times its
+    holders for each set it witnesses."""
     nsets = len(spec.method_sets)
-    profiles = [0] * nsets
-    pointed = [0] * nsets
-    for weight, voter_hits in weighted_hits:
-        any_hit = 0
-        for mask, holders in voter_hits:
-            any_hit |= mask
-            for s in _bits(mask):
-                pointed[s] += weight * holders
-        for s in _bits(any_hit):
-            profiles[s] += weight
+    # int64 holds every count while the pointed profiles, at most (n!)^m * m, fit
+    dtype = np.int64 if spec.total * spec.m < 2 ** 63 else object
+    profiles = np.zeros(nsets, object)
+    pointed = np.zeros(nsets, object)
+    for weights, row, holders, hits in chunks:
+        weights = weights.astype(dtype)
+        starts = np.flatnonzero(np.r_[True, row[1:] != row[:-1]])
+        any_voter = np.bitwise_or.reduceat(hits, starts, axis=0)
+        profiles += weights[row[starts]] @ _set_bits(any_voter, nsets)
+        pointed += (weights[row] * holders) @ _set_bits(hits, nsets)
     return tuple(
         CensusResult(
             set_id=s.id, notion=spec.notion, kind=spec.kind, n=spec.n, m=spec.m,
-            total=spec.total, witness_profiles=profiles[i], witness_pointed=pointed[i],
+            total=spec.total, witness_profiles=int(profiles[i]),
+            witness_pointed=int(pointed[i]),
         )
         for i, s in enumerate(spec.method_sets)
     )
 
 
-def _direct_hits(spec: CensusSpec, kernel: _ClassKernel
-                 ) -> Iterator[tuple[int, list[tuple[int, int]]]]:
-    """Per-profile rows for censuses with a method that has no batched form
-    (a pairwise dictator, or a custom ``fn``)."""
-    fact = kernel.fact
-    rankings = kernel.rankings
-    if spec.mode == "sample":
-        rows: Iterable[Sequence[int]] = _sample_rows(spec.n, spec.m, spec.samples, spec.seed)
-    else:
-        rows = product(range(fact), repeat=spec.m)
-        kernel.remember(_class_keys(spec.n, spec.m))
-    for digits in rows:
-        profile = Profile(tuple(rankings[d] for d in digits))
-        part_id, after = kernel.switch_ids(_class_key(digits, fact))
-        base_id = kernel.merge(part_id, profile)
-        voter_hits = []
-        for voter, r_idx in enumerate(digits):
-            others = (r2 for r2 in range(fact) if r2 != r_idx)
-            after_ids = (
-                kernel.merge(part, profile.replace_ranking(voter, rankings[r2]))
-                for part, r2 in zip(after(r_idx), others)
-            )
-            voter_hits.append((kernel.voter_hits(r_idx, base_id, after_ids), 1))
-        yield 1, voter_hits
-
-
 def run_census(spec: CensusSpec) -> CensusReport:
     """Runs the census described by ``spec``; see the module docstring."""
-    if spec.total > spec.budget:
-        raise BudgetExceededError(
-            f"{spec.total} profiles exceed the budget of {spec.budget}"
-        )
     kernel = _ClassKernel(spec)
-    if not kernel.all_batched:
-        return CensusReport(spec, _results(spec, _direct_hits(spec, kernel)))
-    if spec.mode == "sample":
-        rows = _sample_rows(spec.n, spec.m, spec.samples, spec.seed)
-        classes = Counter(_class_key(row, kernel.fact) for row in rows).items()
+    if spec.mode == "exhaustive" and kernel.all_batched:
+        classes = math.comb(kernel.fact + spec.m - 1, spec.m)
+        if classes > spec.budget:
+            raise BudgetExceededError(f"{classes} classes exceed the budget of {spec.budget}")
+        chunks = _class_walk(spec, kernel)
     else:
-        classes = _weighted(kernel.remember(_class_keys(spec.n, spec.m)), spec.m)
-    return CensusReport(spec, _results(
-        spec, ((weight, kernel.class_hits(key)) for key, weight in classes)
-    ))
+        if spec.total > spec.budget:
+            raise BudgetExceededError(
+                f"{spec.total} profiles exceed the budget of {spec.budget}")
+        pass_ = _sampled_classes if kernel.all_batched else _direct_profiles
+        chunks = pass_(spec, kernel)
+    return CensusReport(spec, _results(spec, chunks))
 
 
 # --- censuses over families of sets -----------------------------------------

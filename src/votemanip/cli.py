@@ -75,15 +75,33 @@ def _add_choice(parser: argparse.ArgumentParser, option: str, fallback: str) -> 
                         default=_env(option, fallback))
 
 
-def _check_choices(args: argparse.Namespace) -> None:
-    """argparse checks only explicit values against ``choices``, so a value
-    outside them came from the environment; checked for the options the
-    command has, after parsing, so an explicit flag still wins."""
+class _IntFromEnv:
+    """An integer option's default: its environment variable, or
+    ``fallback``, read only once the command is known (``_check_env``)."""
+
+    def __init__(self, option: str, fallback: int | None) -> None:
+        self.option = option
+        self.fallback = fallback
+
+
+def _add_int(parser: argparse.ArgumentParser, option: str, fallback: int | None) -> None:
+    parser.add_argument(f"--{option}", type=int, default=_IntFromEnv(option, fallback))
+
+
+def _check_env(args: argparse.Namespace) -> None:
+    """Checks the values that come from the environment, after parsing and
+    for the options the chosen command has only, so an explicit flag still
+    wins and a variable for another command is never read.  argparse checks
+    only explicit values against ``choices``, so a value outside them came
+    from the environment."""
     for option, choices in _CHOICES.items():
         value = getattr(args, option, None)  # None: the command has no such option
         if value is not None and value not in choices:
             raise ValueError(f"{_env_name(option)} must be one of "
                              f"{', '.join(choices)}, got {value!r}")
+    for dest, value in vars(args).items():
+        if isinstance(value, _IntFromEnv):
+            setattr(args, dest, _int_env(value.option, value.fallback))
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -91,8 +109,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_budget(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--budget", type=int,
-                        default=_int_env("budget", DEFAULT_BUDGET))
+    _add_int(parser, "budget", DEFAULT_BUDGET)
 
 
 def _add_notion(parser: argparse.ArgumentParser) -> None:
@@ -163,6 +180,8 @@ def _aligned(rows) -> Iterator[str]:
 def cmd_winners(args) -> int:
     profile, labels = read_profile_file(args.profile)
     methods = _parse_methods(args.methods, labels)
+    if not methods:
+        raise ValueError("an uncertainty set needs at least one method")
     config = {"command": "winners", "profile": args.profile,
               "methods": [f.id for f in methods]}
     rows = [(f.id, _fmt_set(f.winners(profile), labels)) for f in methods]
@@ -296,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="search one voter's ballots for a witness")
     p.add_argument("profile")
-    p.add_argument("--voter", type=int, default=_int_env("voter", 0))
+    _add_int(p, "voter", 0)
     p.add_argument("--methods", default=_env("methods", "all"))
     _add_notion(p)
     p.add_argument("--weights", default=_env("weights"),
@@ -308,8 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=int, required=True)
     p.add_argument("-m", type=int, required=True)
     p.add_argument("--methods", default=_env("methods", "all"))
-    p.add_argument("--samples", type=int, default=_int_env("samples", None))
-    p.add_argument("--seed", type=int, default=_int_env("seed", 0))
+    _add_int(p, "samples", None)
+    _add_int(p, "seed", 0)
     _add_notion(p)
     _add_common(p)
     _add_budget(p)
@@ -319,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=int, required=True)
     p.add_argument("-m", type=int, required=True)
     p.add_argument("--methods", default=_env("methods", "all"))
-    p.add_argument("--max-set-size", type=int, default=_int_env("max-set-size", 2))
+    _add_int(p, "max-set-size", 2)
     _add_notion(p)
     _add_common(p)
     _add_budget(p)
@@ -334,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pscf", help="induced lottery and dominance search")
     p.add_argument("profile")
     p.add_argument("--methods", default=_env("methods", "all"))
-    p.add_argument("--voter", type=int, default=_int_env("voter", None))
+    _add_int(p, "voter", None)
     _add_common(p)
     p.set_defaults(fn=cmd_pscf)
 
@@ -344,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        _check_choices(args)
+        _check_env(args)
         return args.fn(args)
     except (ProfileFormatError, BudgetExceededError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,12 +13,13 @@ import random
 from fractions import Fraction
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 
 from conftest import record_criterion
 from votemanip.census import (
     CensusSpec,
-    _class_weights,
+    _Colex,
     enumerate_profiles,
     run_census,
 )
@@ -396,13 +397,14 @@ def test_c10_exhaustive_class_weights_equal_the_labeled_enumeration():
     bad = []
     for n, m in ((3, 4), (4, 3), (2, 9), (3, 6)):
         index = {r: i for i, r in enumerate(all_rankings(n))}
-        labeled: dict[bytes, int] = {}
+        labeled: dict[tuple[int, ...], int] = {}
         for p in enumerate_profiles(n, m):
-            counts = [0] * len(index)
-            for r in p.rankings:
-                counts[index[r]] += 1
-            labeled[bytes(counts)] = labeled.get(bytes(counts), 0) + 1
-        weights = dict(_class_weights(n, m))
+            key = tuple(sorted(index[r] for r in p.rankings))
+            labeled[key] = labeled.get(key, 0) + 1
+        colex = _Colex(len(index), m)
+        counts = colex.unrank(np.arange(colex.classes))
+        combos = (tuple(np.repeat(np.arange(len(index)), row).tolist()) for row in counts)
+        weights = dict(zip(combos, colex.weights(counts).tolist()))
         if weights != labeled or sum(weights.values()) != math.factorial(n) ** m:
             bad.append((n, m))
     record_criterion(

@@ -6,6 +6,7 @@ from fractions import Fraction
 from functools import cache, wraps
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from votemanip.census import (
     CSV_COLUMNS,
@@ -21,9 +22,12 @@ from votemanip.census import (
     _ClassKernel,
     _sample_rows,
 )
+from votemanip.core import default_labels
 from votemanip.dominance import KINDS
-from votemanip.manipulation import NOTIONS, UncertaintySet, find_manipulation, method_set
-from votemanip.methods import METHODS, VotingMethod
+from votemanip.manipulation import (
+    NOTIONS, UncertaintySet, find_manipulation, method_set, subset_family,
+)
+from votemanip.methods import METHOD_ORDER, METHODS, VotingMethod, parse_method
 
 
 def naive_counts(spec: CensusSpec) -> dict[str, tuple[int, int]]:
@@ -222,6 +226,77 @@ class TestSharedUniverse:
         assert engine_counts(spec(direct=True)) == expected
 
 
+# The naive search judges about this many (set, profile, voter, ballot)
+# moves per generated spec, which keeps each example near a tenth of a second.
+NAIVE_MOVES = 10_000
+
+
+@st.composite
+def census_specs(draw, wide: bool = False) -> CensusSpec:
+    """Small censuses of every notion and kind, exhaustive or sampled, over
+    plain, ``inner@order`` and ``pdict:`` members.  A ``wide`` spec has more
+    than 64 sets, so its set masks take two words."""
+    # With fewer than three candidates or two voters nobody can manipulate.
+    n = draw(st.sampled_from((3,) if wide else (3, 3, 2)))
+    fact = math.factorial(n)
+    sampled = draw(st.booleans())
+    samples = draw(st.integers(1, 8 if wide else 20)) if sampled else 0
+    m = draw(st.integers(2, 4 if sampled or n < 3 else 2 if wide else 3))
+    labels = default_labels(n)
+    orders = st.permutations(labels).map("".join)
+    extended = st.tuples(st.sampled_from(METHOD_ORDER), orders).map("@".join)
+    if n > 1:
+        extended |= st.tuples(orders, st.integers(0, m - 1)).map(
+            lambda t: f"pdict:{t[0][0]},{t[0][1]},{t[1]}")
+    notion, weighted = draw(st.sampled_from([
+        *((x, False) for x in NOTIONS if not wide or x != "single"), ("expected", True)]))
+    kind = draw(st.sampled_from(KINDS))
+    if wide:
+        # Twelve or more methods give at least 66 pairs.  The singletons,
+        # which most often have witnesses, go last, into the second word.
+        extra = draw(st.lists(extended, min_size=1, max_size=2, unique=True))
+        methods = [parse_method(x, labels) for x in (*METHOD_ORDER, *extra)]
+        sets, weights = subset_family(methods, 2)[::-1], None
+        if weighted:
+            sets, weights = [s for s in sets if len(s) == 2], (Fraction(2, 3), Fraction(1, 3))
+    else:
+        methods = [parse_method(x, labels) for x in draw(st.lists(
+            st.sampled_from(METHOD_ORDER) | extended, min_size=1, max_size=4, unique=True))]
+        weights = None
+        if notion == "single":
+            sets = subset_family(methods, 1)
+        elif weighted:
+            size = draw(st.integers(1, len(methods)))
+            sets = [s for s in subset_family(methods, size) if len(s) == size]
+            parts = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size)
+                         .filter(any))
+            weights = tuple(Fraction(w, sum(parts)) for w in parts)
+        else:
+            sets = subset_family(methods, draw(st.integers(1, len(methods))))
+        moves = (samples or fact ** m) * m * max(fact - 1, 1)
+        sets = sets[:max(1, NAIVE_MOVES // moves)]
+    return CensusSpec(
+        n=n, m=m, method_sets=tuple(sets), notion=notion, kind=kind,
+        weights=weights, mode="sample" if sampled else "exhaustive",
+        samples=samples, seed=draw(st.integers(0, 2 ** 16)) if sampled else None,
+    )
+
+
+class TestGeneratedSpecs:
+    """The engine against the naive per-voter search on generated specs."""
+
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(census_specs())
+    def test_generated_specs_match_the_naive_search(self, spec):
+        assert engine_counts(spec) == naive_counts(spec)
+
+    @settings(max_examples=6, derandomize=True, deadline=None)
+    @given(census_specs(wide=True))
+    def test_more_than_64_sets_match_the_naive_search(self, spec):
+        assert len(spec.method_sets) > 64
+        assert engine_counts(spec) == naive_counts(spec)
+
+
 class TestFrozenCounts:
     def test_borda_at_3_3(self):
         spec = CensusSpec(n=3, m=3, method_sets=(method_set("borda"),))
@@ -385,10 +460,19 @@ class TestBudgets:
             list(enumerate_profiles(3, 3, budget=100))
 
     def test_census_respects_the_budget(self):
+        # (3,4) has 126 anonymous classes
         spec = CensusSpec(
-            n=3, m=4, method_sets=(method_set("borda"),), budget=500
+            n=3, m=4, method_sets=(method_set("borda"),), budget=100
         )
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(BudgetExceededError,
+                           match="^126 classes exceed the budget of 100$"):
+            run_census(spec)
+
+    def test_the_direct_scan_is_budgeted_by_labeled_profiles(self):
+        spec = CensusSpec(n=3, m=4, method_sets=(method_set("borda", "pdict:a,b,0"),),
+                          budget=1295)
+        with pytest.raises(BudgetExceededError,
+                           match="^1296 profiles exceed the budget of 1295$"):
             run_census(spec)
 
     def test_sampling_escapes_the_labeled_space_size(self):
@@ -429,7 +513,7 @@ class TestSpecValidation:
             )
 
     def test_more_than_255_voters_are_rejected(self):
-        # A class key stores each ranking's holder count in one byte.
+        # A count row stores each ranking's holder count in one byte.
         with pytest.raises(ValueError, match="at most 255 voters"):
             CensusSpec(
                 n=2, m=256, method_sets=(method_set("borda"),), mode="sample",

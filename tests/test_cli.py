@@ -96,6 +96,15 @@ class TestWinners:
         lines = [ln for ln in proc.stdout.splitlines() if not ln.startswith("#")]
         assert lines == ["method,winners", "borda,c"]
 
+    @pytest.mark.parametrize("fmt", ["pretty", "json"])
+    def test_an_empty_method_list_fails_cleanly(self, divided, fmt):
+        proc = run_cli("winners", divided, "--methods", "", "--format", fmt)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            "error: an uncertainty set needs at least one method"
+        ]
+
 
 class TestAnalyze:
     def test_reports_a_witness(self, divided):
@@ -227,6 +236,22 @@ class TestTable:
             "error: at most 255 voters are supported, got 600"
         ]
 
+    def test_the_default_budget_counts_classes(self):
+        # 2^30 labeled profiles in 31 classes
+        proc = run_cli("table", "-n", "2", "-m", "30", "--methods", "borda",
+                       "--format", "csv")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "borda,sure,weak,2,30,1073741824,0,0,0.0000"
+
+    def test_thirty_voters_over_three_candidates(self):
+        # 6^30 labeled profiles in 324,632 classes; the counts need exact integers
+        proc = run_cli("table", "-n", "3", "-m", "30", "--methods", "borda",
+                       "--format", "csv")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == (
+            "borda,sure,weak,3,30,221073919720733357899776,"
+            "47628363547311466183560,556180741569166282821600,21.5441")
+
     def test_budget_exceeded_fails_cleanly(self):
         proc = run_cli(
             "table", "-n", "3", "-m", "9", "--methods", "borda",
@@ -304,7 +329,7 @@ class TestVerify:
                        env={"VOTEMANIP_BUDGET": "1"})
         assert proc.returncode == 2
         assert proc.stderr.splitlines() == [
-            "error: 13824 profiles exceed the budget of 1"
+            "error: 2600 classes exceed the budget of 1"
         ]
 
     def test_run_target_rejects_unknown_names(self):
@@ -369,6 +394,22 @@ class TestErrorsAndEnvironment:
         assert proc.returncode == 2
         assert proc.stderr.splitlines() == [
             "error: VOTEMANIP_BUDGET must be an integer, got 'x'"
+        ]
+
+    def test_integer_variables_of_other_commands_are_not_read(self):
+        # table has no --voter
+        proc = run_cli("table", "-n", "3", "-m", "2", "--methods", "borda",
+                       env={"VOTEMANIP_VOTER": "x"})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+
+    def test_an_explicit_integer_flag_beats_a_bad_variable(self, divided):
+        proc = run_cli("analyze", divided, "--voter", "1", env={"VOTEMANIP_VOTER": "x"})
+        assert proc.returncode == 0, proc.stderr
+        proc = run_cli("analyze", divided, env={"VOTEMANIP_VOTER": "x"})
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            "error: VOTEMANIP_VOTER must be an integer, got 'x'"
         ]
 
     @pytest.mark.parametrize("variable,command,choices", [

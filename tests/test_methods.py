@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from votemanip.census import BLOCK_CELLS, CensusSpec, _ClassKernel
+from votemanip.census import CensusSpec, _ClassKernel, _Colex
 from votemanip.core import Profile, Ranking, all_rankings, default_labels
 from votemanip.fixtures import EXAMPLES, profile_of, ranking_of, set_of
 from votemanip.manipulation import UncertaintySet
@@ -326,20 +326,23 @@ class TestBatchedForms:
         self.check(n, rng.integers(0, len(all_rankings(n)), size=(count, m)).tolist())
 
     def test_a_class_memo_past_the_block_limit_matches(self):
-        # The kernel scores classes in blocks of a fixed size, so more
-        # classes than fit in one block cross chunk boundaries.
-        n, m = 6, 3
+        # The kernel fills its rank-indexed id array in blocks of a fixed
+        # size, so more classes than fit in one block cross block boundaries.
+        n, m = 4, 3
         methods = batched_methods(n)
         spec = CensusSpec(n=n, m=m, method_sets=tuple(UncertaintySet((f,)) for f in methods))
         kernel = _ClassKernel(spec)
-        rows_per_block = kernel._block_rows
-        assert rows_per_block * 720 < BLOCK_CELLS
-        combos = np.random.default_rng(7).integers(0, 720, size=(2 * rows_per_block + 50, m))
-        keys = {bytes(count_row(n, c)): c for c in combos.tolist()}
-        assert len(keys) > 2 * rows_per_block
-        kernel.remember(keys)
-        for key, combo in keys.items():
-            outcome = kernel._outcomes[kernel.switch_ids(key)[0]]
+        colex = _Colex(len(all_rankings(n)), m)
+        ids = kernel.class_ids(colex)
+        assert len(ids) == colex.classes > 2 * kernel._block_rows
+        counts = colex.unrank(np.arange(colex.classes))
+        combos = [tuple(np.repeat(np.arange(24), row).tolist()) for row in counts]
+        assert combos == sorted(combinations_with_replacement(range(24), m),
+                                key=lambda c: c[::-1])
+        assert colex.rank(counts).tolist() == list(range(colex.classes))
+        for combo, oid in zip(combos, ids.tolist()):
+            outcome = tuple(frozenset(x for x in range(n) if w >> x & 1)
+                            for w in kernel.part.masks[oid])
             assert outcome == tuple(f.fn(member(n, combo)) for f in methods)
 
     def test_tiebroken_custom_methods_have_no_batched_form(self):
