@@ -21,12 +21,15 @@ works on arrays, a chunk of classes at a time:
   counts, computed for every switch of a chunk at once;
 * batched winners: a class is also a row of ranking counts, and each
   method's batched form (``fn.on_counts``, see ``methods``) scores a whole
-  block of rows in one numpy call, with blocks kept under ``BLOCK_CELLS``
-  cells.  The tuple of every method's winner set on a class is one
-  outcome, interned as a small integer id.  An exhaustive census fills one
-  id array indexed by class rank before its search and reads each switch's
-  outcome from it; a sampled census scores each chunk's switched classes
-  as it reaches them;
+  block of rows in one numpy call, every method reading the one block's
+  memoized statistics, with blocks kept under ``BLOCK_CELLS`` cells.  The
+  tuple of every method's winner set on a class is one outcome, interned
+  as a small integer id.  An exhaustive census fills one id array indexed
+  by class rank before its search and reads each switch's outcome from it.
+  A sampled census scores each switch of a chunk as a correction to its
+  class's statistics (a switched block, ``methods._Switched``): the tallies
+  lose the old ranking's pairs and gain the new one's, and the places
+  under each candidate set move one voter, O(n^2) per switch;
 * verdicts: whether one voter's ballot switch witnesses the notion depends
   only on the voter's ranking and the outcomes before and after it.  A
   chunk's switches are reduced to their distinct (ranking, before, after)
@@ -41,10 +44,10 @@ works on arrays, a chunk of classes at a time:
 Uncertainty sets containing a method without a batched form (a pairwise
 dictator, which is not anonymous, or a custom ``fn``) take a direct path
 over the labeled profiles: the batched methods' part of each outcome still
-comes from a class's rank, the other methods run on the profile, and the
-same verdict pass judges every voter's switches.  The exhaustive class walk
-is budgeted by its classes, the direct path and sampling by the profiles
-they judge.
+comes from a class's rank, or from a switched block when sampled, the
+other methods run on the profile, and the same verdict pass judges every
+voter's switches.  The exhaustive class walk is budgeted by its classes,
+the direct path and sampling by the profiles they judge.
 
 Sampling draws each voter's ranking independently and uniformly using
 numpy's PCG64 generator; the whole sample stream is materialized up front
@@ -78,13 +81,14 @@ import numpy as np
 from .core import Profile, all_rankings
 from .manipulation import UncertaintySet, _validate, notion_holds, subset_family
 from .dominance import dominates_nonstrict, dominates_strict
-from .methods import VotingMethod
+from .methods import VotingMethod, _Counts, _Switched
 
 DEFAULT_BUDGET = 20_000_000
 # Cells per batched call: each row of a block costs its n! ranking counts
-# plus n*n tally cells for every ranking it can hold.  This keeps each
-# call's arrays under a MB whatever n and m are; larger blocks gain little
-# time and raise a census's peak RSS.
+# plus n*n tally cells for every ranking it can hold, and a switched row its
+# n*n tallies and n places.  This keeps each call's arrays under a MB
+# whatever n and m are; larger blocks gain little time and raise a census's
+# peak RSS.
 BLOCK_CELLS = 1 << 16
 # A count row stores each ranking's holder count in one byte.
 MAX_VOTERS = 255
@@ -358,12 +362,14 @@ class _ClassKernel:
 
     A class is given by its ranking counts, ``counts[i]`` being the number
     of voters holding the i-th lexicographic ranking: exactly what an
-    anonymous method can see.  ``outcome_ids`` takes a block of such rows
-    and has every method with a batched form (``fn.on_counts``) score the
-    whole block in one call; only the distinct rows of winner bitmasks are
-    interned.  Those ids (``part``) cover the batched methods only; when a
-    method has no batched form, ``whole_ids`` runs it on the profile and
-    interns the whole outcome in ``whole``.
+    anonymous method can see.  ``outcome_ids`` takes such rows, wraps each
+    block of them in one ``_Counts`` and has every method with a batched
+    form (``fn.on_counts``) score it in one call; only the distinct rows of
+    winner bitmasks are interned.  ``neighbourhood`` scores the switches of
+    a chunk's classes the same way, as ``_Switched`` blocks over one
+    ``_Counts`` of the classes.  Those ids (``part``) cover the batched
+    methods only; when a method has no batched form, ``whole_ids`` runs it
+    on the profile and interns the whole outcome in ``whole``.
 
     ``hits`` takes, per holder ranking, the outcome before and after each
     switch and returns the sets some switch witnesses, as multi-word
@@ -401,6 +407,7 @@ class _ClassKernel:
                              if u not in batched)
         self._block_rows = max(1, BLOCK_CELLS // (
             self.fact + min(spec.m, self.fact) * spec.n ** 2))
+        self._switch_rows = max(1, BLOCK_CELLS // (spec.n ** 2 + spec.n))
         self.part = _Outcomes()
         self.whole = self.part if self.all_batched else _Outcomes()
         self._top = np.array([1 << r.order[0] for r in self.rankings])  # as a bitmask
@@ -415,16 +422,18 @@ class _ClassKernel:
         ``BLOCK_CELLS`` cells."""
         return max(1, BLOCK_CELLS // (pairs * (self.fact * len(self.universe) + self.m)))
 
+    def _score(self, block: _Counts | _Switched) -> np.ndarray:
+        """Part id per row of a block that every batched method shares."""
+        if not self._on_counts:
+            return np.full(block.k, self.part.intern(()), np.int32)
+        return self.part.ids(np.stack([f(block) for f in self._on_counts], axis=1))
+
     def outcome_ids(self, rows: np.ndarray) -> np.ndarray:
         """Part id per row of a ``(k, n!)`` array of ranking counts, scored
         in blocks of at most ``BLOCK_CELLS`` cells."""
-        if not self._on_counts:
-            return np.full(len(rows), self.part.intern(()), np.int32)
         step = self._block_rows
-        return np.concatenate([
-            self.part.ids(np.stack([f(rows[lo:lo + step]) for f in self._on_counts], axis=1))
-            for lo in range(0, len(rows), step)
-        ])
+        return np.concatenate([self._score(_Counts(rows[lo:lo + step]))
+                               for lo in range(0, len(rows), step)])
 
     def class_ids(self, colex: _Colex) -> np.ndarray:
         """The part id of every class, indexed by colex rank, in the
@@ -440,15 +449,13 @@ class _ClassKernel:
 
     def neighbourhood(self, counts: np.ndarray, row: np.ndarray, r: np.ndarray) -> np.ndarray:
         """``(len(r), n!)``: the part id after one holder of ranking ``r[j]``
-        in class ``counts[row[j]]`` switches to each ranking."""
+        in class ``counts[row[j]]`` switches to each ranking, each switch
+        scored as a correction to the class's own statistics."""
+        base = _Counts(counts)
         ids = np.empty(len(r) * self.fact, np.int32)
-        for lo in range(0, len(ids), self._block_rows):
-            pair, r2 = np.divmod(np.arange(lo, min(lo + self._block_rows, len(ids))), self.fact)
-            block = counts[row[pair]]
-            at = np.arange(len(pair))
-            block[at, r[pair]] -= 1
-            block[at, r2] += 1
-            ids[lo:lo + len(pair)] = self.outcome_ids(block)
+        for lo in range(0, len(ids), self._switch_rows):
+            pair, r2 = np.divmod(np.arange(lo, min(lo + self._switch_rows, len(ids))), self.fact)
+            ids[lo:lo + len(pair)] = self._score(_Switched(base, row[pair], r[pair], r2))
         return ids.reshape(len(r), self.fact)
 
     def whole_ids(self, digits: np.ndarray, parts: np.ndarray) -> np.ndarray:
@@ -576,8 +583,10 @@ def _direct_profiles(spec: CensusSpec, kernel: _ClassKernel) -> Iterator[tuple]:
             moved = np.repeat(digits[row], fact, axis=0)
             moved[np.arange(len(moved)), np.repeat(voter, fact)] = np.tile(
                 np.arange(fact), len(row))
-            base, after = (kernel.whole_ids(d, kernel.outcome_ids(_counts(d, fact)))
-                           for d in (digits, moved))
+            counts = _counts(digits, fact)
+            base = kernel.whole_ids(digits, kernel.outcome_ids(counts))
+            after = kernel.whole_ids(
+                moved, kernel.neighbourhood(counts, row, digits.ravel()).ravel())
             yield (np.ones(len(digits), np.int64), row, np.ones(len(row), np.uint8),
                    kernel.hits(digits.ravel(), base[row], after.reshape(len(row), fact)))
         return

@@ -227,11 +227,16 @@ def pairwise_dictator_winners(
 
 # --- batched forms on ranking counts -------------------------------------------
 #
-# ``f.on_counts(rows)`` is f evaluated on a whole block at once: row i of the
-# (k, n!) integer array ``rows`` holds how many voters hold each ranking of
-# ``all_rankings(n)``, and the result is f's k winner sets as int64 bitmasks
-# (bit x for candidate x).  Only anonymous methods can have one, since a row
-# forgets which voter holds what.  All arithmetic is on exact integers.
+# ``f.on_counts(block)`` is f evaluated on a whole block of anonymous classes
+# at once, and the result is f's winner sets as int64 bitmasks (bit x for
+# candidate x), one per row.  The block is either a (k, n!) integer array of
+# count rows, row i holding how many voters hold each ranking of
+# ``all_rankings(n)``, which is wrapped in a ``_Counts``, or a block built
+# by the census engine: a ``_Counts`` that every method of a census shares,
+# so its memoized tallies are computed once, or a ``_Switched`` block of
+# one-voter switches, whose statistics are corrections to its base block's.
+# Only anonymous methods can have a batched form, since a row forgets which
+# voter holds what.  All arithmetic is on exact integers.
 
 
 def _degree(width: int) -> int:
@@ -268,6 +273,8 @@ class _Counts:
 
     Sums run through ``np.bincount`` with float64 weights; every total is
     an integer far below 2**53, so they are exact and cast back losslessly.
+    Tallies and the places under every candidate set are memoized, read-only,
+    for the methods and switched blocks that share the block.
     """
 
     def __init__(self, rows: np.ndarray) -> None:
@@ -278,6 +285,8 @@ class _Counts:
         cells = np.flatnonzero(flat)
         self.holders = flat[cells].astype(np.float64)
         self.row, self.ranking = np.divmod(cells, rows.shape[1])
+        self._tallies: np.ndarray | None = None
+        self._by_set: dict[bool, np.ndarray] = {}
 
     def _sum(self, cells: np.ndarray, holders: np.ndarray, size: int) -> np.ndarray:
         return np.bincount(cells, holders, minlength=size).astype(np.int64)
@@ -289,12 +298,15 @@ class _Counts:
     def tallies(self) -> np.ndarray:
         """``(k, n, n)``: entry [i, x, y] counts row i's voters ranking x
         above y, i.e. the block times the pairwise indicator matrix."""
-        n = self.n
-        pairs = pairs_above(n)
-        cells = pairs[self.ranking]
-        cells += (self.row * n * n)[:, None]
-        holders = np.repeat(self.holders, pairs.shape[1])
-        return self._sum(cells.ravel(), holders, self.k * n * n).reshape(self.k, n, n)
+        if self._tallies is None:
+            n = self.n
+            pairs = pairs_above(n)
+            cells = pairs[self.ranking]
+            cells += (self.row * n * n)[:, None]
+            holders = np.repeat(self.holders, pairs.shape[1])
+            self._tallies = _frozen(self._sum(cells.ravel(), holders, self.k * n * n)
+                                    .reshape(self.k, n, n))
+        return self._tallies
 
     def places(self, alive: np.ndarray, worst: bool = False) -> np.ndarray:
         """``(k, n)``: row i's voters whose best (or worst) member of the set
@@ -303,8 +315,78 @@ class _Counts:
         cells = self.row * self.n + table[alive[self.row], self.ranking]
         return self._sum(cells, self.holders, self.k * self.n).reshape(self.k, self.n)
 
+    def places_by_set(self, worst: bool) -> np.ndarray:
+        """``(k, 2^n, n)``: ``places`` under every candidate set at once."""
+        if worst not in self._by_set:
+            table = alive_extremes(self.n)[worst]
+            sets = np.arange(1 << self.n)
+            cells = (self.row[:, None] * len(sets) + sets) * self.n + table[:, self.ranking].T
+            holders = np.repeat(self.holders, len(sets))
+            self._by_set[worst] = _frozen(self._sum(
+                cells.ravel(), holders, self.k * len(sets) * self.n
+            ).reshape(self.k, len(sets), self.n))
+        return self._by_set[worst]
 
-def _eliminate(block: _Counts,
+
+class _Switched:
+    """A block of one-voter switches: row i is base class ``cls[i]`` with one
+    holder of ranking ``a[i]`` moved to ranking ``b[i]``.
+
+    Its statistics are the base block's with two corrections per row: the
+    tallies lose ranking a's ``pairs_above`` cells and gain b's, and the
+    places under set A lose a voter at a's extreme member of A and gain one
+    at b's.  So a switched row costs O(n^2), not the O(n! + m n^2) of a
+    count row scored from scratch.
+    """
+
+    def __init__(self, base: _Counts, cls: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+        self.base, self.cls, self.a, self.b = base, cls, a, b
+        self.k = len(cls)
+        self.n = base.n
+        self.full = np.full(self.k, (1 << self.n) - 1, dtype=np.int64)
+        self._tallies: np.ndarray | None = None
+
+    def voters(self) -> np.ndarray:
+        return self.base.voters()[self.cls]
+
+    def tallies(self) -> np.ndarray:
+        if self._tallies is None:
+            n = self.n
+            pairs = pairs_above(n)
+            tallies = self.base.tallies()[self.cls]
+            flat = tallies.reshape(-1)  # a view: the gather made a new array
+            row = (np.arange(self.k) * n * n)[:, None]
+            # a row's cells are distinct, so plain fancy updates are exact
+            flat[row + pairs[self.a]] -= 1
+            flat[row + pairs[self.b]] += 1
+            self._tallies = _frozen(tallies)
+        return self._tallies
+
+    def places(self, alive: np.ndarray, worst: bool = False) -> np.ndarray:
+        table = alive_extremes(self.n)[worst]
+        places = self.base.places_by_set(worst)[self.cls, alive]
+        flat = places.reshape(-1)
+        row = np.arange(self.k) * self.n
+        flat[row + table[alive, self.a]] -= 1
+        flat[row + table[alive, self.b]] += 1
+        return places
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only because every method of a block shares it."""
+    a.flags.writeable = False
+    return a
+
+
+_Rows = np.ndarray | _Counts | _Switched
+
+
+def _block(rows: _Rows) -> _Counts | _Switched:
+    """A batched form's argument as a block: count rows are wrapped."""
+    return _Counts(rows) if isinstance(rows, np.ndarray) else rows
+
+
+def _eliminate(block: _Counts | _Switched,
                step: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
                ) -> np.ndarray:
     """Masked elimination rounds from the full candidate set.
@@ -328,37 +410,37 @@ def _borda_within(tallies: np.ndarray, inside: np.ndarray) -> np.ndarray:
     return (tallies * inside[:, None, :]).sum(axis=2)
 
 
-def _plurality_on_counts(rows: np.ndarray) -> np.ndarray:
-    block = _Counts(rows)
+def _plurality_on_counts(rows: _Rows) -> np.ndarray:
+    block = _block(rows)
     return _top(block.places(block.full))
 
 
-def _borda_on_counts(rows: np.ndarray) -> np.ndarray:
-    return _top(_Counts(rows).tallies().sum(axis=2))
+def _borda_on_counts(rows: _Rows) -> np.ndarray:
+    return _top(_block(rows).tallies().sum(axis=2))
 
 
-def _condorcet_on_counts(rows: np.ndarray) -> np.ndarray:
-    block = _Counts(rows)
+def _condorcet_on_counts(rows: _Rows) -> np.ndarray:
+    block = _block(rows)
     tallies = block.tallies()
     beats = tallies > tallies.transpose(0, 2, 1)
     winner = _bitmask(beats.sum(axis=2) == block.n - 1)
     return np.where(winner == 0, block.full, winner)
 
 
-def _copeland_on_counts(rows: np.ndarray) -> np.ndarray:
-    tallies = _Counts(rows).tallies()
+def _copeland_on_counts(rows: _Rows) -> np.ndarray:
+    tallies = _block(rows).tallies()
     net = tallies - tallies.transpose(0, 2, 1)
     return _top((net > 0).sum(axis=2) - (net < 0).sum(axis=2))
 
 
-def _maxmin_on_counts(rows: np.ndarray) -> np.ndarray:
-    tallies = _Counts(rows).tallies()
+def _maxmin_on_counts(rows: _Rows) -> np.ndarray:
+    tallies = _block(rows).tallies()
     own = np.eye(tallies.shape[1], dtype=bool)
     return _top(np.where(own, np.iinfo(np.int64).max, tallies).min(axis=2))
 
 
-def _runoff_on_counts(rows: np.ndarray) -> np.ndarray:
-    block = _Counts(rows)
+def _runoff_on_counts(rows: _Rows) -> np.ndarray:
+    block = _block(rows)
     firsts = block.places(block.full)
     top = _top(firsts)
     second = _top(firsts, ~_members(top, block.n))
@@ -366,10 +448,10 @@ def _runoff_on_counts(rows: np.ndarray) -> np.ndarray:
     return _top(block.places(finalists), _members(finalists, block.n))
 
 
-def _first_or_last_elimination(rows: np.ndarray, worst: bool) -> np.ndarray:
+def _first_or_last_elimination(rows: _Rows, worst: bool) -> np.ndarray:
     """Hare (drop the fewest first places) or Coombs (the most last places),
     each with the strict-majority check on first places."""
-    block = _Counts(rows)
+    block = _block(rows)
     voters = block.voters()[:, None]
 
     def step(alive):
@@ -388,8 +470,8 @@ def _first_or_last_elimination(rows: np.ndarray, worst: bool) -> np.ndarray:
     return _eliminate(block, step)
 
 
-def _baldwin_on_counts(rows: np.ndarray) -> np.ndarray:
-    block = _Counts(rows)
+def _baldwin_on_counts(rows: _Rows) -> np.ndarray:
+    block = _block(rows)
     tallies = block.tallies()
 
     def step(alive):
@@ -401,10 +483,10 @@ def _baldwin_on_counts(rows: np.ndarray) -> np.ndarray:
     return _eliminate(block, step)
 
 
-def _nanson_on_counts(rows: np.ndarray, strict: bool) -> np.ndarray:
+def _nanson_on_counts(rows: _Rows, strict: bool) -> np.ndarray:
     """Strict Nanson keeps scores at or above the average, weak Nanson only
     those strictly above it; all compared exactly as size * score vs total."""
-    block = _Counts(rows)
+    block = _block(rows)
     tallies = block.tallies()
 
     def step(alive):

@@ -252,6 +252,24 @@ class TestTable:
             "borda,sure,weak,3,30,221073919720733357899776,"
             "47628363547311466183560,556180741569166282821600,21.5441")
 
+    def test_a_sample_over_eight_candidates(self):
+        # 40,320 rankings: every voter has that many alternative ballots
+        proc = run_cli("table", "-n", "8", "-m", "2", "--methods", "borda",
+                       "--samples", "1", "--seed", "1", "--format", "csv")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "borda,sure,weak,8,2,1,1,2,100.0000"
+
+    def test_a_sample_at_the_voter_limit(self):
+        # MAX_VOTERS: the most that one-byte holder counts allow
+        proc = run_cli("table", "-n", "3", "-m", "255", "--methods", "borda,hare",
+                       "--samples", "3", "--seed", "5", "--format", "csv")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-3:] == [
+            "borda,sure,weak,3,255,3,1,172,33.3333",
+            "hare,sure,weak,3,255,3,0,0,0.0000",
+            "borda+hare,sure,weak,3,255,3,0,0,0.0000",
+        ]
+
     def test_budget_exceeded_fails_cleanly(self):
         proc = run_cli(
             "table", "-n", "3", "-m", "9", "--methods", "borda",

@@ -14,6 +14,8 @@ from votemanip.methods import (
     METHOD_ORDER,
     METHODS,
     VotingMethod,
+    _Counts,
+    _Switched,
     pairwise_dictator,
     parse_method,
     plurality,
@@ -344,6 +346,51 @@ class TestBatchedForms:
             outcome = tuple(frozenset(x for x in range(n) if w >> x & 1)
                             for w in kernel.part.masks[oid])
             assert outcome == tuple(f.fn(member(n, combo)) for f in methods)
+
+    @pytest.mark.parametrize("n,m,count", [
+        *((2, m, None) for m in range(1, 5)),
+        *((3, m, None) for m in range(1, 6)),
+        *((4, m, None) for m in range(1, 4)),
+        (5, 7, 30), (6, 3, 20), (7, 2, 3),
+    ])
+    def test_switched_blocks_match_count_rows_and_the_scalar_method(self, n, m, count):
+        # Every one-voter switch of every class (or of ``count`` seeded random
+        # classes), scored as a correction to its base class in ``_Switched``,
+        # against the same switches as count rows; a seeded subset of the
+        # switched classes also against the scalar method.
+        fact = len(all_rankings(n))
+        rng = np.random.default_rng(n * 100 + m)
+        if count is None:
+            combos = list(combinations_with_replacement(range(fact), m))
+        else:
+            combos = rng.integers(0, fact, size=(count, m)).tolist()
+        counts = np.array([count_row(n, c) for c in combos], dtype=np.uint8)
+        cls, a = np.nonzero(counts)
+        cls, a = np.repeat(cls, fact), np.repeat(a, fact)
+        b = np.tile(np.arange(fact), len(cls) // fact)
+        assert (a == b).any() and ((a != b) & (counts[cls, a] == 1)).any()  # stay, vacate
+        labels = "".join(default_labels(n))
+        methods = batched_methods(n) + [parse_method(f"{name}@{labels[::-1]}")
+                                        for name in ("coombs", "copeland", "strict_nanson")]
+        base = _Counts(counts)
+        step = max(1, (1 << 20) // fact)  # switches materialized at once
+        for lo in range(0, len(cls), step):
+            at = np.arange(lo, min(lo + step, len(cls)))
+            block = _Switched(base, cls[at], a[at], b[at])
+            rows = counts[cls[at]]
+            rows[np.arange(len(at)), a[at]] -= 1
+            rows[np.arange(len(at)), b[at]] += 1
+            dense = _Counts(rows)
+            for f in methods:
+                assert f.fn.on_counts(block).tolist() == f.fn.on_counts(dense).tolist(), f.id
+        pick = np.sort(rng.choice(len(cls), size=min(len(cls), 300), replace=False))
+        block = _Switched(base, cls[pick], a[pick], b[pick])
+        switched = [member(n, np.repeat(np.arange(fact), row - (np.arange(fact) == r)
+                                        + (np.arange(fact) == r2)).tolist())
+                    for row, r, r2 in zip(counts[cls[pick]].astype(int), a[pick], b[pick])]
+        for f in methods:
+            assert f.fn.on_counts(block).tolist() == [
+                bitmask(f.fn(p)) for p in switched], f.id
 
     def test_tiebroken_custom_methods_have_no_batched_form(self):
         custom = VotingMethod("custom", lambda profile: frozenset(profile.candidates))
