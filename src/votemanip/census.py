@@ -33,11 +33,17 @@ works on arrays, a chunk of classes at a time:
 * verdicts: whether one voter's ballot switch witnesses the notion depends
   only on the voter's ranking and the outcomes before and after it.  A
   chunk's switches are reduced to their distinct (ranking, before, after)
-  triples, those to per-method winner moves whose dominance flags are
-  memoized, and the flags folded per triple into a row that a second memo
-  maps, calling ``notion_holds`` once per set, to a bitmask of the sets
-  witnessed (uint64 words, bit s for set s).  OR-ing the triples' masks over
-  a voter's alternative ballots gives the sets that voter witnesses;
+  triples.  Every dominance kind compares one place of each winner set
+  under the ranking (the best or the worst), so each method's flags
+  (improves, not worse, worsens) on every triple come from gathers into a
+  table of each candidate set's best and worst place under each of the
+  chunk's distinct rankings.  The triples' rows of flags are reduced to
+  their distinct rows, and each set's notion is tested on all of them at
+  once, as comparisons of the members (or, for a weighted ``expected``,
+  of their weights scaled to integers) that improve, are not worse or
+  worsen, giving a bitmask of the sets witnessed (uint64 words, bit s for
+  set s).  OR-ing the triples' masks over a voter's alternative ballots
+  gives the sets that voter witnesses;
 * aggregation: class weights times the any-voter and per-holder bits, in
   int64 while (n!)^m * m fits and in exact Python integers beyond.
 
@@ -78,9 +84,13 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import Profile, all_rankings
-from .manipulation import UncertaintySet, _validate, notion_holds, subset_family
-from .dominance import dominates_nonstrict, dominates_strict
+from .core import Profile, all_rankings, ranking_orders
+from .manipulation import UncertaintySet, _validate, subset_family
+# Bound here only for ``censusbench/tracing.py``, which wraps them by name
+# on this module: the census's verdicts are array operations and call none
+# of them; they stay the reference behind ``find_manipulation``.
+from .dominance import dominates_nonstrict, dominates_strict  # noqa: F401
+from .manipulation import notion_holds  # noqa: F401
 from .methods import VotingMethod, _Counts, _Switched
 
 DEFAULT_BUDGET = 20_000_000
@@ -219,14 +229,6 @@ def sample_profiles(n: int, m: int, count: int, seed: int) -> list[Profile]:
 
 
 # --- the anonymous-class kernel ----------------------------------------------
-
-
-def _bits(mask: int) -> Iterator[int]:
-    """Indices of the set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 @lru_cache(maxsize=None)
@@ -373,20 +375,24 @@ class _ClassKernel:
 
     ``hits`` takes, per holder ranking, the outcome before and after each
     switch and returns the sets some switch witnesses, as multi-word
-    bitmasks (bit s for set s).
+    bitmasks (bit s for set s).  It judges the distinct (ranking, before,
+    after) triples with arrays alone: ``_dominance`` reads every method's
+    flags from a table of each candidate set's best and worst place under
+    each distinct ranking (``_places``, rankings x 2^n cells), and
+    ``_witnesses`` tests every set's notion on the distinct rows of flags
+    against a set x method matrix of member weights (``_weight``).
     """
 
     def __init__(self, spec: CensusSpec) -> None:
         self.notion = spec.notion
         self.kind = spec.kind
-        self.weights = spec.weights
         self.n = spec.n
         self.m = spec.m
         self.rankings = all_rankings(spec.n)
         self.fact = len(self.rankings)
         universe: list[VotingMethod] = []
         seen: dict[str, int] = {}
-        members: list[tuple[int, ...]] = []
+        members: list[list[int]] = []
         for s in spec.method_sets:
             idxs = []
             for f in s:
@@ -394,9 +400,8 @@ class _ClassKernel:
                     seen[f.id] = len(universe)
                     universe.append(f)
                 idxs.append(seen[f.id])
-            members.append(tuple(idxs))
+            members.append(idxs)
         self.universe = tuple(universe)
-        self.set_members = tuple(members)
         self.words = -(-len(members) // 64)  # uint64 words per set mask
         batched = [u for u, f in enumerate(self.universe)
                    if f.anonymous and hasattr(f.fn, "on_counts")]
@@ -410,11 +415,18 @@ class _ClassKernel:
         self._switch_rows = max(1, BLOCK_CELLS // (spec.n ** 2 + spec.n))
         self.part = _Outcomes()
         self.whole = self.part if self.all_batched else _Outcomes()
-        self._top = np.array([1 << r.order[0] for r in self.rankings])  # as a bitmask
-        # packed (ranking, before, after) winner move -> flag code
-        self._flags: dict[int, int] = {}
-        # flag code per universe method -> witnessed-set words
-        self._by_flags: dict[bytes, list[int]] = {}
+        self._order = ranking_orders(spec.n)
+        self._top = 1 << self._order[:, 0].astype(np.int64)  # as a bitmask
+        # set x universe method: 1 per member, or for a weighted ``expected``
+        # each member's weight times the common denominator, so that sums
+        # of weights compare as exact integers
+        scale = math.lcm(*(w.denominator for w in spec.weights)) if spec.weights else 1
+        self._weight = np.zeros((len(members), len(universe)),
+                                np.int64 if scale < 2 ** 63 else object)
+        for s, idxs in enumerate(members):
+            self._weight[s, idxs] = (
+                [int(w * scale) for w in spec.weights] if spec.weights else 1)
+        self._size = self._weight.sum(axis=1)
 
     def chunk(self, pairs: int) -> int:
         """Classes or profiles per search chunk when each has up to ``pairs``
@@ -496,43 +508,69 @@ class _ClassKernel:
         return out
 
     def _verdicts(self, r_idx: np.ndarray, before: np.ndarray, after: np.ndarray) -> np.ndarray:
-        """Witnessed-set words per triple, from per-method winner bitmasks."""
+        """Witnessed-set words per triple, from per-method winner bitmasks:
+        each distinct row of dominance flags is judged once."""
+        moves = self._dominance(r_idx, before, after)
+        index, inverse = _distinct_rows(moves.reshape(len(moves), -1))
+        return self._witnesses(moves[index])[inverse]
+
+    def _dominance(self, r_idx: np.ndarray, before: np.ndarray, after: np.ndarray) -> np.ndarray:
+        """``(triples, 3, methods)`` bool: whether each method's move from
+        ``before`` to ``after`` improves the outcome for a voter with ranking
+        ``r_idx``, leaves it not worse, and worsens it.
+
+        Under one ranking each kind compares a place of one winner set with
+        a place of the other: X is at least as good as Y for ``weak`` when
+        X's worst place is not below Y's best place, for ``opt`` when its
+        best place is not below Y's, and for ``pes`` when its worst place
+        is not below Y's.  X is strictly better when, in addition, X and Y
+        differ (``weak``), or when the compared places differ (the others).
+        """
+        rankings, ri = np.unique(r_idx, return_inverse=True)
+        best, worst = self._places(rankings)
+        first, second = {"weak": (worst, best), "opt": (best, best), "pes": (worst, worst)}[self.kind]
+        at = ri.reshape(-1, 1) * (1 << self.n)  # the triple's row of the tables
+        b, a = at + before, at + after
+        a1, a2, b1, b2 = first.take(a), second.take(a), first.take(b), second.take(b)
+        not_worse = a1 <= b2
+        if self.kind == "weak":
+            moved = before != after
+            improves, worsens = not_worse & moved, (b1 <= a2) & moved
+        else:
+            improves, worsens = a1 < b2, b1 < a2
+        return np.stack((improves, not_worse, worsens), axis=1)
+
+    def _places(self, rankings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(best, worst)``, each ``(len(rankings), 2^n)``: the
+        place (0 best) of the highest and of the lowest member of each
+        candidate set under each of ``rankings``."""
         n = self.n
-        moves = (r_idx[:, None] << 2 * n) | (before << n) | after
-        keys, inverse = np.unique(moves, return_inverse=True)
-        codes = np.array([self._flag(k) for k in keys.tolist()], np.uint8)[inverse]
-        codes = codes.reshape(moves.shape)  # a row of flag codes per triple
-        index, inverse = _distinct_rows(codes)
-        words = np.array([self._witnessed(row.tobytes()) for row in codes[index]], np.uint64)
-        return words.reshape(len(index), self.words)[inverse]
+        pos = np.argsort(self._order[rankings], axis=1)
+        best = np.empty((len(rankings), 1 << n), np.int64)
+        worst = np.empty_like(best)
+        best[:, 0], worst[:, 0] = n, -1  # the empty set is never a winner set
+        for x in range(n):  # the sets whose highest-numbered member is x
+            np.minimum(best[:, :1 << x], pos[:, x, None], out=best[:, 1 << x:2 << x])
+            np.maximum(worst[:, :1 << x], pos[:, x, None], out=worst[:, 1 << x:2 << x])
+        return best, worst
 
-    def _flag(self, move: int) -> int:
-        """Flag code of a packed winner move: 1 improves, 2 not worse, 4 worsens."""
-        code = self._flags.get(move)
-        if code is None:
-            full = (1 << self.n) - 1
-            ranking = self.rankings[move >> 2 * self.n]
-            before = frozenset(_bits(move >> self.n & full))
-            after = frozenset(_bits(move & full))
-            code = self._flags[move] = (
-                dominates_strict(self.kind, after, before, ranking)
-                | dominates_nonstrict(self.kind, after, before, ranking) << 1
-                | dominates_strict(self.kind, before, after, ranking) << 2
-            )
-        return code
-
-    def _witnessed(self, codes: bytes) -> list[int]:
-        """Witnessed-set words for one flag code per universe method."""
-        words = self._by_flags.get(codes)
-        if words is None:
-            flags = [(c & 1 == 1, c & 2 == 2, c & 4 == 4) for c in codes]
-            witnessed = 0
-            for s, members in enumerate(self.set_members):
-                if notion_holds(self.notion, [flags[u] for u in members], self.weights):
-                    witnessed |= 1 << s
-            words = self._by_flags[codes] = [
-                witnessed >> 64 * w & (1 << 64) - 1 for w in range(self.words)]
-        return words
+    def _witnesses(self, moves: np.ndarray) -> np.ndarray:
+        """Witnessed-set words per ``(3, methods)`` row of dominance flags
+        (improves, not worse, worsens), as ``_dominance`` gives them."""
+        improves, not_worse, worsens = moves[:, 0], moves[:, 1], moves[:, 2]
+        gain = improves @ self._weight.T  # members, or weight, improving per set
+        if self.notion in ("sure", "single"):
+            holds = gain == self._size
+        elif self.notion == "safe":
+            holds = (not_worse @ self._weight.T == self._size) & (gain > 0)
+        elif self.notion == "harmless":
+            holds = (worsens @ self._weight.T == 0) & (gain > 0)
+        else:  # expected
+            holds = gain > worsens @ self._weight.T
+        words = np.zeros((len(moves), 8 * self.words), np.uint8)
+        packed = np.packbits(holds, axis=1, bitorder="little")
+        words[:, :packed.shape[1]] = packed
+        return words.view("<u8").astype(np.uint64)
 
 
 # --- census passes ----------------------------------------------------------

@@ -115,20 +115,27 @@ def ranking_index(n: int) -> dict[tuple[int, ...], int]:
 
 
 @lru_cache(maxsize=None)
+def ranking_orders(n: int) -> np.ndarray:
+    """``(n!, n)`` array of ``uint8``: row r is ranking r's order, best first."""
+    return np.array([r.order for r in all_rankings(n)], dtype=np.uint8)
+
+
+@lru_cache(maxsize=None)
 def pairs_above(n: int) -> np.ndarray:
     """``(n!, n(n-1)/2)`` array: row r lists ``x * n + y`` for every pair
-    (x, y) that ranking r puts x above y.
+    (x, y) that ranking r puts x above y, ordered by the places of x and
+    then y.
 
     A voter holding ranking r adds one to each listed cell of the flattened
     ``n * n`` tally, so a block's tallies (its ranking counts times the
     pairwise indicator matrix) need only the rankings actually held.
     """
-    rankings = all_rankings(n)
-    return np.array(
-        [[x * n + y for i, x in enumerate(r.order) for y in r.order[i + 1:]]
-         for r in rankings],
-        dtype=np.int64,
-    ).reshape(len(rankings), n * (n - 1) // 2)
+    order = ranking_orders(n)
+    above, below = np.triu_indices(n, 1)
+    pairs = order[:, above].astype(np.int64)
+    pairs *= n
+    pairs += order[:, below]
+    return pairs
 
 
 @lru_cache(maxsize=None)
@@ -136,7 +143,7 @@ def alive_extremes(n: int) -> tuple[np.ndarray, np.ndarray]:
     """``(best, worst)``, each ``(2^n, n!)`` of ``uint8``: ``best[A, r]`` is
     ranking r's highest member of the candidate set with bitmask A, and
     ``worst[A, r]`` its lowest (both 0 for the empty set)."""
-    order = np.array([r.order for r in all_rankings(n)], dtype=np.uint8)
+    order = ranking_orders(n)
     best = np.zeros((1 << n, len(order)), dtype=np.uint8)
     worst = np.zeros_like(best)
     rows = np.arange(len(order))

@@ -257,7 +257,7 @@ def _members(masks: np.ndarray, n: int) -> np.ndarray:
 
 def _bitmask(hits: np.ndarray) -> np.ndarray:
     """Bitmask per row of a ``(k, n)`` boolean array."""
-    return np.where(hits, 1 << np.arange(hits.shape[1]), 0).sum(axis=1)
+    return hits @ (1 << np.arange(hits.shape[1]))
 
 
 def _top(scores: np.ndarray, alive: np.ndarray | None = None) -> np.ndarray:

@@ -4,7 +4,9 @@ import json
 import math
 from fractions import Fraction
 from functools import cache, wraps
+from itertools import combinations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -22,10 +24,10 @@ from votemanip.census import (
     _ClassKernel,
     _sample_rows,
 )
-from votemanip.core import default_labels
-from votemanip.dominance import KINDS
+from votemanip.core import all_rankings, default_labels
+from votemanip.dominance import KINDS, dominates_nonstrict, dominates_strict
 from votemanip.manipulation import (
-    NOTIONS, UncertaintySet, find_manipulation, method_set, subset_family,
+    NOTIONS, UncertaintySet, find_manipulation, method_set, notion_holds, subset_family,
 )
 from votemanip.methods import METHOD_ORDER, METHODS, VotingMethod, parse_method
 
@@ -280,6 +282,55 @@ def census_specs(draw, wide: bool = False) -> CensusSpec:
         weights=weights, mode="sample" if sampled else "exhaustive",
         samples=samples, seed=draw(st.integers(0, 2 ** 16)) if sampled else None,
     )
+
+
+class TestArrayVerdicts:
+    """The kernel's table-lookup flags and array notion test against the
+    scalar dominance and notion definitions, on every input they take."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_flags_match_dominance_on_every_move(self, n, kind):
+        kernel = _ClassKernel(CensusSpec(n=n, m=1, method_sets=(method_set("borda"),),
+                                         kind=kind))
+        rankings = all_rankings(n)
+        masks = range(1, 1 << n)
+        moves = np.array(list(product(range(len(rankings)), masks, masks)))
+        flags = kernel._dominance(moves[:, 0], moves[:, 1:2], moves[:, 2:3])
+        assert flags.shape == (len(moves), 3, 1) and flags.dtype == bool
+
+        def members(mask):
+            return frozenset(x for x in range(n) if mask >> x & 1)
+
+        for (r, before, after), got in zip(moves.tolist(), flags[:, :, 0].tolist()):
+            ranking, b, a = rankings[r], members(before), members(after)
+            assert got == [dominates_strict(kind, a, b, ranking),
+                           dominates_nonstrict(kind, a, b, ranking),
+                           dominates_strict(kind, b, a, ranking)], (ranking, b, a)
+
+    @pytest.mark.parametrize("notion, weights", [
+        *((notion, None) for notion in NOTIONS),
+        ("expected", (Fraction(3, 4), Fraction(1, 4))),
+        ("expected", (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))),
+        # a common denominator beyond int64
+        ("expected", (Fraction(1, 3 ** 40), 1 - Fraction(1, 3 ** 40))),
+    ])
+    def test_notions_match_on_every_row_of_flags(self, notion, weights):
+        names = ("borda", "hare", "coombs")
+        sizes = [len(weights)] if weights else [1] if notion == "single" else [1, 2, 3]
+        sets = [method_set(*s) for k in sizes for s in combinations(names, k)]
+        kernel = _ClassKernel(CensusSpec(n=3, m=1, method_sets=tuple(sets),
+                                         notion=notion, weights=weights))
+        universe = [f.id for f in kernel.universe]
+        # every (improves, not worse, worsens) triple of bools per method
+        rows = np.array(list(product(product((False, True), repeat=3), repeat=len(universe))))
+        words = kernel._witnesses(rows.transpose(0, 2, 1))
+        assert words.shape == (len(rows), 1) and words.dtype == np.uint64
+        for row, word in zip(rows.tolist(), words[:, 0].tolist()):
+            flags = dict(zip(universe, map(tuple, row)))
+            for i, s in enumerate(sets):
+                held = notion_holds(notion, [flags[f.id] for f in s], weights)
+                assert (word >> i & 1 == 1) == held, (s.id, row)
 
 
 class TestGeneratedSpecs:

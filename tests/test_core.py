@@ -1,5 +1,6 @@
 """Rankings, profiles, tallies, and the two file formats."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,6 +12,7 @@ from votemanip.core import (
     default_labels,
     format_profile_json,
     format_profile_text,
+    pairs_above,
     pairwise_tally,
     parse_profile_json,
     parse_profile_text,
@@ -78,6 +80,15 @@ class TestRanking:
         assert len(rs) == 6
         assert [r.order for r in rs] == sorted(r.order for r in rs)
         assert ranking_index(3)[(2, 1, 0)] == 5
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_pairs_above_matches_the_nested_list_form(self, n):
+        nested = [[x * n + y for i, x in enumerate(r.order) for y in r.order[i + 1:]]
+                  for r in all_rankings(n)]
+        table = pairs_above(n)
+        assert table.dtype == np.int64
+        assert table.shape == (len(nested), n * (n - 1) // 2)
+        assert table.tolist() == nested
 
 
 class TestProfile:
