@@ -16,16 +16,19 @@ works on arrays, a chunk of classes at a time:
 
 * class ranks: a class is a sorted row of m ranking indices, and its colex
   rank sum_i C(a_i + i, i + 1) numbers the C(n! + m - 1, m) classes without
-  gaps (``_Colex``).  The rank of the class one voter's switch reaches is
-  the class's rank plus a difference of two running sums over its holder
-  counts, computed for every switch of a chunk at once;
+  gaps (``_Colex``).  The exhaustive search walks the classes o of the
+  other m - 1 voters instead: a voter holding r beside o is in class
+  o + e_r, and the ranks of o's n! such classes are two running sums over
+  o's holder counts, computed for a chunk of o's at once;
 * batched winners: a class is also a row of ranking counts, and each
   method's batched form (``fn.on_counts``, see ``methods``) scores a whole
   block of rows in one numpy call, every method reading the one block's
   memoized statistics, with blocks kept under ``BLOCK_CELLS`` cells.  The
   tuple of every method's winner set on a class is one outcome, interned
   as a small integer id.  An exhaustive census fills one id array indexed
-  by class rank before its search and reads each switch's outcome from it.
+  by class rank before its search and reads from it the row of outcomes
+  of each o's n! classes: whatever the voter holds, its switches reach
+  that row, so it is judged against the row's distinct outcomes only.
   A sampled census scores each switch of a chunk as a correction to its
   class's statistics (a switched block, ``methods._Switched``): the tallies
   lose the old ranking's pairs and gain the new one's, and the places
@@ -44,8 +47,14 @@ works on arrays, a chunk of classes at a time:
   worsen, giving a bitmask of the sets witnessed (uint64 words, bit s for
   set s).  OR-ing the triples' masks over a voter's alternative ballots
   gives the sets that voter witnesses;
-* aggregation: class weights times the any-voter and per-holder bits, in
-  int64 while (n!)^m * m fits and in exact Python integers beyond.
+* aggregation: weights times witnessed-set bits, in int64 while
+  (n!)^m * m fits and in exact Python integers beyond.  A walked pair
+  (o, r) stands for the c_r holders of r in each labeled profile of
+  c = o + e_r, m (m-1)!/(o_1! ... o_k!) pointed profiles.  Its sets are
+  OR-ed into a bitmap of the classes, and a class counts its weight for
+  each set of its bitmap once the walk has passed every o it contains.
+  A sampled or direct pass ORs the sets of a class's or profile's voters
+  directly.
 
 Uncertainty sets containing a method without a batched form (a pairwise
 dictator, which is not anonymous, or a custom ``fn``) take a direct path
@@ -247,9 +256,16 @@ def _counts(classes: np.ndarray, fact: int) -> np.ndarray:
 def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The first index of each distinct row of a 2-D array, and each row's
     distinct row.  Rows are compared as opaque byte strings, which sorts
-    far faster than ``np.unique(axis=0)``."""
+    far faster than ``np.unique(axis=0)``, and as integers when a row fits
+    in eight bytes, faster still."""
     a = np.ascontiguousarray(a)
-    rows = a.view(np.dtype((np.void, a.itemsize * a.shape[1]))).ravel()
+    width = a.itemsize * a.shape[1]
+    if width <= 8:  # a row in one word sorts as an integer
+        rows = np.zeros((len(a), 8), np.uint8)
+        rows[:, :width] = a.view(np.uint8).reshape(len(a), width)
+        rows = rows.view(np.uint64).ravel()
+    else:
+        rows = a.view(np.dtype((np.void, width))).ravel()
     _, index, inverse = np.unique(rows, return_index=True, return_inverse=True)
     return index, inverse.reshape(-1)
 
@@ -261,9 +277,10 @@ class _Colex:
     ``fact``, and its rank sum_i C(a_i + i, i + 1) runs over every number
     below C(fact + m - 1, m).  Counted by rankings instead, with s_v voters
     holding a ranking below v, the same rank is the last rank minus
-    sum_v C(v + s_v - 1, v) over v >= 1; a switch from r to r2 moves s_v by
-    one for every v between them, so its rank is the class's rank plus a
-    difference of two running sums.
+    sum_v C(v + s_v - 1, v) over v >= 1.  Adding a voter with ranking v to a
+    class of m - 1 voters leaves s_w as it is for w <= v and adds one for
+    w > v, so the ranks of all fact classes it can reach are two running
+    sums over the smaller class's rankings (``added_ranks``).
     """
 
     def __init__(self, fact: int, m: int) -> None:
@@ -274,7 +291,7 @@ class _Colex:
         self.term = np.array([[math.comb(v + i, i + 1) for v in range(fact)]
                               for i in range(m)], np.int64)
         # below[v, s]: the term of ranking v with s voters below it
-        self.below = np.array([[math.comb(v + s - 1, v) if v else 0 for s in range(m + 2)]
+        self.below = np.array([[math.comb(v + s - 1, v) if v else 0 for s in range(m + 1)]
                                for v in range(fact)], np.int64)
         self.binomial = np.array([[math.comb(a, b) for b in range(m + 1)]
                                   for a in range(m + 1)], object)
@@ -283,6 +300,8 @@ class _Colex:
         """m!/(c_1! ... c_k!) per row of holder counts c_i, exact: the labeled
         profiles in each class.  It is the product of C(e_i, c_i) over the
         held rankings, e_i the voters holding ranking i or one before it."""
+        if not self.m:  # the one empty class
+            return np.ones(len(counts), object)
         row, r = np.nonzero(counts)
         held = counts[row, r]
         upto = np.cumsum(counts, axis=1)[row, r]
@@ -310,20 +329,14 @@ class _Colex:
             left -= self.term[i, classes[:, i]]
         return _counts(classes, self.fact)
 
-    def switch_ranks(self, counts: np.ndarray, ranks: np.ndarray,
-                     row: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """``(len(r), fact)``: the rank of the class reached when one holder of
-        ranking ``r[j]`` in class ``row[j]`` (holder counts ``counts``, ranks
-        ``ranks``) switches to each ranking."""
-        s, here = self._terms(counts)
-        v = np.arange(self.fact)
-        # A switch up to r2 > r leaves one voter fewer below each ranking in
-        # (r, r2], which adds down[r2] - down[r] to the rank; a switch down
-        # puts one more below each ranking in (r2, r] and adds up[r2] - up[r].
-        up = np.cumsum(self.below[v, s + 1] - here, axis=1)
-        down = np.cumsum(here - self.below[v, np.maximum(s - 1, 0)], axis=1)
-        return ranks[row, None] + np.where(
-            v > r[:, None], down[row] - down[row, r, None], up[row] - up[row, r, None])
+    def added_ranks(self, others: np.ndarray) -> np.ndarray:
+        """``(len(others), fact)``: the rank of the class reached when a voter
+        holding each ranking v joins each row of holder counts of m - 1
+        voters."""
+        s, at = self._terms(others)
+        past = self.below[np.arange(self.fact), s + 1]  # the term once v < w
+        return (self.classes - 1 - np.cumsum(at, axis=1)
+                - (past.sum(axis=1, keepdims=True) - np.cumsum(past, axis=1)))
 
 
 class _Outcomes:
@@ -350,10 +363,11 @@ class _Outcomes:
         return ids[inverse]
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The ``(ids, methods)`` winner bitmasks, and per id the union of
-        its winner sets."""
+        """The ``(ids, methods)`` winner bitmasks, in the narrowest unsigned
+        type that holds them, and per id the union of its winner sets."""
         if self._arrays is None:
             masks = np.array(self.masks, np.int64)
+            masks = masks.astype(np.min_scalar_type(masks.max(initial=0)))
             self._arrays = masks, np.bitwise_or.reduce(masks, axis=1)
         return self._arrays
 
@@ -373,10 +387,10 @@ class _ClassKernel:
     methods only; when a method has no batched form, ``whole_ids`` runs it
     on the profile and interns the whole outcome in ``whole``.
 
-    ``hits`` takes, per holder ranking, the outcome before and after each
-    switch and returns the sets some switch witnesses, as multi-word
-    bitmasks (bit s for set s).  It judges the distinct (ranking, before,
-    after) triples with arrays alone: ``_dominance`` reads every method's
+    ``hits`` takes, per holder ranking, the outcome before its switches and
+    the outcomes they reach, and returns the sets some switch witnesses, as
+    multi-word bitmasks (bit s for set s).  It judges the distinct (ranking,
+    before, after) triples with arrays alone: ``_dominance`` reads every method's
     flags from a table of each candidate set's best and worst place under
     each distinct ranking (``_places``, rankings x 2^n cells), and
     ``_witnesses`` tests every set's notion on the distinct rows of flags
@@ -421,18 +435,24 @@ class _ClassKernel:
         # each member's weight times the common denominator, so that sums
         # of weights compare as exact integers
         scale = math.lcm(*(w.denominator for w in spec.weights)) if spec.weights else 1
+        # A set's weights sum to ``scale`` (or to its size), so every sum is an
+        # integer below it: exact in float64, whose matmuls run on BLAS, below
+        # 2^53, and in int64 below 2^63.
         self._weight = np.zeros((len(members), len(universe)),
-                                np.int64 if scale < 2 ** 63 else object)
+                                np.float64 if scale < 2 ** 53
+                                else np.int64 if scale < 2 ** 63 else object)
         for s, idxs in enumerate(members):
             self._weight[s, idxs] = (
                 [int(w * scale) for w in spec.weights] if spec.weights else 1)
         self._size = self._weight.sum(axis=1)
 
-    def chunk(self, pairs: int) -> int:
+    def chunk(self, pairs: int, width: int | None = None) -> int:
         """Classes or profiles per search chunk when each has up to ``pairs``
-        holder rankings: a chunk's widest arrays then have about
+        holder rankings, each judged against ``width`` outcomes (every
+        ranking by default): a chunk's widest arrays then have about
         ``BLOCK_CELLS`` cells."""
-        return max(1, BLOCK_CELLS // (pairs * (self.fact * len(self.universe) + self.m)))
+        width = self.fact if width is None else width
+        return max(1, BLOCK_CELLS // (pairs * (width * len(self.universe) + self.m)))
 
     def _score(self, block: _Counts | _Switched) -> np.ndarray:
         """Part id per row of a block that every batched method shares."""
@@ -485,7 +505,9 @@ class _ClassKernel:
     def hits(self, r: np.ndarray, base: np.ndarray, after: np.ndarray) -> np.ndarray:
         """``(len(r), words)`` uint64: the sets witnessed by some switch of a
         voter with ranking ``r[j]`` that takes whole outcome ``base[j]`` to
-        ``after[j, r2]``.
+        one of ``after[j]``: every ranking's outcome, or any row holding
+        each outcome the voter can reach, such as a class walk's distinct
+        ones.
 
         Only the distinct (ranking, before, after) triples are judged.  An
         unchanged outcome witnesses nothing, and no outcome beats a
@@ -511,8 +533,11 @@ class _ClassKernel:
         """Witnessed-set words per triple, from per-method winner bitmasks:
         each distinct row of dominance flags is judged once."""
         moves = self._dominance(r_idx, before, after)
-        index, inverse = _distinct_rows(moves.reshape(len(moves), -1))
-        return self._witnesses(moves[index])[inverse]
+        index, inverse = _distinct_rows(np.packbits(moves.reshape(len(moves), -1), axis=1))
+        # products of at most BLOCK_CELLS cells, which BLAS runs on one thread
+        step = max(1, BLOCK_CELLS // self._weight.size)
+        return np.concatenate([self._witnesses(moves[index[lo:lo + step]])
+                               for lo in range(0, len(index), step)])[inverse]
 
     def _dominance(self, r_idx: np.ndarray, before: np.ndarray, after: np.ndarray) -> np.ndarray:
         """``(triples, 3, methods)`` bool: whether each method's move from
@@ -546,7 +571,7 @@ class _ClassKernel:
         candidate set under each of ``rankings``."""
         n = self.n
         pos = np.argsort(self._order[rankings], axis=1)
-        best = np.empty((len(rankings), 1 << n), np.int64)
+        best = np.empty((len(rankings), 1 << n), np.int8)
         worst = np.empty_like(best)
         best[:, 0], worst[:, 0] = n, -1  # the empty set is never a winner set
         for x in range(n):  # the sets whose highest-numbered member is x
@@ -575,22 +600,63 @@ class _ClassKernel:
 
 # --- census passes ----------------------------------------------------------
 #
-# Each pass yields chunks of (weight per class or profile, the class or
-# profile of each holder ranking, its holders, its witnessed-set words).
+# The class walk yields chunks of (weights, set bits) for witnessing
+# profiles and again for witnessing pointed profiles, which ``_results``
+# sums.  The sampled and direct passes yield chunks of (weight per class or
+# profile, the class or profile of each holder ranking, its holders, its
+# witnessed-set words), which ``_by_holder`` turns into the same.
+
+
+def _distinct_per_row(a: np.ndarray) -> np.ndarray:
+    """Each row's distinct values, as wide as the row with the most; a
+    shorter row is padded with repeats of its own values."""
+    a = np.sort(a, axis=1)
+    repeat = np.zeros(a.shape, bool)
+    repeat[:, 1:] = a[:, 1:] == a[:, :-1]
+    width = a.shape[1] - repeat.sum(axis=1).min()
+    return np.take_along_axis(a, np.argsort(repeat, axis=1, kind="stable")[:, :width], axis=1)
 
 
 def _class_walk(spec: CensusSpec, kernel: _ClassKernel) -> Iterator[tuple]:
-    """Every anonymous class, weighted by its labeled profiles."""
-    colex = _Colex(kernel.fact, spec.m)
+    """Every anonymous class, walked by the class o of the other m - 1 voters.
+
+    A voter holding r beside o is in class o + e_r, and whatever it holds
+    it reaches the same row of outcomes, one per ranking, so each (o, r)
+    pair is judged against the row's distinct outcomes.  The pair stands
+    for c_r * m!/(c_1! ... c_k!) = m * (m-1)!/(o_1! ... o_k!) pointed
+    profiles.  Its witnessed sets are OR-ed into a bitmap indexed by the
+    rank of o + e_r; a class is complete once the o without its lowest
+    held ranking has been walked, which, of all its others' classes, has
+    the highest colex rank, and it is then counted with its weight.
+    """
+    fact, m = kernel.fact, spec.m
+    colex, others = _Colex(fact, m), _Colex(fact, m - 1)
     ids = kernel.class_ids(colex)
-    step = kernel.chunk(min(spec.m, kernel.fact))
-    for lo in range(0, colex.classes, step):
-        ranks = np.arange(lo, min(lo + step, colex.classes))
-        counts = colex.unrank(ranks)
-        row, r = np.nonzero(counts)
-        after = ids[colex.switch_ranks(counts, ranks, row, r)]
-        yield (colex.weights(counts), row, counts[row, r],
-               kernel.hits(r, ids[ranks][row], after))
+    nsets = len(spec.method_sets)
+    seen = np.zeros((colex.classes, -(-nsets // 8)), np.uint8)  # witnessed sets per class
+    dtype = _count_dtype(spec)
+    held = np.arange(fact)
+    lo, step = 0, kernel.chunk(fact)
+    while lo < others.classes:
+        counts = others.unrank(np.arange(lo, min(lo + step, others.classes)))
+        ranks = colex.added_ranks(counts)
+        reach = ids[ranks]  # reach[o, r]: the outcome when the voter holds r
+        row = _distinct_per_row(reach)
+        # only as many o's as fit against the widest row are judged, and
+        # the next chunk starts with as many
+        step = kernel.chunk(fact, row.shape[1])
+        counts, ranks, reach, row = counts[:step], ranks[:step], reach[:step], row[:step]
+        lo += len(counts)
+        hits = _set_bytes(kernel.hits(np.tile(held, len(counts)), reach.ravel(),
+                                      np.repeat(row, fact, axis=0)), seen.shape[1])
+        live = hits.any(axis=1)
+        np.bitwise_or.at(seen, ranks.ravel()[live], hits[live])
+        pointed = (m * others.weights(counts)).astype(dtype)
+        # (o, r) completes o + e_r when no voter of o holds a ranking below r
+        last = np.cumsum(counts, axis=1) == counts
+        yield ((pointed[:, None] // (counts + 1))[last],
+               _set_bits(seen[ranks[last]], nsets), pointed,
+               _set_bits(hits, nsets).reshape(len(counts), fact, -1).sum(axis=1, dtype=np.int64))
 
 
 def _sampled_classes(spec: CensusSpec, kernel: _ClassKernel) -> Iterator[tuple]:
@@ -649,27 +715,48 @@ def _direct_profiles(spec: CensusSpec, kernel: _ClassKernel) -> Iterator[tuple]:
                kernel.hits(r, whole[index[row]], whole[moved]))
 
 
-def _set_bits(words: np.ndarray, nsets: int) -> np.ndarray:
-    """``(k, nsets)`` 0/1 per set from ``(k, words)`` uint64 set masks."""
-    return np.unpackbits(words.astype("<u8").view(np.uint8), axis=1,
-                         bitorder="little")[:, :nsets]
+def _set_bytes(words: np.ndarray, nbytes: int) -> np.ndarray:
+    """``(k, nbytes)`` set bitmaps, set s at bit s % 8 of byte s // 8, from
+    ``(k, words)`` uint64 set masks."""
+    return words.astype("<u8").view(np.uint8)[:, :nbytes]
+
+
+def _set_bits(bitmaps: np.ndarray, nsets: int) -> np.ndarray:
+    """``(k, nsets)`` 0/1 per set from ``(k, bytes)`` set bitmaps."""
+    return np.unpackbits(bitmaps, axis=1, bitorder="little")[:, :nsets]
+
+
+def _count_dtype(spec: CensusSpec) -> type:
+    # int64 holds every count while the pointed profiles, at most (n!)^m * m, fit
+    return np.int64 if spec.total * spec.m < 2 ** 63 else object
+
+
+def _by_holder(spec: CensusSpec, chunks: Iterable[tuple]) -> Iterator[tuple]:
+    """The weighted bits of chunks of (weight per class or profile, the class
+    or profile of each holder ranking, its holders, its witnessed-set
+    words): a class or profile counts its weight for each set any of its
+    voters witnesses, and a holder ranking its weight times its holders for
+    each set it witnesses."""
+    nsets = len(spec.method_sets)
+    nbytes = -(-nsets // 8)
+    for weights, row, holders, hits in chunks:
+        starts = np.flatnonzero(np.r_[True, row[1:] != row[:-1]])
+        any_voter = np.bitwise_or.reduceat(hits, starts, axis=0)
+        yield (weights[row[starts]], _set_bits(_set_bytes(any_voter, nbytes), nsets),
+               weights[row] * holders, _set_bits(_set_bytes(hits, nbytes), nsets))
 
 
 def _results(spec: CensusSpec, chunks: Iterable[tuple]) -> tuple[CensusResult, ...]:
-    """Per-set counts: a class or profile counts its weight for each set
-    any of its voters witnesses, and a holder ranking its weight times its
-    holders for each set it witnesses."""
+    """Per-set counts from chunks of (weights, bits) twice, once for
+    witnessing profiles and once for witnessing pointed profiles: each row
+    of ``(k, sets)`` bits counts its weight times its bit for each set."""
     nsets = len(spec.method_sets)
-    # int64 holds every count while the pointed profiles, at most (n!)^m * m, fit
-    dtype = np.int64 if spec.total * spec.m < 2 ** 63 else object
+    dtype = _count_dtype(spec)
     profiles = np.zeros(nsets, object)
     pointed = np.zeros(nsets, object)
-    for weights, row, holders, hits in chunks:
-        weights = weights.astype(dtype)
-        starts = np.flatnonzero(np.r_[True, row[1:] != row[:-1]])
-        any_voter = np.bitwise_or.reduceat(hits, starts, axis=0)
-        profiles += weights[row[starts]] @ _set_bits(any_voter, nsets)
-        pointed += (weights[row] * holders) @ _set_bits(hits, nsets)
+    for weights, bits, pointed_weights, pointed_bits in chunks:
+        profiles += weights.astype(dtype) @ bits
+        pointed += pointed_weights.astype(dtype) @ pointed_bits
     return tuple(
         CensusResult(
             set_id=s.id, notion=spec.notion, kind=spec.kind, n=spec.n, m=spec.m,
@@ -693,7 +780,7 @@ def run_census(spec: CensusSpec) -> CensusReport:
             raise BudgetExceededError(
                 f"{spec.total} profiles exceed the budget of {spec.budget}")
         pass_ = _sampled_classes if kernel.all_batched else _direct_profiles
-        chunks = pass_(spec, kernel)
+        chunks = _by_holder(spec, pass_(spec, kernel))
     return CensusReport(spec, _results(spec, chunks))
 
 

@@ -22,6 +22,7 @@ from votemanip.census import (
     run_census,
     sample_profiles,
     _ClassKernel,
+    _Colex,
     _sample_rows,
 )
 from votemanip.core import all_rankings, default_labels
@@ -107,6 +108,16 @@ class TestAgainstNaiveSearch:
         )
         assert engine_counts(spec) == naive_counts(spec)
 
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("notion", NOTIONS)
+    @pytest.mark.parametrize("n,m", [(3, 1), (4, 1), (3, 2), (4, 2)])
+    def test_one_and_two_voters_match(self, n, m, notion, kind):
+        # With one voter the class walk's only class of other voters is empty.
+        names = [("borda",), ("hare",)] if notion == "single" else [("borda", "hare")]
+        spec = CensusSpec(n=n, m=m, method_sets=tuple(method_set(*s) for s in names),
+                          notion=notion, kind=kind)
+        assert engine_counts(spec) == naive_counts(spec)
+
     def test_sampled_census_matches(self):
         spec = CensusSpec(
             n=3, m=4, method_sets=(method_set("borda"),),
@@ -129,6 +140,34 @@ class TestAgainstNaiveSearch:
             mode="sample", samples=200, seed=7,
         )
         assert engine_counts(spec) == naive_counts(spec)
+
+
+class TestOthersClassWalk:
+    """The exhaustive walk visits each class of m - 1 voters, o, and reaches
+    class o + e_v when one more voter holds ranking v."""
+
+    @pytest.mark.parametrize("n,m", [*((2, m) for m in range(1, 7)),
+                                     *((3, m) for m in range(1, 6)),
+                                     *((4, m) for m in range(1, 4))])
+    def test_added_ranks_and_pointed_weights_match_the_explicit_classes(self, n, m):
+        fact = math.factorial(n)
+        colex, others = _Colex(fact, m), _Colex(fact, m - 1)
+        counts = others.unrank(np.arange(others.classes))
+        ranks = colex.added_ranks(counts).ravel()
+        o, v = np.divmod(np.arange(len(ranks)), fact)
+        joined = counts[o] + np.eye(fact, dtype=np.uint8)[v]  # o + e_v
+        assert ranks.tolist() == colex.rank(joined).tolist()
+        # the pair (o, v) stands for the c_v holders of v in each labeled
+        # profile of o + e_v: m (m-1)!/(o_1! ... o_k!) = c_v m!/(c_1! ... c_k!)
+        assert (m * others.weights(counts)[o] == joined[np.arange(len(o)), v]
+                * colex.weights(joined)).all()
+        # Each class has one pair with no voter of o below v, and of the
+        # class's pairs it has the o walked last.
+        last = (np.cumsum(counts, axis=1) == counts).ravel()
+        assert sorted(ranks[last].tolist()) == list(range(colex.classes))
+        walked = np.zeros(colex.classes, np.int64)
+        np.maximum.at(walked, ranks, o)
+        assert (walked[ranks[last]] == o[last]).all()
 
 
 class TestMethodRouting:
@@ -312,6 +351,8 @@ class TestArrayVerdicts:
         *((notion, None) for notion in NOTIONS),
         ("expected", (Fraction(3, 4), Fraction(1, 4))),
         ("expected", (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))),
+        # a common denominator beyond float64's exact integers, within int64
+        ("expected", (Fraction(1, 3 ** 35), 1 - Fraction(1, 3 ** 35))),
         # a common denominator beyond int64
         ("expected", (Fraction(1, 3 ** 40), 1 - Fraction(1, 3 ** 40))),
     ])
