@@ -8,11 +8,11 @@ from exact integer counts and are rounded only when displayed.
 
 All eleven base methods and the tiebreak extension are anonymous, so a
 profile's winners, and hence every witness verdict, depend only on how
-many voters hold each ranking.  An exhaustive census therefore walks the
-anonymous classes (multisets of m rankings) rather than the labeled
-profiles, weighting each class by the number of labeled profiles in it,
-the multinomial m!/(c_1! ... c_k!) for holder counts c_i.  The kernel
-works on arrays, a chunk of classes at a time:
+many voters hold each ranking.  An exhaustive census of anonymous methods
+therefore walks the anonymous classes (multisets of m rankings) rather
+than the labeled profiles, weighting each class by the number of labeled
+profiles in it, the multinomial m!/(c_1! ... c_k!) for holder counts c_i.
+The kernel works on arrays, a chunk of classes at a time:
 
 * class ranks: a class is a sorted row of m ranking indices, and its colex
   rank sum_i C(a_i + i, i + 1) numbers the C(n! + m - 1, m) classes without
@@ -29,8 +29,9 @@ works on arrays, a chunk of classes at a time:
   by class rank before its search and reads from it the row of outcomes
   of each o's n! classes: whatever the voter holds, its switches reach
   that row, so it is judged against the row's distinct outcomes only.
-  A sampled census scores each switch of a chunk as a correction to its
-  class's statistics (a switched block, ``methods._Switched``): the tallies
+  The partly labeled pass (below) scores each switch of a chunk as a
+  correction to its class's statistics (a switched block,
+  ``methods._Switched``): the tallies
   lose the old ranking's pairs and gain the new one's, and the places
   under each candidate set move one voter, O(n^2) per switch;
 * verdicts: whether one voter's ballot switch witnesses the notion depends
@@ -53,16 +54,20 @@ works on arrays, a chunk of classes at a time:
   c = o + e_r, m (m-1)!/(o_1! ... o_k!) pointed profiles.  Its sets are
   OR-ed into a bitmap of the classes, and a class counts its weight for
   each set of its bitmap once the walk has passed every o it contains.
-  A sampled or direct pass ORs the sets of a class's or profile's voters
-  directly.
+  The partly labeled pass ORs the sets of a class's holders directly.
 
-Uncertainty sets containing a method without a batched form (a pairwise
-dictator, which is not anonymous, or a custom ``fn``) take a direct path
-over the labeled profiles: the batched methods' part of each outcome still
-comes from a class's rank, or from a switched block when sampled, the
-other methods run on the profile, and the same verdict pass judges every
-voter's switches.  The exhaustive class walk is budgeted by its classes,
-the direct path and sampling by the profiles they judge.
+A pairwise dictator ``pdict:x,y,i`` reads voter i alone, so a block keeps
+the ranking of each such labeled voter beside its counts, and a method
+without a batched form (a custom ``fn``) labels every voter and runs on
+each row's profile.  A census with labeled voters, and every sampled one,
+walks partly labeled classes instead: the rankings of the labeled voters
+and the anonymous class of the others, each labeled voter a holder of its
+own.  Exhaustively there are (n!)^|L| C(n! + u - 1, u) of them for the
+u = m - |L| others, each weighted by u!/(c_1! ... c_k!) for the others'
+holder counts; sampled, the distinct ones drawn, each weighted by how
+often it was.  The exhaustive class walk is budgeted by its classes, the
+partly labeled pass by its partly labeled classes, and sampling by the
+profiles it draws.
 
 Sampling draws each voter's ranking independently and uniformly using
 numpy's PCG64 generator; the whole sample stream is materialized up front
@@ -87,9 +92,8 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations, product
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -100,7 +104,7 @@ from .manipulation import UncertaintySet, _validate, subset_family
 # of them; they stay the reference behind ``find_manipulation``.
 from .dominance import dominates_nonstrict, dominates_strict  # noqa: F401
 from .manipulation import notion_holds  # noqa: F401
-from .methods import VotingMethod, _Counts, _Switched
+from .methods import MethodFn, VotingMethod, _Counts, _Switched
 
 DEFAULT_BUDGET = 20_000_000
 # Cells per batched call: each row of a block costs its n! ranking counts
@@ -240,9 +244,14 @@ def sample_profiles(n: int, m: int, count: int, seed: int) -> list[Profile]:
 # --- the anonymous-class kernel ----------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _bitmask(winners: frozenset[int]) -> int:
-    return sum(1 << x for x in winners)
+def _row_wise(fn: MethodFn, m: int, rankings: tuple) -> Callable:
+    """A batched form for a method without one, such as a custom ``fn``:
+    ``fn`` on the profile of each row, whose voters are all labeled."""
+    def on_counts(block: _Counts | _Switched) -> np.ndarray:
+        held = np.stack([block.held_by(v) for v in range(m)], axis=1)
+        return np.array([sum(1 << x for x in fn(Profile(tuple(rankings[d] for d in row))))
+                         for row in held.tolist()], np.int64)
+    return on_counts
 
 
 def _counts(classes: np.ndarray, fact: int) -> np.ndarray:
@@ -357,8 +366,9 @@ class _Outcomes:
         return oid
 
     def ids(self, masks: np.ndarray) -> np.ndarray:
-        """Id per row of a ``(k, methods)`` array of winner bitmasks."""
-        index, inverse = _distinct_rows(masks)
+        """Id per row of a ``(k, methods)`` array of winner bitmasks, compared
+        in the narrowest unsigned type that holds them."""
+        index, inverse = _distinct_rows(masks.astype(np.min_scalar_type(masks.max(initial=0))))
         ids = np.array([self.intern(tuple(w)) for w in masks[index].tolist()], np.int32)
         return ids[inverse]
 
@@ -378,14 +388,15 @@ class _ClassKernel:
 
     A class is given by its ranking counts, ``counts[i]`` being the number
     of voters holding the i-th lexicographic ranking: exactly what an
-    anonymous method can see.  ``outcome_ids`` takes such rows, wraps each
-    block of them in one ``_Counts`` and has every method with a batched
-    form (``fn.on_counts``) score it in one call; only the distinct rows of
+    anonymous method can see.  ``class_ids`` takes such rows, wraps each
+    block of them in one ``_Counts`` and has every method's batched form
+    (``fn.on_counts``) score it in one call; only the distinct rows of
     winner bitmasks are interned.  ``neighbourhood`` scores the switches of
-    a chunk's classes the same way, as ``_Switched`` blocks over one
-    ``_Counts`` of the classes.  Those ids (``part``) cover the batched
-    methods only; when a method has no batched form, ``whole_ids`` runs it
-    on the profile and interns the whole outcome in ``whole``.
+    a chunk's partly labeled classes the same way, as ``_Switched`` blocks
+    over one ``_Counts`` of the classes.  The kernel's ``labeled`` voters
+    are those a pairwise dictator reads (``fn.voter``), or every voter when
+    a method has no batched form; such a method runs row by row on each
+    row's profile (``_row_wise``).  Every id is interned in ``outcomes``.
 
     ``hits`` takes, per holder ranking, the outcome before its switches and
     the outcomes they reach, and returns the sets some switch witnesses, as
@@ -417,18 +428,21 @@ class _ClassKernel:
             members.append(idxs)
         self.universe = tuple(universe)
         self.words = -(-len(members) // 64)  # uint64 words per set mask
-        batched = [u for u, f in enumerate(self.universe)
-                   if f.anonymous and hasattr(f.fn, "on_counts")]
-        self.all_batched = len(batched) == len(self.universe)
-        self._on_counts = tuple(self.universe[u].fn.on_counts for u in batched)
-        # (universe index, fn) of every method without a batched form
-        self._scalar = tuple((u, f.fn) for u, f in enumerate(self.universe)
-                             if u not in batched)
+        # The labeled voters: those a pairwise dictator reads, or every voter
+        # when a method has no batched form and runs on each row's profile.
+        labeled = {f.fn.voter for f in self.universe if hasattr(f.fn, "voter")}
+        if max(labeled, default=0) >= spec.m:
+            raise ValueError(f"pairwise dictator voter {max(labeled)} out of range "
+                             f"for {spec.m} voters")
+        self._on_counts = [getattr(f.fn, "on_counts", None)
+                           or _row_wise(f.fn, spec.m, self.rankings) for f in self.universe]
+        if not all(hasattr(f.fn, "on_counts") for f in self.universe):
+            labeled = range(spec.m)
+        self.labeled = tuple(sorted(labeled))
         self._block_rows = max(1, BLOCK_CELLS // (
             self.fact + min(spec.m, self.fact) * spec.n ** 2))
         self._switch_rows = max(1, BLOCK_CELLS // (spec.n ** 2 + spec.n))
-        self.part = _Outcomes()
-        self.whole = self.part if self.all_batched else _Outcomes()
+        self.outcomes = _Outcomes()
         self._order = ranking_orders(spec.n)
         self._top = 1 << self._order[:, 0].astype(np.int64)  # as a bitmask
         # set x universe method: 1 per member, or for a weighted ``expected``
@@ -447,64 +461,60 @@ class _ClassKernel:
         self._size = self._weight.sum(axis=1)
 
     def chunk(self, pairs: int, width: int | None = None) -> int:
-        """Classes or profiles per search chunk when each has up to ``pairs``
-        holder rankings, each judged against ``width`` outcomes (every
+        """Classes per search chunk when each has up to ``pairs`` holders,
+        each judged against ``width`` outcomes (every
         ranking by default): a chunk's widest arrays then have about
         ``BLOCK_CELLS`` cells."""
         width = self.fact if width is None else width
         return max(1, BLOCK_CELLS // (pairs * (width * len(self.universe) + self.m)))
 
     def _score(self, block: _Counts | _Switched) -> np.ndarray:
-        """Part id per row of a block that every batched method shares."""
-        if not self._on_counts:
-            return np.full(block.k, self.part.intern(()), np.int32)
-        return self.part.ids(np.stack([f(block) for f in self._on_counts], axis=1))
-
-    def outcome_ids(self, rows: np.ndarray) -> np.ndarray:
-        """Part id per row of a ``(k, n!)`` array of ranking counts, scored
-        in blocks of at most ``BLOCK_CELLS`` cells."""
-        step = self._block_rows
-        return np.concatenate([self._score(_Counts(rows[lo:lo + step]))
-                               for lo in range(0, len(rows), step)])
+        """Outcome id per row of a block that every method shares."""
+        return self.outcomes.ids(np.stack([f(block) for f in self._on_counts], axis=1))
 
     def class_ids(self, colex: _Colex) -> np.ndarray:
-        """The part id of every class, indexed by colex rank, in the
-        narrowest unsigned type that holds the ids seen so far."""
+        """The outcome id of every class, indexed by colex rank, in the
+        narrowest unsigned type that holds the ids seen so far, scored in
+        blocks of at most ``BLOCK_CELLS`` cells."""
         ids = np.empty(colex.classes, np.uint8)
         for lo in range(0, colex.classes, self._block_rows):
             counts = colex.unrank(np.arange(lo, min(lo + self._block_rows, colex.classes)))
-            block = self.outcome_ids(counts)
+            block = self._score(_Counts(counts))
             ids = ids.astype(np.promote_types(ids.dtype, np.min_scalar_type(block.max())),
                              copy=False)
             ids[lo:lo + len(counts)] = block
         return ids
 
-    def neighbourhood(self, counts: np.ndarray, row: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """``(len(r), n!)``: the part id after one holder of ranking ``r[j]``
-        in class ``counts[row[j]]`` switches to each ranking, each switch
-        scored as a correction to the class's own statistics."""
-        base = _Counts(counts)
-        ids = np.empty(len(r) * self.fact, np.int32)
-        for lo in range(0, len(ids), self._switch_rows):
-            pair, r2 = np.divmod(np.arange(lo, min(lo + self._switch_rows, len(ids))), self.fact)
-            ids[lo:lo + len(pair)] = self._score(_Switched(base, row[pair], r[pair], r2))
-        return ids.reshape(len(r), self.fact)
+    def neighbourhood(self, held: np.ndarray, rest: np.ndarray) -> tuple:
+        """The holders of a chunk of partly labeled classes, given by the
+        ranking index of each labeled voter (``held[:, j]`` for voter
+        ``labeled[j]``) and the ranking counts of the other voters (``rest``):
+        per holder its row, its holders and the sets its switches witness.
 
-    def whole_ids(self, digits: np.ndarray, parts: np.ndarray) -> np.ndarray:
-        """Whole id per profile given by its voters' ranking indices, from
-        the part ids of its class; the other methods run on the profile."""
-        ids = []
-        for part_id, row in zip(parts.tolist(), digits.tolist()):
-            profile = Profile(tuple(self.rankings[d] for d in row))
-            masks = list(self.part.masks[part_id])
-            for u, fn in self._scalar:
-                masks.insert(u, _bitmask(fn(profile)))
-            ids.append(self.whole.intern(tuple(masks)))
-        return np.array(ids, np.int32)
+        A labeled voter is a holder of its own; the other voters holding a
+        ranking are one holder.  Every switch is scored as a correction to
+        its class's statistics, a labeled voter's switch also moving what
+        that voter holds.
+        """
+        k, size = held.shape
+        base = _Counts(rest + _counts(held, self.fact), dict(zip(self.labeled, held.T)))
+        # a column per labeled voter, then one per ranking the others hold
+        holders = np.c_[np.ones((k, size), np.uint8), rest]
+        row, col = np.nonzero(holders)
+        r = np.c_[held, np.broadcast_to(np.arange(self.fact), (k, self.fact))][row, col]
+        voter = np.array(self.labeled + (-1,) * self.fact)[col]
+        after = np.empty(len(r) * self.fact, np.int32)
+        for lo in range(0, len(after), self._switch_rows):
+            pair, r2 = np.divmod(np.arange(lo, min(lo + self._switch_rows, len(after))),
+                                 self.fact)
+            after[lo:lo + len(pair)] = self._score(
+                _Switched(base, row[pair], r[pair], r2, voter[pair]))
+        hits = self.hits(r, self._score(base)[row], after.reshape(len(r), self.fact))
+        return row, holders[row, col], hits
 
     def hits(self, r: np.ndarray, base: np.ndarray, after: np.ndarray) -> np.ndarray:
         """``(len(r), words)`` uint64: the sets witnessed by some switch of a
-        voter with ranking ``r[j]`` that takes whole outcome ``base[j]`` to
+        voter with ranking ``r[j]`` that takes outcome ``base[j]`` to
         one of ``after[j]``: every ranking's outcome, or any row holding
         each outcome the voter can reach, such as a class walk's distinct
         ones.
@@ -513,7 +523,7 @@ class _ClassKernel:
         unchanged outcome witnesses nothing, and no outcome beats a
         unanimous win for the voter's top candidate.
         """
-        masks, elected = self.whole.arrays()
+        masks, elected = self.outcomes.arrays()
         out = np.zeros((len(r), self.words), np.uint64)
         live = (after != base[:, None]) & (elected[base] != self._top[r])[:, None]
         pair, col = np.nonzero(live)
@@ -600,11 +610,8 @@ class _ClassKernel:
 
 # --- census passes ----------------------------------------------------------
 #
-# The class walk yields chunks of (weights, set bits) for witnessing
-# profiles and again for witnessing pointed profiles, which ``_results``
-# sums.  The sampled and direct passes yield chunks of (weight per class or
-# profile, the class or profile of each holder ranking, its holders, its
-# witnessed-set words), which ``_by_holder`` turns into the same.
+# Each pass yields chunks of (weights, set bits) for witnessing profiles and
+# again for witnessing pointed profiles, which ``_results`` sums.
 
 
 def _distinct_per_row(a: np.ndarray) -> np.ndarray:
@@ -659,60 +666,41 @@ def _class_walk(spec: CensusSpec, kernel: _ClassKernel) -> Iterator[tuple]:
                _set_bits(hits, nsets).reshape(len(counts), fact, -1).sum(axis=1, dtype=np.int64))
 
 
-def _sampled_classes(spec: CensusSpec, kernel: _ClassKernel) -> Iterator[tuple]:
-    """The sample's distinct classes, weighted by how often each was drawn."""
-    sample = np.sort(_sample_rows(spec.n, spec.m, spec.samples, spec.seed), axis=1)
-    index, inverse = _distinct_rows(sample)
-    classes, weights = sample[index], np.bincount(inverse)
-    step = kernel.chunk(min(spec.m, kernel.fact))
-    for lo in range(0, len(classes), step):
-        counts = _counts(classes[lo:lo + step], kernel.fact)
-        row, r = np.nonzero(counts)
-        base = kernel.outcome_ids(counts)[row]
-        yield (weights[lo:lo + step], row, counts[row, r],
-               kernel.hits(r, base, kernel.neighbourhood(counts, row, r)))
-
-
-def _direct_profiles(spec: CensusSpec, kernel: _ClassKernel) -> Iterator[tuple]:
-    """Labeled profiles, for censuses with a method that has no batched form
-    (a pairwise dictator, or a custom ``fn``): every voter is searched."""
-    fact, m = kernel.fact, spec.m
-    step = kernel.chunk(m)
+def _labeled_classes(spec: CensusSpec, kernel: _ClassKernel) -> Iterator[tuple]:
+    """Partly labeled classes: the rankings of the labeled voters and the
+    anonymous class of the u = m - |L| others.  An exhaustive census walks
+    all (n!)^|L| C(n! + u - 1, u) of them, each weighted by the labeled
+    profiles in it, u!/(c_1! ... c_k!) for the others' holder counts c_i; a
+    sampled one the distinct ones drawn, each weighted by how often it was."""
+    fact, labeled = kernel.fact, np.array(kernel.labeled, np.intp)
+    size = len(labeled)
+    others = _Colex(fact, spec.m - size)
+    step = kernel.chunk(size + min(others.m, fact))
     if spec.mode == "sample":
         sample = _sample_rows(spec.n, spec.m, spec.samples, spec.seed)
-        for lo in range(0, len(sample), step):
-            digits = sample[lo:lo + step]
-            row, voter = np.divmod(np.arange(digits.size), m)
-            # every profile one voter's switch reaches, fact per voter
-            moved = np.repeat(digits[row], fact, axis=0)
-            moved[np.arange(len(moved)), np.repeat(voter, fact)] = np.tile(
-                np.arange(fact), len(row))
-            counts = _counts(digits, fact)
-            base = kernel.whole_ids(digits, kernel.outcome_ids(counts))
-            after = kernel.whole_ids(
-                moved, kernel.neighbourhood(counts, row, digits.ravel()).ravel())
-            yield (np.ones(len(digits), np.int64), row, np.ones(len(row), np.uint8),
-                   kernel.hits(digits.ravel(), base[row], after.reshape(len(row), fact)))
-        return
-    # Every labeled profile's whole id, its part read from its class's rank;
-    # a switch then moves one digit of the labeled index.
-    colex = _Colex(fact, m)
-    ids = kernel.class_ids(colex)
-    place = fact ** np.arange(m - 1, -1, -1)  # voter 0 most significant
-    whole = np.empty(fact ** m, np.int32)
-    for lo in range(0, len(whole), step):
-        digits = np.arange(lo, min(lo + step, len(whole)))[:, None] // place % fact
-        whole[lo:lo + len(digits)] = kernel.whole_ids(
-            digits, ids[colex.rank(_counts(digits, fact))])
-    for lo in range(0, len(whole), step):
-        index = np.arange(lo, min(lo + step, len(whole)))
-        digits = index[:, None] // place % fact
-        row = np.repeat(np.arange(len(index)), m)
-        r = digits.ravel()
-        shift = np.tile(place, len(index))[:, None]  # of each voter's digit
-        moved = index[row, None] + (np.arange(fact) - r[:, None]) * shift
-        yield (np.ones(len(index), np.int64), row, np.ones(len(r), np.uint8),
-               kernel.hits(r, whole[index[row]], whole[moved]))
+        keys = np.c_[sample[:, labeled], np.sort(np.delete(sample, labeled, axis=1), axis=1)]
+        index, inverse = _distinct_rows(keys)
+        keys, drawn = keys[index], np.bincount(inverse)
+        chunks = ((drawn[lo:lo + step], keys[lo:lo + step, :size],
+                   _counts(keys[lo:lo + step, size:], fact))
+                  for lo in range(0, len(keys), step))
+    else:
+        total = fact ** size * others.classes
+        place = fact ** np.arange(size - 1, -1, -1)  # the first labeled voter outermost
+
+        def exhaustive(lo: int) -> tuple:
+            point, rank = np.divmod(np.arange(lo, min(lo + step, total)), others.classes)
+            rest = others.unrank(rank)
+            return others.weights(rest), point[:, None] // place % fact, rest
+
+        chunks = map(exhaustive, range(0, total, step))
+    for weights, held, rest in chunks:
+        # a class counts its weight for each set any holder witnesses, and a
+        # holder its weight times its holders for each set it witnesses
+        row, holders, hits = kernel.neighbourhood(held, rest)
+        bits = _set_bits(_set_bytes(hits, 8 * kernel.words), len(spec.method_sets))
+        starts = np.flatnonzero(np.r_[True, row[1:] != row[:-1]])
+        yield weights[row[starts]], np.maximum.reduceat(bits, starts), weights[row] * holders, bits
 
 
 def _set_bytes(words: np.ndarray, nbytes: int) -> np.ndarray:
@@ -729,21 +717,6 @@ def _set_bits(bitmaps: np.ndarray, nsets: int) -> np.ndarray:
 def _count_dtype(spec: CensusSpec) -> type:
     # int64 holds every count while the pointed profiles, at most (n!)^m * m, fit
     return np.int64 if spec.total * spec.m < 2 ** 63 else object
-
-
-def _by_holder(spec: CensusSpec, chunks: Iterable[tuple]) -> Iterator[tuple]:
-    """The weighted bits of chunks of (weight per class or profile, the class
-    or profile of each holder ranking, its holders, its witnessed-set
-    words): a class or profile counts its weight for each set any of its
-    voters witnesses, and a holder ranking its weight times its holders for
-    each set it witnesses."""
-    nsets = len(spec.method_sets)
-    nbytes = -(-nsets // 8)
-    for weights, row, holders, hits in chunks:
-        starts = np.flatnonzero(np.r_[True, row[1:] != row[:-1]])
-        any_voter = np.bitwise_or.reduceat(hits, starts, axis=0)
-        yield (weights[row[starts]], _set_bits(_set_bytes(any_voter, nbytes), nsets),
-               weights[row] * holders, _set_bits(_set_bytes(hits, nbytes), nsets))
 
 
 def _results(spec: CensusSpec, chunks: Iterable[tuple]) -> tuple[CensusResult, ...]:
@@ -770,17 +743,18 @@ def _results(spec: CensusSpec, chunks: Iterable[tuple]) -> tuple[CensusResult, .
 def run_census(spec: CensusSpec) -> CensusReport:
     """Runs the census described by ``spec``; see the module docstring."""
     kernel = _ClassKernel(spec)
-    if spec.mode == "exhaustive" and kernel.all_batched:
-        classes = math.comb(kernel.fact + spec.m - 1, spec.m)
-        if classes > spec.budget:
-            raise BudgetExceededError(f"{classes} classes exceed the budget of {spec.budget}")
+    size = len(kernel.labeled)
+    if spec.mode == "sample":
+        work, unit = spec.samples, "profiles"
+    else:
+        work = kernel.fact ** size * math.comb(kernel.fact + spec.m - size - 1, spec.m - size)
+        unit = "partly labeled classes" if size else "classes"
+    if work > spec.budget:
+        raise BudgetExceededError(f"{work} {unit} exceed the budget of {spec.budget}")
+    if spec.mode == "exhaustive" and not size:
         chunks = _class_walk(spec, kernel)
     else:
-        if spec.total > spec.budget:
-            raise BudgetExceededError(
-                f"{spec.total} profiles exceed the budget of {spec.budget}")
-        pass_ = _sampled_classes if kernel.all_batched else _direct_profiles
-        chunks = _by_holder(spec, pass_(spec, kernel))
+        chunks = _labeled_classes(spec, kernel)
     return CensusReport(spec, _results(spec, chunks))
 
 

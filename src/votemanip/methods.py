@@ -20,10 +20,11 @@ the two Nanson variants):
 Average comparisons in the Nanson variants are exact: ``k * score`` is
 compared against the integer score total of the ``k`` alive candidates.
 
-Each of the eleven methods, and the tiebroken form of each, also carries a
-batched form ``fn.on_counts`` that the census engine uses on blocks of
-anonymous classes (see "batched forms" below).  The scalar functions stay
-the reference: the batched forms must agree with them on every class.
+Each of the eleven methods, the tiebroken form of each and every pairwise
+dictator also carries a batched form ``fn.on_counts`` that the census
+engine uses on blocks of classes (see "batched forms" below).  The scalar
+functions stay the reference: the batched forms must agree with them on
+every class.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import Profile, Ranking, alive_extremes, default_labels, pairs_above
+from .core import Profile, Ranking, all_rankings, alive_extremes, default_labels, pairs_above
 
 MethodFn = Callable[[Profile], frozenset[int]]
 
@@ -235,8 +236,10 @@ def pairwise_dictator_winners(
 # by the census engine: a ``_Counts`` that every method of a census shares,
 # so its memoized tallies are computed once, or a ``_Switched`` block of
 # one-voter switches, whose statistics are corrections to its base block's.
-# Only anonymous methods can have a batched form, since a row forgets which
-# voter holds what.  All arithmetic is on exact integers.
+# A row forgets which voter holds what, except for the labeled voters a
+# block is given (``held_by``): a pairwise dictator, which reads one voter,
+# sets ``fn.voter`` and reads that voter's ranking per row.  All arithmetic
+# is on exact integers.
 
 
 def _degree(width: int) -> int:
@@ -269,7 +272,8 @@ def _top(scores: np.ndarray, alive: np.ndarray | None = None) -> np.ndarray:
 
 class _Counts:
     """A block's nonzero ranking counts, one (row, ranking, holders) entry
-    each, so the work per row follows the rankings held, not n!.
+    each, so the work per row follows the rankings held, not n!, and the
+    ranking index per row of each labeled voter in ``held``.
 
     Sums run through ``np.bincount`` with float64 weights; every total is
     an integer far below 2**53, so they are exact and cast back losslessly.
@@ -277,8 +281,9 @@ class _Counts:
     for the methods and switched blocks that share the block.
     """
 
-    def __init__(self, rows: np.ndarray) -> None:
+    def __init__(self, rows: np.ndarray, held: Mapping[int, np.ndarray] | None = None) -> None:
         self.k = len(rows)
+        self.held = held or {}
         self.n = _degree(rows.shape[1])
         self.full = np.full(self.k, (1 << self.n) - 1, dtype=np.int64)
         flat = rows.ravel()
@@ -294,6 +299,10 @@ class _Counts:
     def voters(self) -> np.ndarray:
         """Voters per row."""
         return self._sum(self.row, self.holders, self.k)
+
+    def held_by(self, voter: int) -> np.ndarray:
+        """The ranking index per row of a labeled voter."""
+        return self.held[voter]
 
     def tallies(self) -> np.ndarray:
         """``(k, n, n)``: entry [i, x, y] counts row i's voters ranking x
@@ -330,7 +339,8 @@ class _Counts:
 
 class _Switched:
     """A block of one-voter switches: row i is base class ``cls[i]`` with one
-    holder of ranking ``a[i]`` moved to ranking ``b[i]``.
+    holder of ranking ``a[i]`` moved to ranking ``b[i]``, that holder being
+    labeled voter ``voter[i]``, or an unlabeled one (-1).
 
     Its statistics are the base block's with two corrections per row: the
     tallies lose ranking a's ``pairs_above`` cells and gain b's, and the
@@ -339,8 +349,9 @@ class _Switched:
     count row scored from scratch.
     """
 
-    def __init__(self, base: _Counts, cls: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
-        self.base, self.cls, self.a, self.b = base, cls, a, b
+    def __init__(self, base: _Counts, cls: np.ndarray, a: np.ndarray, b: np.ndarray,
+                 voter: np.ndarray | int = -1) -> None:
+        self.base, self.cls, self.a, self.b, self.voter = base, cls, a, b, voter
         self.k = len(cls)
         self.n = base.n
         self.full = np.full(self.k, (1 << self.n) - 1, dtype=np.int64)
@@ -348,6 +359,9 @@ class _Switched:
 
     def voters(self) -> np.ndarray:
         return self.base.voters()[self.cls]
+
+    def held_by(self, voter: int) -> np.ndarray:
+        return np.where(self.voter == voter, self.b, self.base.held_by(voter)[self.cls])
 
     def tallies(self) -> np.ndarray:
         if self._tallies is None:
@@ -528,6 +542,13 @@ def _tiebreak_table(order: Ranking) -> np.ndarray:
     return np.array(table, dtype=np.int64)
 
 
+@lru_cache(maxsize=None)
+def _dictator_table(x: int, y: int, n: int) -> np.ndarray:
+    """For every ranking of ``all_rankings(n)``, the bitmask of whichever of
+    x and y it ranks higher."""
+    return np.array([1 << (x if r.prefers(x, y) else y) for r in all_rankings(n)], np.int64)
+
+
 @dataclass(frozen=True)
 class VotingMethod:
     """A named resolution-procedure; equality and hashing go by id."""
@@ -579,6 +600,8 @@ def tiebroken(inner: VotingMethod, order: Ranking) -> VotingMethod:
     inner_on_counts = getattr(inner.fn, "on_counts", None)
     if inner_on_counts is not None:
         fn.on_counts = lambda rows: _tiebreak_table(order)[inner_on_counts(rows)]
+    if hasattr(inner.fn, "voter"):
+        fn.voter = inner.fn.voter
     return VotingMethod(id=f"{inner.id}@{order_text}", fn=fn, anonymous=inner.anonymous)
 
 
@@ -588,11 +611,13 @@ def pairwise_dictator(x: int, y: int, voter: int, labels: Sequence[str]) -> Voti
         raise ValueError("pairwise dictator needs two distinct candidates")
     if voter < 0:
         raise ValueError("voter index must be nonnegative")
-    return VotingMethod(
-        id=f"pdict:{labels[x]},{labels[y]},{voter}",
-        fn=lambda profile: pairwise_dictator_winners(x, y, voter, profile),
-        anonymous=False,
-    )
+
+    def fn(profile: Profile) -> frozenset[int]:
+        return pairwise_dictator_winners(x, y, voter, profile)
+
+    fn.voter = voter
+    fn.on_counts = lambda block: _dictator_table(x, y, block.n)[block.held_by(voter)]
+    return VotingMethod(id=f"pdict:{labels[x]},{labels[y]},{voter}", fn=fn, anonymous=False)
 
 
 def parse_method(text: str, labels: Sequence[str] | None = None) -> VotingMethod:

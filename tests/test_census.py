@@ -25,12 +25,12 @@ from votemanip.census import (
     _Colex,
     _sample_rows,
 )
-from votemanip.core import all_rankings, default_labels
+from votemanip.core import Ranking, all_rankings, default_labels
 from votemanip.dominance import KINDS, dominates_nonstrict, dominates_strict
 from votemanip.manipulation import (
     NOTIONS, UncertaintySet, find_manipulation, method_set, notion_holds, subset_family,
 )
-from votemanip.methods import METHOD_ORDER, METHODS, VotingMethod, parse_method
+from votemanip.methods import METHOD_ORDER, METHODS, VotingMethod, parse_method, tiebroken
 
 
 def naive_counts(spec: CensusSpec) -> dict[str, tuple[int, int]]:
@@ -66,6 +66,31 @@ def engine_counts(spec: CensusSpec) -> dict[str, tuple[int, int]]:
     return {r.set_id: (r.witness_profiles, r.witness_pointed) for r in report.results}
 
 
+def voter_one_top(profile) -> frozenset[int]:
+    """The top choice of voter 1."""
+    return frozenset({profile.rankings[1].order[0]})
+
+
+def non_anonymous_sets(family: str) -> tuple[UncertaintySet, ...]:
+    """Sets with pairwise dictators, plain or tiebroken, beside anonymous
+    methods, or with a custom method that reads voter 1 and has no batched
+    form, so that every voter is labeled."""
+    if family == "tiebroken-dictator":
+        # a tiebreak copies the dictator's batched form and the voter it reads
+        return (UncertaintySet((tiebroken(parse_method("pdict:a,b,1"), Ranking((2, 1, 0))),
+                                METHODS["borda"])), method_set("borda"))
+    if family == "voter-one":
+        custom = VotingMethod("voter_one_top", voter_one_top, anonymous=False)
+        return (UncertaintySet((custom,)), UncertaintySet((custom, METHODS["borda"])),
+                method_set("hare"))
+    return tuple(method_set(*names) for names in {
+        "dictator": (("borda", "pdict:a,b,0"), ("borda",)),
+        "dictator-on-1": (("borda", "pdict:a,c,1"),),
+        "two-dictators": (("borda", "pdict:a,b,0"), ("hare", "pdict:b,c,2"),
+                          ("pdict:a,b,0", "pdict:b,c,2"), ("borda", "hare")),
+    }[family])
+
+
 class TestAgainstNaiveSearch:
     @pytest.mark.parametrize(
         "n,m,names,notion,kind",
@@ -97,15 +122,12 @@ class TestAgainstNaiveSearch:
         )
         assert engine_counts(spec) == naive_counts(spec)
 
-    def test_non_anonymous_sets_match(self):
-        spec = CensusSpec(
-            n=3,
-            m=3,
-            method_sets=(
-                method_set("borda", "pdict:a,b,0"),
-                method_set("borda"),
-            ),
-        )
+    @pytest.mark.parametrize("m,family", [
+        (3, "dictator"), (3, "two-dictators"), (4, "two-dictators"), (3, "voter-one"),
+        (3, "tiebroken-dictator"),
+    ])
+    def test_non_anonymous_sets_match(self, m, family):
+        spec = CensusSpec(n=3, m=m, method_sets=non_anonymous_sets(family))
         assert engine_counts(spec) == naive_counts(spec)
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -134,9 +156,12 @@ class TestAgainstNaiveSearch:
         )
         assert engine_counts(spec) == naive_counts(spec)
 
-    def test_sampled_non_anonymous_census_matches(self):
+    @pytest.mark.parametrize("m,family", [
+        (3, "dictator-on-1"), (3, "two-dictators"), (4, "two-dictators"), (3, "voter-one"),
+    ])
+    def test_sampled_non_anonymous_census_matches(self, m, family):
         spec = CensusSpec(
-            n=3, m=3, method_sets=(method_set("borda", "pdict:a,c,1"),),
+            n=3, m=m, method_sets=non_anonymous_sets(family),
             mode="sample", samples=200, seed=7,
         )
         assert engine_counts(spec) == naive_counts(spec)
@@ -172,10 +197,10 @@ class TestOthersClassWalk:
 
 class TestMethodRouting:
     """Methods with a batched form are scored on count blocks; a method
-    without one sends the census down the per-profile direct scan."""
+    without one labels every voter and runs on each row's profile."""
 
     @pytest.mark.parametrize("samples", [None, 40])
-    def test_a_method_without_a_batched_form_takes_the_direct_scan(self, samples):
+    def test_a_method_without_a_batched_form_labels_every_voter(self, samples):
         borda = METHODS["borda"]
         custom = VotingMethod("my_borda", lambda profile: borda.fn(profile))
         spec = CensusSpec(
@@ -184,7 +209,7 @@ class TestMethodRouting:
             method_sets=(UncertaintySet((custom,)), UncertaintySet((custom, METHODS["hare"])),
                          method_set("hare")),
         )
-        assert not _ClassKernel(spec).all_batched
+        assert _ClassKernel(spec).labeled == (0, 1, 2)
         counts = engine_counts(spec)
         assert counts == naive_counts(spec)
         batched = engine_counts(CensusSpec(
@@ -560,11 +585,12 @@ class TestBudgets:
                            match="^126 classes exceed the budget of 100$"):
             run_census(spec)
 
-    def test_the_direct_scan_is_budgeted_by_labeled_profiles(self):
+    def test_a_labeled_census_is_budgeted_by_partly_labeled_classes(self):
+        # voter 0's 6 rankings times the C(8, 3) = 56 classes of the other three
         spec = CensusSpec(n=3, m=4, method_sets=(method_set("borda", "pdict:a,b,0"),),
-                          budget=1295)
+                          budget=335)
         with pytest.raises(BudgetExceededError,
-                           match="^1296 profiles exceed the budget of 1295$"):
+                           match="^336 partly labeled classes exceed the budget of 335$"):
             run_census(spec)
 
     def test_sampling_escapes_the_labeled_space_size(self):

@@ -208,6 +208,21 @@ class TestTable:
         rows = [ln for ln in proc.stdout.splitlines() if not ln.startswith("#")]
         assert rows[1:] == ['"pdict:a,b,0",sure,weak,3,2,36,0,0,0.0000']
 
+    def test_a_pairwise_dictator_census_is_budgeted_by_partly_labeled_classes(self):
+        # voter 0's 6 rankings times the 56 classes of the others: 336, not
+        # the 1,296 labeled profiles
+        proc = run_cli(
+            "table", "-n", "3", "-m", "4", "--methods", "borda,pdict:a,b,0",
+            "--notion", "safe", "--budget", "400", "--format", "csv",
+        )
+        assert proc.returncode == 0, proc.stderr
+        rows = [ln for ln in proc.stdout.splitlines() if not ln.startswith("#")]
+        assert rows[1:] == [
+            "borda,safe,weak,3,4,1296,378,792,29.1667",
+            '"pdict:a,b,0",safe,weak,3,4,1296,0,0,0.0000',
+            '"borda+pdict:a,b,0",safe,weak,3,4,1296,366,726,28.2407',
+        ]
+
     def test_pairwise_dictator_beyond_the_voters_fails_cleanly(self):
         proc = run_cli("table", "-n", "3", "-m", "3", "--methods", "borda,pdict:a,b,5")
         assert proc.returncode == 2

@@ -1,6 +1,7 @@
 """Winner sets of the eleven methods and the two extensions."""
 
-from itertools import combinations_with_replacement, permutations, product
+from functools import wraps
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 import numpy as np
 import pytest
@@ -344,7 +345,7 @@ class TestBatchedForms:
         assert colex.rank(counts).tolist() == list(range(colex.classes))
         for combo, oid in zip(combos, ids.tolist()):
             outcome = tuple(frozenset(x for x in range(n) if w >> x & 1)
-                            for w in kernel.part.masks[oid])
+                            for w in kernel.outcomes.masks[oid])
             assert outcome == tuple(f.fn(member(n, combo)) for f in methods)
 
     @pytest.mark.parametrize("n,m,count", [
@@ -391,6 +392,38 @@ class TestBatchedForms:
         for f in methods:
             assert f.fn.on_counts(block).tolist() == [
                 bitmask(f.fn(p)) for p in switched], f.id
+
+    @pytest.mark.parametrize("n,m", [(3, 1), (3, 2), (3, 3), (4, 1), (4, 2)])
+    def test_pairwise_dictators_read_their_voter(self, n, m):
+        # Every labeled profile as a count row with every voter held; then
+        # one more voter, not labeled, holding ranking 0, and every switch of
+        # the dictator, of another labeled voter or of that voter (-1).
+        fact = len(all_rankings(n))
+        labels = default_labels(n)
+        methods = [pairwise_dictator(x, y, i, labels)
+                   for x, y in combinations(range(n), 2) for i in range(m)]
+        profiles = np.array(list(product(range(fact), repeat=m)))
+        held = dict(enumerate(profiles.T))
+        base = _Counts(np.array([count_row(n, p) for p in profiles], np.uint8), held)
+        members = [member(n, p) for p in profiles]
+        for f in methods:
+            assert f.fn.on_counts(base).tolist() == [bitmask(f.fn(p)) for p in members], f.id
+        extra = np.c_[profiles, np.zeros(len(profiles), int)]
+        base = _Counts(np.array([count_row(n, p) for p in extra], np.uint8), held)
+        cls, voter, b = (a.ravel() for a in np.meshgrid(
+            np.arange(len(extra)), np.r_[np.arange(m), -1], np.arange(fact), indexing="ij"))
+        block = _Switched(base, cls, extra[cls, voter], b, voter)
+        switched = extra[cls]
+        switched[np.arange(len(cls)), voter] = b  # voter -1 is the last column
+        members = [member(n, p) for p in switched]
+        for f in methods:
+            assert f.fn.on_counts(block).tolist() == [bitmask(f.fn(p)) for p in members], f.id
+
+    def test_a_wrapped_pairwise_dictator_keeps_its_batched_form(self):
+        # a timing wrapper is a functools.wraps copy of fn
+        fn = pairwise_dictator(0, 2, 1, ("a", "b", "c")).fn
+        copy = wraps(fn)(lambda profile: fn(profile))
+        assert copy.voter == 1 and copy.on_counts is fn.on_counts
 
     def test_tiebroken_custom_methods_have_no_batched_form(self):
         custom = VotingMethod("custom", lambda profile: frozenset(profile.candidates))
