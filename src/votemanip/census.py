@@ -8,32 +8,39 @@ from exact integer counts and are rounded only when displayed.
 
 All eleven base methods and the tiebreak extension are anonymous, so a
 profile's winners, and hence every witness verdict, depend only on how
-many voters hold each ranking.  An exhaustive census of anonymous methods
-therefore walks the anonymous classes (multisets of m rankings) rather
-than the labeled profiles, weighting each class by the number of labeled
-profiles in it, the multinomial m!/(c_1! ... c_k!) for holder counts c_i.
-The kernel works on arrays, a chunk of classes at a time:
+many voters hold each ranking.  A pairwise dictator ``pdict:x,y,i`` reads
+voter i alone, and a method without a batched form (a custom ``fn``)
+labels every voter and runs on each row's profile.  A census therefore
+works on partly labeled classes (h, c) rather than labeled profiles: the
+rankings h of the labeled voters L and the anonymous class c (a multiset)
+of the u = m - |L| others, weighted by the labeled profiles in it, the
+multinomial u!/(c_1! ... c_k!) for the others' holder counts c_i.  With
+no labeled voter it is an anonymous class.  The kernel works on arrays, a
+chunk of classes at a time:
 
-* class ranks: a class is a sorted row of m ranking indices, and its colex
-  rank sum_i C(a_i + i, i + 1) numbers the C(n! + m - 1, m) classes without
-  gaps (``_Colex``).  The exhaustive search walks the classes o of the
-  other m - 1 voters instead: a voter holding r beside o is in class
-  o + e_r, and the ranks of o's n! such classes are two running sums over
-  o's holder counts, computed for a chunk of o's at once;
+* class ranks: c is a sorted row of u ranking indices, and its colex rank
+  sum_i C(a_i + i, i + 1) numbers the C(n! + u - 1, u) classes without
+  gaps (``_Colex``); (h, c) is at h's index in base n!, the first labeled
+  voter outermost, times that count plus c's rank.  The exhaustive search
+  walks (h, o) for the classes o of u - 1 others: an unlabeled voter
+  holding r beside o is in (h, o + e_r), and the ranks of o's n! such
+  classes are two running sums over o's holder counts;
 * batched winners: a class is also a row of ranking counts, and each
   method's batched form (``fn.on_counts``, see ``methods``) scores a whole
   block of rows in one numpy call, every method reading the one block's
   memoized statistics, with blocks kept under ``BLOCK_CELLS`` cells.  The
   tuple of every method's winner set on a class is one outcome, interned
   as a small integer id.  An exhaustive census fills one id array indexed
-  by class rank before its search and reads from it the row of outcomes
-  of each o's n! classes: whatever the voter holds, its switches reach
-  that row, so it is judged against the row's distinct outcomes only.
-  The partly labeled pass (below) scores each switch of a chunk as a
+  by class before its search and reads every switch's outcome from it:
+  an unlabeled voter beside (h, o) reaches the row of o's n! classes
+  whatever it holds, so it is judged against the row's distinct outcomes
+  only, and labeled voter j reaches the n! classes at a fixed stride
+  from its own; with u = 0 only labeled voters are judged.  A sampled
+  census meets classes that hardly repeat, so it scores each switch as a
   correction to its class's statistics (a switched block,
-  ``methods._Switched``): the tallies
-  lose the old ranking's pairs and gain the new one's, and the places
-  under each candidate set move one voter, O(n^2) per switch;
+  ``methods._Switched``): the tallies lose the old ranking's pairs and
+  gain the new one's, and the places under each candidate set move one
+  voter, O(n^2) per switch;
 * verdicts: whether one voter's ballot switch witnesses the notion depends
   only on the voter's ranking and the outcomes before and after it.  A
   chunk's switches are reduced to their distinct (ranking, before, after)
@@ -49,29 +56,14 @@ The kernel works on arrays, a chunk of classes at a time:
   set s).  OR-ing the triples' masks over a voter's alternative ballots
   gives the sets that voter witnesses;
 * aggregation: weights times witnessed-set bits, in int64 while
-  (n!)^m * m fits and in exact Python integers beyond.  A walked pair
-  (o, r) stands for the c_r holders of r in each labeled profile of
-  c = o + e_r, m (m-1)!/(o_1! ... o_k!) pointed profiles.  Its sets are
-  OR-ed into a bitmap of the classes, and a class counts its weight for
-  each set of its bitmap once the walk has passed every o it contains.
-  The partly labeled pass ORs the sets of a class's holders directly.
+  (n!)^m * m fits and in exact Python integers beyond (``_class_walk``
+  gives the walk's weights).
 
-A pairwise dictator ``pdict:x,y,i`` reads voter i alone, so a block keeps
-the ranking of each such labeled voter beside its counts, and a method
-without a batched form (a custom ``fn``) labels every voter and runs on
-each row's profile.  A census with labeled voters, and every sampled one,
-walks partly labeled classes instead: the rankings of the labeled voters
-and the anonymous class of the others, each labeled voter a holder of its
-own.  Exhaustively there are (n!)^|L| C(n! + u - 1, u) of them for the
-u = m - |L| others, each weighted by u!/(c_1! ... c_k!) for the others'
-holder counts; sampled, the distinct ones drawn, each weighted by how
-often it was.  The exhaustive class walk is budgeted by its classes, the
-partly labeled pass by its partly labeled classes, and sampling by the
-profiles it draws.
-
-Sampling draws each voter's ranking independently and uniformly using
-numpy's PCG64 generator; the whole sample stream is materialized up front
-from the one seed, so sampled counts depend on the seed alone.
+The exhaustive walk is budgeted by its classes, and sampling by the
+profiles it draws, each voter's ranking independently and uniformly from
+numpy's PCG64 generator; the whole stream is materialized up front from
+the one seed, so sampled counts depend on the seed alone.  Sampling counts
+the distinct partly labeled classes drawn, each weighted by its draws.
 
 ``census_of`` is the one place a census request is built from sets and
 options.  ``family_census`` runs one census over every nonempty subset of
@@ -388,15 +380,15 @@ class _ClassKernel:
 
     A class is given by its ranking counts, ``counts[i]`` being the number
     of voters holding the i-th lexicographic ranking: exactly what an
-    anonymous method can see.  ``class_ids`` takes such rows, wraps each
-    block of them in one ``_Counts`` and has every method's batched form
-    (``fn.on_counts``) score it in one call; only the distinct rows of
-    winner bitmasks are interned.  ``neighbourhood`` scores the switches of
-    a chunk's partly labeled classes the same way, as ``_Switched`` blocks
-    over one ``_Counts`` of the classes.  The kernel's ``labeled`` voters
-    are those a pairwise dictator reads (``fn.voter``), or every voter when
-    a method has no batched form; such a method runs row by row on each
-    row's profile (``_row_wise``).  Every id is interned in ``outcomes``.
+    anonymous method can see, beside the ranking of each ``labeled``
+    voter: those a pairwise dictator reads (``fn.voter``), or every voter
+    when a method has no batched form and runs on each row's profile
+    (``_row_wise``).  ``class_ids`` scores every class of an exhaustive
+    census, each block of rows in one ``_Counts`` that every method's
+    batched form (``fn.on_counts``) scores in one call; only the distinct
+    rows of winner bitmasks are interned, in ``outcomes``.  For sampling,
+    ``neighbourhood`` scores a chunk's switches as ``_Switched`` blocks
+    over one ``_Counts`` of its classes.
 
     ``hits`` takes, per holder ranking, the outcome before its switches and
     the outcomes they reach, and returns the sets some switch witnesses, as
@@ -439,6 +431,8 @@ class _ClassKernel:
         if not all(hasattr(f.fn, "on_counts") for f in self.universe):
             labeled = range(spec.m)
         self.labeled = tuple(sorted(labeled))
+        # place value of each labeled voter's ranking in h's index in base n!
+        self.place = self.fact ** np.arange(len(self.labeled) - 1, -1, -1)
         self._block_rows = max(1, BLOCK_CELLS // (
             self.fact + min(spec.m, self.fact) * spec.n ** 2))
         self._switch_rows = max(1, BLOCK_CELLS // (spec.n ** 2 + spec.n))
@@ -462,9 +456,8 @@ class _ClassKernel:
 
     def chunk(self, pairs: int, width: int | None = None) -> int:
         """Classes per search chunk when each has up to ``pairs`` holders,
-        each judged against ``width`` outcomes (every
-        ranking by default): a chunk's widest arrays then have about
-        ``BLOCK_CELLS`` cells."""
+        each judged against ``width`` outcomes (every ranking by default):
+        a chunk's widest arrays then have about ``BLOCK_CELLS`` cells."""
         width = self.fact if width is None else width
         return max(1, BLOCK_CELLS // (pairs * (width * len(self.universe) + self.m)))
 
@@ -473,28 +466,33 @@ class _ClassKernel:
         return self.outcomes.ids(np.stack([f(block) for f in self._on_counts], axis=1))
 
     def class_ids(self, colex: _Colex) -> np.ndarray:
-        """The outcome id of every class, indexed by colex rank, in the
-        narrowest unsigned type that holds the ids seen so far, scored in
-        blocks of at most ``BLOCK_CELLS`` cells."""
-        ids = np.empty(colex.classes, np.uint8)
-        for lo in range(0, colex.classes, self._block_rows):
-            counts = colex.unrank(np.arange(lo, min(lo + self._block_rows, colex.classes)))
-            block = self._score(_Counts(counts))
+        """The outcome id of every class (h, c), at h's index in base n!
+        times ``colex.classes`` plus c's rank, in the narrowest unsigned
+        type that holds the ids seen so far, scored in blocks of at most
+        ``BLOCK_CELLS`` cells."""
+        total = self.fact ** len(self.labeled) * colex.classes
+        ids = np.empty(total, np.uint8)
+        for lo in range(0, total, self._block_rows):
+            point, rank = np.divmod(np.arange(lo, min(lo + self._block_rows, total)),
+                                    colex.classes)
+            held = point[:, None] // self.place % self.fact
+            block = self._score(_Counts(colex.unrank(rank) + _counts(held, self.fact),
+                                        dict(zip(self.labeled, held.T))))
             ids = ids.astype(np.promote_types(ids.dtype, np.min_scalar_type(block.max())),
                              copy=False)
-            ids[lo:lo + len(counts)] = block
+            ids[lo:lo + len(block)] = block
         return ids
 
     def neighbourhood(self, held: np.ndarray, rest: np.ndarray) -> tuple:
-        """The holders of a chunk of partly labeled classes, given by the
-        ranking index of each labeled voter (``held[:, j]`` for voter
-        ``labeled[j]``) and the ranking counts of the other voters (``rest``):
-        per holder its row, its holders and the sets its switches witness.
+        """The holders of a chunk of sampled classes, given by the ranking
+        index of each labeled voter (``held[:, j]`` for voter ``labeled[j]``)
+        and the ranking counts of the other voters (``rest``): per holder
+        its row, its holders and the sets its switches witness.
 
         A labeled voter is a holder of its own; the other voters holding a
-        ranking are one holder.  Every switch is scored as a correction to
-        its class's statistics, a labeled voter's switch also moving what
-        that voter holds.
+        ranking are one holder.  No id array holds the classes the switches
+        reach, so each is scored as a correction to its class's statistics,
+        a labeled voter's switch also moving what that voter holds.
         """
         k, size = held.shape
         base = _Counts(rest + _counts(held, self.fact), dict(zip(self.labeled, held.T)))
@@ -625,82 +623,91 @@ def _distinct_per_row(a: np.ndarray) -> np.ndarray:
 
 
 def _class_walk(spec: CensusSpec, kernel: _ClassKernel) -> Iterator[tuple]:
-    """Every anonymous class, walked by the class o of the other m - 1 voters.
+    """Every partly labeled class (h, c), walked by h and the class o of
+    u - 1 unlabeled voters.
 
-    A voter holding r beside o is in class o + e_r, and whatever it holds
-    it reaches the same row of outcomes, one per ranking, so each (o, r)
-    pair is judged against the row's distinct outcomes.  The pair stands
-    for c_r * m!/(c_1! ... c_k!) = m * (m-1)!/(o_1! ... o_k!) pointed
-    profiles.  Its witnessed sets are OR-ed into a bitmap indexed by the
-    rank of o + e_r; a class is complete once the o without its lowest
-    held ranking has been walked, which, of all its others' classes, has
-    the highest colex rank, and it is then counted with its weight.
+    (h, o, r) stands for the c_r holders of r in each labeled profile of
+    (h, o + e_r), u (u-1)!/(o_1! ... o_k!) pointed profiles; its sets are
+    OR-ed into a bitmap indexed like the id array.  A class is complete
+    once its last o in colex order, the o without its lowest held ranking,
+    is walked.  Its labeled voters' switches are judged then, each voter
+    once per labeled profile, and it counts its weight for each set they
+    or its bitmap hold.  With u = 0 each h is one class, already complete.
     """
-    fact, m = kernel.fact, spec.m
-    colex, others = _Colex(fact, m), _Colex(fact, m - 1)
+    fact, size = kernel.fact, len(kernel.labeled)
+    colex = _Colex(fact, spec.m - size)
     ids = kernel.class_ids(colex)
     nsets = len(spec.method_sets)
-    seen = np.zeros((colex.classes, -(-nsets // 8)), np.uint8)  # witnessed sets per class
+    nbytes = -(-nsets // 8)
+    stride = colex.classes * kernel.place  # a labeled voter's step through ids
     dtype = _count_dtype(spec)
-    held = np.arange(fact)
-    lo, step = 0, kernel.chunk(fact)
-    while lo < others.classes:
-        counts = others.unrank(np.arange(lo, min(lo + step, others.classes)))
-        ranks = colex.added_ranks(counts)
+
+    def complete(index: np.ndarray, weights: np.ndarray, found: np.ndarray | int) -> Iterator:
+        # ``found``: the set bitmaps of the classes' unlabeled voters, if any
+        for s in stride:
+            held = index // s % fact
+            after = ids[index[:, None] + (np.arange(fact) - held[:, None]) * s]
+            hits = _set_bytes(kernel.hits(held, ids[index], after), nbytes)
+            yield "pointed", weights, _set_bits(hits, nsets)
+            found = found | hits
+        yield "profiles", weights, _set_bits(found, nsets)
+
+    if not colex.m:  # every voter is labeled
+        step = kernel.chunk(size)
+        for lo in range(0, len(ids), step):
+            index = np.arange(lo, min(lo + step, len(ids)))
+            yield from complete(index, np.ones(len(index), dtype), 0)
+        return
+    others = _Colex(fact, colex.m - 1)
+    walk = fact ** size * others.classes
+    seen = np.zeros((len(ids), nbytes), np.uint8)  # witnessed sets per class
+    lo, step = 0, kernel.chunk(fact, (1 + size) * fact)
+    while lo < walk:
+        point, rank = np.divmod(np.arange(lo, min(lo + step, walk)), others.classes)
+        counts = others.unrank(rank)
+        ranks = colex.classes * point[:, None] + colex.added_ranks(counts)
         reach = ids[ranks]  # reach[o, r]: the outcome when the voter holds r
         row = _distinct_per_row(reach)
-        # only as many o's as fit against the widest row are judged, and
-        # the next chunk starts with as many
-        step = kernel.chunk(fact, row.shape[1])
+        # only as many o's as fit are judged, each against its row and, for
+        # the up to fact classes it completes, each labeled voter's n!
+        # switches; the next chunk starts with as many
+        step = kernel.chunk(fact, row.shape[1] + size * fact)
         counts, ranks, reach, row = counts[:step], ranks[:step], reach[:step], row[:step]
         lo += len(counts)
-        hits = _set_bytes(kernel.hits(np.tile(held, len(counts)), reach.ravel(),
-                                      np.repeat(row, fact, axis=0)), seen.shape[1])
+        hits = _set_bytes(kernel.hits(np.tile(np.arange(fact), len(counts)), reach.ravel(),
+                                      np.repeat(row, fact, axis=0)), nbytes)
         live = hits.any(axis=1)
         np.bitwise_or.at(seen, ranks.ravel()[live], hits[live])
-        pointed = (m * others.weights(counts)).astype(dtype)
+        pointed = (colex.m * others.weights(counts)).astype(dtype)
+        yield ("pointed", pointed,
+               _set_bits(hits, nsets).reshape(len(counts), fact, -1).sum(axis=1, dtype=np.int64))
         # (o, r) completes o + e_r when no voter of o holds a ranking below r
         last = np.cumsum(counts, axis=1) == counts
-        yield ((pointed[:, None] // (counts + 1))[last],
-               _set_bits(seen[ranks[last]], nsets), pointed,
-               _set_bits(hits, nsets).reshape(len(counts), fact, -1).sum(axis=1, dtype=np.int64))
+        yield from complete(ranks[last], (pointed[:, None] // (counts + 1))[last],
+                            seen[ranks[last]])
 
 
-def _labeled_classes(spec: CensusSpec, kernel: _ClassKernel) -> Iterator[tuple]:
-    """Partly labeled classes: the rankings of the labeled voters and the
-    anonymous class of the u = m - |L| others.  An exhaustive census walks
-    all (n!)^|L| C(n! + u - 1, u) of them, each weighted by the labeled
-    profiles in it, u!/(c_1! ... c_k!) for the others' holder counts c_i; a
-    sampled one the distinct ones drawn, each weighted by how often it was."""
+def _sampled_classes(spec: CensusSpec, kernel: _ClassKernel) -> Iterator[tuple]:
+    """The distinct partly labeled classes drawn, each weighted by how
+    often it was drawn, every switch of their holders scored as a
+    correction to its class (``neighbourhood``)."""
     fact, labeled = kernel.fact, np.array(kernel.labeled, np.intp)
     size = len(labeled)
-    others = _Colex(fact, spec.m - size)
-    step = kernel.chunk(size + min(others.m, fact))
-    if spec.mode == "sample":
-        sample = _sample_rows(spec.n, spec.m, spec.samples, spec.seed)
-        keys = np.c_[sample[:, labeled], np.sort(np.delete(sample, labeled, axis=1), axis=1)]
-        index, inverse = _distinct_rows(keys)
-        keys, drawn = keys[index], np.bincount(inverse)
-        chunks = ((drawn[lo:lo + step], keys[lo:lo + step, :size],
-                   _counts(keys[lo:lo + step, size:], fact))
-                  for lo in range(0, len(keys), step))
-    else:
-        total = fact ** size * others.classes
-        place = fact ** np.arange(size - 1, -1, -1)  # the first labeled voter outermost
-
-        def exhaustive(lo: int) -> tuple:
-            point, rank = np.divmod(np.arange(lo, min(lo + step, total)), others.classes)
-            rest = others.unrank(rank)
-            return others.weights(rest), point[:, None] // place % fact, rest
-
-        chunks = map(exhaustive, range(0, total, step))
-    for weights, held, rest in chunks:
+    step = kernel.chunk(size + min(spec.m - size, fact))
+    sample = _sample_rows(spec.n, spec.m, spec.samples, spec.seed)
+    keys = np.c_[sample[:, labeled], np.sort(np.delete(sample, labeled, axis=1), axis=1)]
+    index, inverse = _distinct_rows(keys)
+    keys, drawn = keys[index], np.bincount(inverse)
+    for lo in range(0, len(keys), step):
+        weights = drawn[lo:lo + step]
         # a class counts its weight for each set any holder witnesses, and a
         # holder its weight times its holders for each set it witnesses
-        row, holders, hits = kernel.neighbourhood(held, rest)
+        row, holders, hits = kernel.neighbourhood(keys[lo:lo + step, :size],
+                                                  _counts(keys[lo:lo + step, size:], fact))
         bits = _set_bits(_set_bytes(hits, 8 * kernel.words), len(spec.method_sets))
         starts = np.flatnonzero(np.r_[True, row[1:] != row[:-1]])
-        yield weights[row[starts]], np.maximum.reduceat(bits, starts), weights[row] * holders, bits
+        yield "profiles", weights[row[starts]], np.maximum.reduceat(bits, starts)
+        yield "pointed", weights[row] * holders, bits
 
 
 def _set_bytes(words: np.ndarray, nbytes: int) -> np.ndarray:
@@ -720,21 +727,18 @@ def _count_dtype(spec: CensusSpec) -> type:
 
 
 def _results(spec: CensusSpec, chunks: Iterable[tuple]) -> tuple[CensusResult, ...]:
-    """Per-set counts from chunks of (weights, bits) twice, once for
-    witnessing profiles and once for witnessing pointed profiles: each row
-    of ``(k, sets)`` bits counts its weight times its bit for each set."""
-    nsets = len(spec.method_sets)
+    """Per-set counts from chunks of (basis, weights, bits): each row of
+    ``(k, sets)`` bits counts its weight times its bit for each set toward
+    the witnessing profiles or pointed profiles, as ``basis`` says."""
     dtype = _count_dtype(spec)
-    profiles = np.zeros(nsets, object)
-    pointed = np.zeros(nsets, object)
-    for weights, bits, pointed_weights, pointed_bits in chunks:
-        profiles += weights.astype(dtype) @ bits
-        pointed += pointed_weights.astype(dtype) @ pointed_bits
+    counts = {basis: np.zeros(len(spec.method_sets), object) for basis in ("profiles", "pointed")}
+    for basis, weights, bits in chunks:
+        counts[basis] += weights.astype(dtype) @ bits
     return tuple(
         CensusResult(
             set_id=s.id, notion=spec.notion, kind=spec.kind, n=spec.n, m=spec.m,
-            total=spec.total, witness_profiles=int(profiles[i]),
-            witness_pointed=int(pointed[i]),
+            total=spec.total, witness_profiles=int(counts["profiles"][i]),
+            witness_pointed=int(counts["pointed"][i]),
         )
         for i, s in enumerate(spec.method_sets)
     )
@@ -743,19 +747,15 @@ def _results(spec: CensusSpec, chunks: Iterable[tuple]) -> tuple[CensusResult, .
 def run_census(spec: CensusSpec) -> CensusReport:
     """Runs the census described by ``spec``; see the module docstring."""
     kernel = _ClassKernel(spec)
-    size = len(kernel.labeled)
     if spec.mode == "sample":
-        work, unit = spec.samples, "profiles"
+        work, unit, census = spec.samples, "profiles", _sampled_classes
     else:
+        size = len(kernel.labeled)
         work = kernel.fact ** size * math.comb(kernel.fact + spec.m - size - 1, spec.m - size)
-        unit = "partly labeled classes" if size else "classes"
+        unit, census = "partly labeled classes" if size else "classes", _class_walk
     if work > spec.budget:
         raise BudgetExceededError(f"{work} {unit} exceed the budget of {spec.budget}")
-    if spec.mode == "exhaustive" and not size:
-        chunks = _class_walk(spec, kernel)
-    else:
-        chunks = _labeled_classes(spec, kernel)
-    return CensusReport(spec, _results(spec, chunks))
+    return CensusReport(spec, _results(spec, census(spec, kernel)))
 
 
 # --- censuses over families of sets -----------------------------------------

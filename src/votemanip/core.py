@@ -66,15 +66,8 @@ class Ranking:
     def n(self) -> int:
         return len(self.order)
 
-    def rank_of(self, x: int) -> int:
-        """1-based rank of candidate x (1 = best)."""
-        return self.position[x] + 1
-
     def top(self) -> int:
         return self.order[0]
-
-    def bottom(self) -> int:
-        return self.order[-1]
 
     def prefers(self, x: int, y: int) -> bool:
         """True if x is ranked strictly above y."""
@@ -106,12 +99,6 @@ class Ranking:
 def all_rankings(n: int) -> tuple[Ranking, ...]:
     """All n! rankings of ``0 .. n-1`` in lexicographic order."""
     return tuple(Ranking(p) for p in permutations(range(n)))
-
-
-@lru_cache(maxsize=None)
-def ranking_index(n: int) -> dict[tuple[int, ...], int]:
-    """Maps a ranking's order tuple to its index in :func:`all_rankings`."""
-    return {r.order: i for i, r in enumerate(all_rankings(n))}
 
 
 @lru_cache(maxsize=None)
@@ -177,10 +164,6 @@ class PairwiseTally:
         if x == y:
             raise ValueError("net margin needs two distinct candidates")
         return self.counts[x][y] - self.counts[y][x]
-
-    def majority_prefers(self, x: int, y: int) -> bool:
-        """True if strictly more voters rank x above y than y above x."""
-        return self.net(x, y) > 0
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from votemanip import census
 from votemanip.census import (
     CSV_COLUMNS,
     BudgetExceededError,
@@ -86,6 +87,8 @@ def non_anonymous_sets(family: str) -> tuple[UncertaintySet, ...]:
     return tuple(method_set(*names) for names in {
         "dictator": (("borda", "pdict:a,b,0"), ("borda",)),
         "dictator-on-1": (("borda", "pdict:a,c,1"),),
+        # at m = 2 every voter is labeled, with batched forms only
+        "every-voter-dictated": (("pdict:a,b,0", "pdict:b,c,1"), ("borda", "pdict:a,c,1")),
         "two-dictators": (("borda", "pdict:a,b,0"), ("hare", "pdict:b,c,2"),
                           ("pdict:a,b,0", "pdict:b,c,2"), ("borda", "hare")),
     }[family])
@@ -122,13 +125,35 @@ class TestAgainstNaiveSearch:
         )
         assert engine_counts(spec) == naive_counts(spec)
 
+    # Under ``safe`` a set with a dictator counts nonzero, so the labeled
+    # voters' switches are pinned by more than zeros: borda+pdict:a,b,0 at
+    # (3,3) counts (50, 64) and borda+pdict:a,c,1 at (3,2) (6, 10).
+    @pytest.mark.parametrize("notion", ["sure", "safe"])
     @pytest.mark.parametrize("m,family", [
         (3, "dictator"), (3, "two-dictators"), (4, "two-dictators"), (3, "voter-one"),
-        (3, "tiebroken-dictator"),
+        (3, "tiebroken-dictator"), (2, "every-voter-dictated"),
     ])
-    def test_non_anonymous_sets_match(self, m, family):
-        spec = CensusSpec(n=3, m=m, method_sets=non_anonymous_sets(family))
+    def test_non_anonymous_sets_match(self, m, family, notion):
+        spec = CensusSpec(n=3, m=m, method_sets=non_anonymous_sets(family), notion=notion)
         assert engine_counts(spec) == naive_counts(spec)
+
+    def test_only_a_sampled_census_scores_switches(self, monkeypatch):
+        # An exhaustive census reads every switch's outcome, a labeled
+        # voter's too, from its id array; sampling scores switched blocks.
+        sets = non_anonymous_sets("two-dictators")
+        exhaustive = CensusSpec(n=3, m=3, method_sets=sets, notion="safe")
+        sampled = CensusSpec(n=3, m=3, method_sets=sets, notion="safe",
+                             mode="sample", samples=100, seed=7)
+
+        def switched(*args):
+            raise AssertionError("a switched block was scored")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(census, "_Switched", switched)
+            assert engine_counts(exhaustive) == naive_counts(exhaustive)
+            with pytest.raises(AssertionError, match="switched block"):
+                run_census(sampled)
+        assert engine_counts(sampled) == naive_counts(sampled)
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("notion", NOTIONS)
