@@ -52,9 +52,9 @@ chunk of classes at a time:
   their distinct rows, and each set's notion is tested on all of them at
   once, as comparisons of the members (or, for a weighted ``expected``,
   of their weights scaled to integers) that improve, are not worse or
-  worsen, giving a bitmask of the sets witnessed (uint64 words, bit s for
-  set s).  OR-ing the triples' masks over a voter's alternative ballots
-  gives the sets that voter witnesses;
+  worsen, giving a bitmap of the sets witnessed (set s at bit s % 8 of
+  byte s // 8).  OR-ing the triples' bitmaps over a voter's alternative
+  ballots gives the sets that voter witnesses;
 * aggregation: weights times witnessed-set bits, in int64 while
   (n!)^m * m fits and in exact Python integers beyond (``_class_walk``
   gives the walk's weights).
@@ -392,12 +392,13 @@ class _ClassKernel:
 
     ``hits`` takes, per holder ranking, the outcome before its switches and
     the outcomes they reach, and returns the sets some switch witnesses, as
-    multi-word bitmasks (bit s for set s).  It judges the distinct (ranking,
-    before, after) triples with arrays alone: ``_dominance`` reads every method's
-    flags from a table of each candidate set's best and worst place under
-    each distinct ranking (``_places``, rankings x 2^n cells), and
-    ``_witnesses`` tests every set's notion on the distinct rows of flags
-    against a set x method matrix of member weights (``_weight``).
+    byte bitmaps (set s at bit s % 8 of byte s // 8).  It judges the
+    distinct (ranking, before, after) triples with arrays alone:
+    ``_dominance`` reads every method's flags from a table of each
+    candidate set's best and worst place under each distinct ranking
+    (``_places``, rankings x 2^n cells), and ``_witnesses`` tests every
+    set's notion on the distinct rows of flags against a set x method
+    matrix of member weights (``_weight``).
     """
 
     def __init__(self, spec: CensusSpec) -> None:
@@ -420,6 +421,7 @@ class _ClassKernel:
             members.append(idxs)
         self.universe = tuple(universe)
         self.words = -(-len(members) // 64)  # uint64 words per set mask
+        self.nbytes = -(-len(members) // 8)  # bytes per set bitmap
         # The labeled voters: those a pairwise dictator reads, or every voter
         # when a method has no batched form and runs on each row's profile.
         labeled = {f.fn.voter for f in self.universe if hasattr(f.fn, "voter")}
@@ -511,31 +513,30 @@ class _ClassKernel:
         return row, holders[row, col], hits
 
     def hits(self, r: np.ndarray, base: np.ndarray, after: np.ndarray) -> np.ndarray:
-        """``(len(r), words)`` uint64: the sets witnessed by some switch of a
-        voter with ranking ``r[j]`` that takes outcome ``base[j]`` to
-        one of ``after[j]``: every ranking's outcome, or any row holding
-        each outcome the voter can reach, such as a class walk's distinct
-        ones.
+        """``(len(r), bytes)`` set bitmaps, set s at bit s % 8 of byte
+        s // 8: the sets witnessed by some switch of a voter with ranking
+        ``r[j]`` that takes outcome ``base[j]`` to one of ``after[j]``:
+        every ranking's outcome, or any row holding each outcome the voter
+        can reach, such as a class walk's distinct ones.
 
         Only the distinct (ranking, before, after) triples are judged.  An
         unchanged outcome witnesses nothing, and no outcome beats a
         unanimous win for the voter's top candidate.
         """
         masks, elected = self.outcomes.arrays()
-        out = np.zeros((len(r), self.words), np.uint64)
+        words = np.zeros((len(r), self.words), np.uint64)
         live = (after != base[:, None]) & (elected[base] != self._top[r])[:, None]
         pair, col = np.nonzero(live)
-        if not len(pair):
-            return out
-        ids = len(masks)
-        triples, inverse = np.unique(
-            (r[pair] * ids + base[pair]) * ids + after[pair, col], return_inverse=True)
-        rb, after_id = np.divmod(triples, ids)
-        r_idx, base_id = np.divmod(rb, ids)
-        hit = self._verdicts(r_idx, masks[base_id], masks[after_id])[inverse.reshape(-1)]
-        starts = np.flatnonzero(np.r_[True, pair[1:] != pair[:-1]])
-        out[pair[starts]] = np.bitwise_or.reduceat(hit, starts, axis=0)
-        return out
+        if len(pair):
+            ids = len(masks)
+            triples, inverse = np.unique(
+                (r[pair] * ids + base[pair]) * ids + after[pair, col], return_inverse=True)
+            rb, after_id = np.divmod(triples, ids)
+            r_idx, base_id = np.divmod(rb, ids)
+            hit = self._verdicts(r_idx, masks[base_id], masks[after_id])[inverse.reshape(-1)]
+            starts = np.flatnonzero(np.r_[True, pair[1:] != pair[:-1]])
+            words[pair[starts]] = np.bitwise_or.reduceat(hit, starts, axis=0)
+        return words.astype("<u8", copy=False).view(np.uint8)[:, :self.nbytes]
 
     def _verdicts(self, r_idx: np.ndarray, before: np.ndarray, after: np.ndarray) -> np.ndarray:
         """Witnessed-set words per triple, from per-method winner bitmasks:
@@ -638,7 +639,6 @@ def _class_walk(spec: CensusSpec, kernel: _ClassKernel) -> Iterator[tuple]:
     colex = _Colex(fact, spec.m - size)
     ids = kernel.class_ids(colex)
     nsets = len(spec.method_sets)
-    nbytes = -(-nsets // 8)
     stride = colex.classes * kernel.place  # a labeled voter's step through ids
     dtype = _count_dtype(spec)
 
@@ -647,7 +647,7 @@ def _class_walk(spec: CensusSpec, kernel: _ClassKernel) -> Iterator[tuple]:
         for s in stride:
             held = index // s % fact
             after = ids[index[:, None] + (np.arange(fact) - held[:, None]) * s]
-            hits = _set_bytes(kernel.hits(held, ids[index], after), nbytes)
+            hits = kernel.hits(held, ids[index], after)
             yield "pointed", weights, _set_bits(hits, nsets)
             found = found | hits
         yield "profiles", weights, _set_bits(found, nsets)
@@ -660,22 +660,25 @@ def _class_walk(spec: CensusSpec, kernel: _ClassKernel) -> Iterator[tuple]:
         return
     others = _Colex(fact, colex.m - 1)
     walk = fact ** size * others.classes
-    seen = np.zeros((len(ids), nbytes), np.uint8)  # witnessed sets per class
-    lo, step = 0, kernel.chunk(fact, (1 + size) * fact)
+    seen = np.zeros((len(ids), kernel.nbytes), np.uint8)  # witnessed sets per class
+    # an o completes (n! + u - 1) / u classes on average, and each of them
+    # judges its labeled voters' n! switches: per (o, r), that many outcomes
+    labeled_width = size * -(-(fact + colex.m - 1) // colex.m)
+    lo, step = 0, kernel.chunk(fact, fact + labeled_width)
     while lo < walk:
         point, rank = np.divmod(np.arange(lo, min(lo + step, walk)), others.classes)
         counts = others.unrank(rank)
         ranks = colex.classes * point[:, None] + colex.added_ranks(counts)
         reach = ids[ranks]  # reach[o, r]: the outcome when the voter holds r
         row = _distinct_per_row(reach)
-        # only as many o's as fit are judged, each against its row and, for
-        # the up to fact classes it completes, each labeled voter's n!
-        # switches; the next chunk starts with as many
-        step = kernel.chunk(fact, row.shape[1] + size * fact)
+        # only as many o's as fit are judged, each against its row and its
+        # completed classes' labeled switches; the next chunk starts with
+        # as many
+        step = kernel.chunk(fact, row.shape[1] + labeled_width)
         counts, ranks, reach, row = counts[:step], ranks[:step], reach[:step], row[:step]
         lo += len(counts)
-        hits = _set_bytes(kernel.hits(np.tile(np.arange(fact), len(counts)), reach.ravel(),
-                                      np.repeat(row, fact, axis=0)), nbytes)
+        hits = kernel.hits(np.tile(np.arange(fact), len(counts)), reach.ravel(),
+                           np.repeat(row, fact, axis=0))
         live = hits.any(axis=1)
         np.bitwise_or.at(seen, ranks.ravel()[live], hits[live])
         pointed = (colex.m * others.weights(counts)).astype(dtype)
@@ -704,16 +707,10 @@ def _sampled_classes(spec: CensusSpec, kernel: _ClassKernel) -> Iterator[tuple]:
         # holder its weight times its holders for each set it witnesses
         row, holders, hits = kernel.neighbourhood(keys[lo:lo + step, :size],
                                                   _counts(keys[lo:lo + step, size:], fact))
-        bits = _set_bits(_set_bytes(hits, 8 * kernel.words), len(spec.method_sets))
+        bits = _set_bits(hits, len(spec.method_sets))
         starts = np.flatnonzero(np.r_[True, row[1:] != row[:-1]])
         yield "profiles", weights[row[starts]], np.maximum.reduceat(bits, starts)
         yield "pointed", weights[row] * holders, bits
-
-
-def _set_bytes(words: np.ndarray, nbytes: int) -> np.ndarray:
-    """``(k, nbytes)`` set bitmaps, set s at bit s % 8 of byte s // 8, from
-    ``(k, words)`` uint64 set masks."""
-    return words.astype("<u8").view(np.uint8)[:, :nbytes]
 
 
 def _set_bits(bitmaps: np.ndarray, nsets: int) -> np.ndarray:

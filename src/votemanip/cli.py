@@ -52,69 +52,54 @@ def _env_name(option: str) -> str:
     return f"VOTEMANIP_{option.upper().replace('-', '_')}"
 
 
-def _env(option: str, fallback: str | None = None) -> str | None:
-    return os.environ.get(_env_name(option), fallback)
+class _FromEnv:
+    """An option's default: its environment variable, or ``fallback``,
+    read only once the command is known (``_check_env``)."""
+
+    def __init__(self, option: str, fallback=None, type=str, choices=None) -> None:
+        self.option, self.fallback, self.type, self.choices = option, fallback, type, choices
+
+    def value(self):
+        name = _env_name(self.option)
+        raw = os.environ.get(name)
+        if raw is None:
+            return self.fallback
+        if self.choices is not None and raw not in self.choices:
+            raise ValueError(f"{name} must be one of {', '.join(self.choices)}, got {raw!r}")
+        try:
+            return self.type(raw)
+        except ValueError:
+            raise ValueError(f"{name} must be an integer, got {raw!r}") from None
 
 
-def _int_env(option: str, fallback: int | None) -> int | None:
-    raw = _env(option)
-    if raw is None:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{_env_name(option)} must be an integer, got {raw!r}") from None
-
-
-# The options with a fixed set of values, and those values.
-_CHOICES = {"format": ("pretty", "csv", "json"), "notion": NOTIONS, "kind": KINDS}
-
-
-def _add_choice(parser: argparse.ArgumentParser, option: str, fallback: str) -> None:
-    parser.add_argument(f"--{option}", choices=_CHOICES[option],
-                        default=_env(option, fallback))
-
-
-class _IntFromEnv:
-    """An integer option's default: its environment variable, or
-    ``fallback``, read only once the command is known (``_check_env``)."""
-
-    def __init__(self, option: str, fallback: int | None) -> None:
-        self.option = option
-        self.fallback = fallback
-
-
-def _add_int(parser: argparse.ArgumentParser, option: str, fallback: int | None) -> None:
-    parser.add_argument(f"--{option}", type=int, default=_IntFromEnv(option, fallback))
+def _add(parser: argparse.ArgumentParser, option: str, fallback=None, type=str,
+         choices=None, help: str | None = None) -> None:
+    parser.add_argument(f"--{option}", type=type, choices=choices, help=help,
+                        default=_FromEnv(option, fallback, type, choices))
 
 
 def _check_env(args: argparse.Namespace) -> None:
-    """Checks the values that come from the environment, after parsing and
+    """Reads the defaults that come from the environment, after parsing and
     for the options the chosen command has only, so an explicit flag still
-    wins and a variable for another command is never read.  argparse checks
-    only explicit values against ``choices``, so a value outside them came
-    from the environment."""
-    for option, choices in _CHOICES.items():
-        value = getattr(args, option, None)  # None: the command has no such option
-        if value is not None and value not in choices:
-            raise ValueError(f"{_env_name(option)} must be one of "
-                             f"{', '.join(choices)}, got {value!r}")
-    for dest, value in vars(args).items():
-        if isinstance(value, _IntFromEnv):
-            setattr(args, dest, _int_env(value.option, value.fallback))
+    wins and a variable for another command is never read.  The options
+    with a fixed set of values are checked first."""
+    defaults = [(dest, value) for dest, value in vars(args).items()
+                if isinstance(value, _FromEnv)]
+    for dest, default in sorted(defaults, key=lambda d: d[1].choices is None):
+        setattr(args, dest, default.value())
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    _add_choice(parser, "format", "pretty")
+    _add(parser, "format", "pretty", choices=("pretty", "csv", "json"))
 
 
 def _add_budget(parser: argparse.ArgumentParser) -> None:
-    _add_int(parser, "budget", DEFAULT_BUDGET)
+    _add(parser, "budget", DEFAULT_BUDGET, int)
 
 
 def _add_notion(parser: argparse.ArgumentParser) -> None:
-    _add_choice(parser, "notion", "sure")
-    _add_choice(parser, "kind", "weak")
+    _add(parser, "notion", "sure", choices=NOTIONS)
+    _add(parser, "kind", "weak", choices=KINDS)
 
 
 # Ids are separated by ',' or ';'; a pdict:x,y,i id keeps its own two commas.
@@ -258,7 +243,7 @@ def cmd_verify(args) -> int:
     # --budget is an error on a target that runs no census.
     budget = args.budget
     if budget is None and args.target in CENSUS_TARGETS:
-        budget = _int_env("budget", DEFAULT_BUDGET)
+        budget = _FromEnv("budget", DEFAULT_BUDGET, int).value()
     report = run_target(args.target, budget)
     config = {"command": "verify", "target": args.target, "budget": budget}
     columns = ("check", "passed", "detail")
@@ -309,26 +294,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("winners", help="winner sets on a profile file")
     p.add_argument("profile")
-    p.add_argument("--methods", default=_env("methods", "all"))
+    _add(p, "methods", "all")
     _add_common(p)
     p.set_defaults(fn=cmd_winners)
 
     p = sub.add_parser("analyze", help="search one voter's ballots for a witness")
     p.add_argument("profile")
-    _add_int(p, "voter", 0)
-    p.add_argument("--methods", default=_env("methods", "all"))
+    _add(p, "voter", 0, int)
+    _add(p, "methods", "all")
     _add_notion(p)
-    p.add_argument("--weights", default=_env("weights"),
-                   help="comma-separated expected-notion weights, e.g. 1/2,1/4,1/4")
+    _add(p, "weights", help="comma-separated expected-notion weights, e.g. 1/2,1/4,1/4")
     _add_common(p)
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("table", help="singleton/pair census table")
     p.add_argument("-n", type=int, required=True)
     p.add_argument("-m", type=int, required=True)
-    p.add_argument("--methods", default=_env("methods", "all"))
-    _add_int(p, "samples", None)
-    _add_int(p, "seed", 0)
+    _add(p, "methods", "all")
+    _add(p, "samples", None, int)
+    _add(p, "seed", 0, int)
     _add_notion(p)
     _add_common(p)
     _add_budget(p)
@@ -337,8 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eliminate", help="scan subsets that eliminate manipulation")
     p.add_argument("-n", type=int, required=True)
     p.add_argument("-m", type=int, required=True)
-    p.add_argument("--methods", default=_env("methods", "all"))
-    _add_int(p, "max-set-size", 2)
+    _add(p, "methods", "all")
+    _add(p, "max-set-size", 2, int)
     _add_notion(p)
     _add_common(p)
     _add_budget(p)
@@ -352,8 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pscf", help="induced lottery and dominance search")
     p.add_argument("profile")
-    p.add_argument("--methods", default=_env("methods", "all"))
-    _add_int(p, "voter", None)
+    _add(p, "methods", "all")
+    _add(p, "voter", None, int)
     _add_common(p)
     p.set_defaults(fn=cmd_pscf)
 

@@ -54,10 +54,6 @@ class UncertaintySet:
     def id(self) -> str:
         return "+".join(f.id for f in self.methods)
 
-    @property
-    def anonymous(self) -> bool:
-        return all(f.anonymous for f in self.methods)
-
     def __iter__(self):
         return iter(self.methods)
 

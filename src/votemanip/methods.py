@@ -230,12 +230,11 @@ def pairwise_dictator_winners(
 #
 # ``f.on_counts(block)`` is f evaluated on a whole block of anonymous classes
 # at once, and the result is f's winner sets as int64 bitmasks (bit x for
-# candidate x), one per row.  The block is either a (k, n!) integer array of
-# count rows, row i holding how many voters hold each ranking of
-# ``all_rankings(n)``, which is wrapped in a ``_Counts``, or a block built
-# by the census engine: a ``_Counts`` that every method of a census shares,
-# so its memoized tallies are computed once, or a ``_Switched`` block of
-# one-voter switches, whose statistics are corrections to its base block's.
+# candidate x), one per row.  The block is a ``_Counts`` of (k, n!) count
+# rows, row i holding how many voters hold each ranking of
+# ``all_rankings(n)``, which every method of a census shares, so its
+# memoized tallies are computed once, or a ``_Switched`` block of one-voter
+# switches, whose statistics are corrections to its base block's.
 # A row forgets which voter holds what, except for the labeled voters a
 # block is given (``held_by``): a pairwise dictator, which reads one voter,
 # sets ``fn.voter`` and reads that voter's ranking per row.  All arithmetic
@@ -392,14 +391,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-_Rows = np.ndarray | _Counts | _Switched
-
-
-def _block(rows: _Rows) -> _Counts | _Switched:
-    """A batched form's argument as a block: count rows are wrapped."""
-    return _Counts(rows) if isinstance(rows, np.ndarray) else rows
-
-
 def _eliminate(block: _Counts | _Switched,
                step: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
                ) -> np.ndarray:
@@ -424,37 +415,34 @@ def _borda_within(tallies: np.ndarray, inside: np.ndarray) -> np.ndarray:
     return (tallies * inside[:, None, :]).sum(axis=2)
 
 
-def _plurality_on_counts(rows: _Rows) -> np.ndarray:
-    block = _block(rows)
+def _plurality_on_counts(block: _Counts | _Switched) -> np.ndarray:
     return _top(block.places(block.full))
 
 
-def _borda_on_counts(rows: _Rows) -> np.ndarray:
-    return _top(_block(rows).tallies().sum(axis=2))
+def _borda_on_counts(block: _Counts | _Switched) -> np.ndarray:
+    return _top(block.tallies().sum(axis=2))
 
 
-def _condorcet_on_counts(rows: _Rows) -> np.ndarray:
-    block = _block(rows)
+def _condorcet_on_counts(block: _Counts | _Switched) -> np.ndarray:
     tallies = block.tallies()
     beats = tallies > tallies.transpose(0, 2, 1)
     winner = _bitmask(beats.sum(axis=2) == block.n - 1)
     return np.where(winner == 0, block.full, winner)
 
 
-def _copeland_on_counts(rows: _Rows) -> np.ndarray:
-    tallies = _block(rows).tallies()
+def _copeland_on_counts(block: _Counts | _Switched) -> np.ndarray:
+    tallies = block.tallies()
     net = tallies - tallies.transpose(0, 2, 1)
     return _top((net > 0).sum(axis=2) - (net < 0).sum(axis=2))
 
 
-def _maxmin_on_counts(rows: _Rows) -> np.ndarray:
-    tallies = _block(rows).tallies()
+def _maxmin_on_counts(block: _Counts | _Switched) -> np.ndarray:
+    tallies = block.tallies()
     own = np.eye(tallies.shape[1], dtype=bool)
     return _top(np.where(own, np.iinfo(np.int64).max, tallies).min(axis=2))
 
 
-def _runoff_on_counts(rows: _Rows) -> np.ndarray:
-    block = _block(rows)
+def _runoff_on_counts(block: _Counts | _Switched) -> np.ndarray:
     firsts = block.places(block.full)
     top = _top(firsts)
     second = _top(firsts, ~_members(top, block.n))
@@ -462,10 +450,9 @@ def _runoff_on_counts(rows: _Rows) -> np.ndarray:
     return _top(block.places(finalists), _members(finalists, block.n))
 
 
-def _first_or_last_elimination(rows: _Rows, worst: bool) -> np.ndarray:
+def _first_or_last_elimination(block: _Counts | _Switched, worst: bool) -> np.ndarray:
     """Hare (drop the fewest first places) or Coombs (the most last places),
     each with the strict-majority check on first places."""
-    block = _block(rows)
     voters = block.voters()[:, None]
 
     def step(alive):
@@ -484,8 +471,7 @@ def _first_or_last_elimination(rows: _Rows, worst: bool) -> np.ndarray:
     return _eliminate(block, step)
 
 
-def _baldwin_on_counts(rows: _Rows) -> np.ndarray:
-    block = _block(rows)
+def _baldwin_on_counts(block: _Counts | _Switched) -> np.ndarray:
     tallies = block.tallies()
 
     def step(alive):
@@ -497,10 +483,9 @@ def _baldwin_on_counts(rows: _Rows) -> np.ndarray:
     return _eliminate(block, step)
 
 
-def _nanson_on_counts(rows: _Rows, strict: bool) -> np.ndarray:
+def _nanson_on_counts(block: _Counts | _Switched, strict: bool) -> np.ndarray:
     """Strict Nanson keeps scores at or above the average, weak Nanson only
     those strictly above it; all compared exactly as size * score vs total."""
-    block = _block(rows)
     tallies = block.tallies()
 
     def step(alive):
@@ -523,11 +508,11 @@ condorcet.on_counts = _condorcet_on_counts
 copeland.on_counts = _copeland_on_counts
 maxmin.on_counts = _maxmin_on_counts
 plurality_with_runoff.on_counts = _runoff_on_counts
-hare.on_counts = lambda rows: _first_or_last_elimination(rows, worst=False)
-coombs.on_counts = lambda rows: _first_or_last_elimination(rows, worst=True)
+hare.on_counts = lambda block: _first_or_last_elimination(block, worst=False)
+coombs.on_counts = lambda block: _first_or_last_elimination(block, worst=True)
 baldwin.on_counts = _baldwin_on_counts
-strict_nanson.on_counts = lambda rows: _nanson_on_counts(rows, strict=True)
-weak_nanson.on_counts = lambda rows: _nanson_on_counts(rows, strict=False)
+strict_nanson.on_counts = lambda block: _nanson_on_counts(block, strict=True)
+weak_nanson.on_counts = lambda block: _nanson_on_counts(block, strict=False)
 
 
 @lru_cache(maxsize=None)
@@ -599,7 +584,7 @@ def tiebroken(inner: VotingMethod, order: Ranking) -> VotingMethod:
 
     inner_on_counts = getattr(inner.fn, "on_counts", None)
     if inner_on_counts is not None:
-        fn.on_counts = lambda rows: _tiebreak_table(order)[inner_on_counts(rows)]
+        fn.on_counts = lambda block: _tiebreak_table(order)[inner_on_counts(block)]
     if hasattr(inner.fn, "voter"):
         fn.voter = inner.fn.voter
     return VotingMethod(id=f"{inner.id}@{order_text}", fn=fn, anonymous=inner.anonymous)

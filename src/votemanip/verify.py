@@ -34,42 +34,31 @@ class VerifyReport:
         return all(c.passed for c in self.checks)
 
 
-def _pairs_eliminate(target, n, ms, pairs, singles, notion, kind, budget):
-    checks = []
-    sets = [method_set(*pair) for pair in pairs]
-    sets += [method_set(name) for name in singles]
-    for m in ms:
-        counts = census_of(sets, n, m, notion, kind, budget=budget).counts()
-        for pair in pairs:
-            sid = "+".join(pair)
-            checks.append(Check(
-                f"({n},{m}) {kind} {sid}: no witnesses",
-                counts[sid] == 0, f"witnessing profiles = {counts[sid]}",
-            ))
-        for name in singles:
-            checks.append(Check(
-                f"({n},{m}) {kind} {name}: susceptible",
-                counts[name] >= 1, f"witnessing profiles = {counts[name]}",
-            ))
-    return VerifyReport(target, tuple(checks))
+def _claims(prefix: str, counts: dict, free, susceptible) -> list[Check]:
+    """Checks that each set id in ``free`` has no witnessing profile and
+    each in ``susceptible`` has one, named ``prefix`` and the id."""
+    checks = [Check(f"{prefix} {sid}: no witnesses", counts[sid] == 0,
+                    f"witnessing profiles = {counts[sid]}") for sid in free]
+    return checks + [Check(f"{prefix} {sid}: susceptible", counts[sid] >= 1,
+                           f"witnessing profiles = {counts[sid]}") for sid in susceptible]
 
 
-def _target_borda_vs_baldwin(budget: int) -> VerifyReport:
-    return _pairs_eliminate(
-        "borda-baldwin-pairs", 3, range(4, 9),
-        [("borda", "baldwin"), ("borda", "strict_nanson")],
-        ["borda", "baldwin", "strict_nanson"],
-        "sure", "weak", budget,
-    )
+def _pairs_eliminate(target, lead, partners, runs):
+    """A target claiming that ``lead`` paired with each of ``partners`` has
+    no witnesses while each method alone is susceptible, at n = 3 in one
+    census per run ``(m, notion, kind, label)``."""
+    pairs = [method_set(lead, p) for p in partners]
+    singles = [method_set(name) for name in (lead,) + partners]
 
+    def run(budget: int) -> VerifyReport:
+        checks = []
+        for m, notion, kind, label in runs:
+            counts = census_of(pairs + singles, 3, m, notion, kind, budget=budget).counts()
+            checks += _claims(f"(3,{m}) {label}", counts,
+                              [s.id for s in pairs], [s.id for s in singles])
+        return VerifyReport(target, tuple(checks))
 
-def _target_weak_nanson(budget: int) -> VerifyReport:
-    return _pairs_eliminate(
-        "weak-nanson-pairs", 3, range(4, 9),
-        [("weak_nanson", "baldwin"), ("weak_nanson", "strict_nanson")],
-        ["weak_nanson", "baldwin", "strict_nanson"],
-        "sure", "weak", budget,
-    )
+    return run
 
 
 def _target_borda_tiebreaks(budget: int) -> VerifyReport:
@@ -93,40 +82,10 @@ def _target_borda_tiebreaks(budget: int) -> VerifyReport:
 
 
 def _target_borda_coombs_baldwin(budget: int) -> VerifyReport:
-    trio = ("borda", "coombs", "baldwin")
-    family = method_set(*trio)
+    family = method_set("borda", "coombs", "baldwin")
     counts = family_census(family, len(family), 4, 3, budget=budget).counts()
-    checks = [Check(
-        "(4,3) borda+coombs+baldwin: no witnesses",
-        counts[family.id] == 0, f"witnessing profiles = {counts[family.id]}",
-    )]
-    for sub in family.subsets():
-        checks.append(Check(
-            f"(4,3) {sub.id}: susceptible",
-            counts[sub.id] >= 1, f"witnessing profiles = {counts[sub.id]}",
-        ))
-    return VerifyReport("borda-coombs-baldwin", tuple(checks))
-
-
-def _target_condorcet_pairs(budget: int) -> VerifyReport:
-    partners = ("baldwin", "copeland", "maxmin", "strict_nanson", "weak_nanson")
-    checks = []
-    for kind in ("opt", "pes"):
-        sets = [method_set("condorcet", p) for p in partners]
-        sets += [method_set(name) for name in ("condorcet",) + partners]
-        counts = census_of(sets, 3, 6, "sure", kind, budget=budget).counts()
-        for p in partners:
-            sid = f"condorcet+{p}"
-            checks.append(Check(
-                f"(3,6) sure-{kind} condorcet+{p}: no witnesses",
-                counts[sid] == 0, f"witnessing profiles = {counts[sid]}",
-            ))
-        for name in ("condorcet",) + partners:
-            checks.append(Check(
-                f"(3,6) sure-{kind} {name}: susceptible",
-                counts[name] >= 1, f"witnessing profiles = {counts[name]}",
-            ))
-    return VerifyReport("condorcet-pairs", tuple(checks))
+    return VerifyReport("borda-coombs-baldwin", tuple(_claims(
+        "(4,3)", counts, [family.id], [sub.id for sub in family.subsets()])))
 
 
 def _target_ten_method_profile() -> VerifyReport:
@@ -191,11 +150,18 @@ def _target_examples() -> VerifyReport:
 
 # Targets that run a census; each takes the census budget.
 CENSUS_TARGETS: dict[str, Callable[[int], VerifyReport]] = {
-    "borda-baldwin-pairs": _target_borda_vs_baldwin,
-    "weak-nanson-pairs": _target_weak_nanson,
+    "borda-baldwin-pairs": _pairs_eliminate(
+        "borda-baldwin-pairs", "borda", ("baldwin", "strict_nanson"),
+        [(m, "sure", "weak", "weak") for m in range(4, 9)]),
+    "weak-nanson-pairs": _pairs_eliminate(
+        "weak-nanson-pairs", "weak_nanson", ("baldwin", "strict_nanson"),
+        [(m, "sure", "weak", "weak") for m in range(4, 9)]),
     "borda-tiebreaks": _target_borda_tiebreaks,
     "borda-coombs-baldwin": _target_borda_coombs_baldwin,
-    "condorcet-pairs": _target_condorcet_pairs,
+    "condorcet-pairs": _pairs_eliminate(
+        "condorcet-pairs", "condorcet",
+        ("baldwin", "copeland", "maxmin", "strict_nanson", "weak_nanson"),
+        [(6, "sure", kind, f"sure-{kind}") for kind in ("opt", "pes")]),
 }
 
 TARGETS: dict[str, Callable[..., VerifyReport]] = {

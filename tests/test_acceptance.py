@@ -8,10 +8,12 @@ are marked as expected failures so the recorded lines stay visible while
 regressions in the counts themselves still turn the suite red.
 """
 
+import json
 import math
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +41,15 @@ from votemanip.pscf import induced_lottery, stochastically_dominates
 from votemanip.verify import run_target
 
 SEED = 20260816
+
+# Each census target's checks, (name, passed, detail) in order, as frozen.
+FROZEN_CHECKS = json.loads(Path(__file__).with_name("verify_checks.json").read_text())
+
+
+def assert_frozen(*reports):
+    for report in reports:
+        got = [[c.name, c.passed, c.detail] for c in report.checks]
+        assert got == FROZEN_CHECKS[report.target], report.target
 
 
 def census(n, m, sets, notion="sure", kind="weak", **kw):
@@ -135,6 +146,7 @@ def test_c03_borda_family_pairs_eliminate_for_four_to_eight_voters():
         f"{checks} checks" + (f"; FAILED: {failed}" if failed else ""),
     )
     assert not failed
+    assert_frozen(*reports)
 
 
 def test_c04_six_borda_tiebreakings_are_jointly_immune():
@@ -147,6 +159,7 @@ def test_c04_six_borda_tiebreakings_are_jointly_immune():
         + (f"; FAILED: {failed}" if failed else ""),
     )
     assert not failed
+    assert_frozen(report)
 
 
 def test_c05_condorcet_pairs_block_optimists_and_pessimists():
@@ -159,6 +172,7 @@ def test_c05_condorcet_pairs_block_optimists_and_pessimists():
         + (f"; FAILED: {failed}" if failed else ""),
     )
     assert not failed
+    assert_frozen(report)
 
 
 def test_c06_borda_coombs_baldwin_trio_at_4_3():
@@ -171,6 +185,7 @@ def test_c06_borda_coombs_baldwin_trio_at_4_3():
         + (f"; FAILED: {failed}" if failed else ""),
     )
     assert not failed
+    assert_frozen(report)
 
 
 def test_c07_worked_examples_reproduce_exactly():

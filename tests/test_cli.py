@@ -467,6 +467,15 @@ class TestErrorsAndEnvironment:
         proc = run_cli("winners", divided, env={"VOTEMANIP_NOTION": "xml"})
         assert proc.returncode == 0, proc.stderr
 
+    def test_a_bad_choice_variable_is_reported_before_a_bad_integer(self, divided):
+        proc = run_cli("analyze", divided,
+                       env={"VOTEMANIP_VOTER": "x", "VOTEMANIP_NOTION": "xml"})
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            "error: VOTEMANIP_NOTION must be one of "
+            "single, sure, safe, harmless, expected, got 'xml'"
+        ]
+
     def test_budget_is_an_option_of_census_commands_only(self, divided):
         proc = run_cli("winners", divided, "--budget", "5")
         assert proc.returncode == 2

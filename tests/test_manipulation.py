@@ -6,7 +6,13 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from votemanip.census import eliminates, improves_on_all_subsets, less_susceptible
+from votemanip.census import (
+    CensusSpec,
+    _ClassKernel,
+    eliminates,
+    improves_on_all_subsets,
+    less_susceptible,
+)
 from votemanip.core import Profile, Ranking, all_rankings
 from votemanip.fixtures import EXAMPLES, profile_of, ranking_of, set_of
 from votemanip.manipulation import (
@@ -43,8 +49,11 @@ class TestUncertaintySet:
         ]
 
     def test_anonymous_unless_a_member_is_not(self):
-        assert method_set("borda", "hare").anonymous
-        assert not method_set("borda", "pdict:a,b,0").anonymous
+        def labeled(s):
+            return _ClassKernel(CensusSpec(n=3, m=2, method_sets=(s,))).labeled
+
+        assert labeled(method_set("borda", "hare")) == ()
+        assert labeled(method_set("borda", "pdict:a,b,1")) == (1,)
 
     def test_rejects_empty_and_duplicates(self):
         with pytest.raises(ValueError, match="at least one"):

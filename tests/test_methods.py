@@ -307,10 +307,10 @@ class TestBatchedForms:
     ``fn`` on a member profile of the class."""
 
     def check(self, n, combos):
-        rows = np.array([count_row(n, c) for c in combos], dtype=np.uint8)
+        block = _Counts(np.array([count_row(n, c) for c in combos], dtype=np.uint8))
         profiles = [member(n, c) for c in combos]
         for f in batched_methods(n):
-            got = f.fn.on_counts(rows).tolist()
+            got = f.fn.on_counts(block).tolist()
             assert got == [bitmask(f.fn(p)) for p in profiles], f.id
 
     @pytest.mark.parametrize("n,m", [
