@@ -41,6 +41,17 @@ chunk of classes at a time:
   ``methods._Switched``): the tallies lose the old ranking's pairs and
   gain the new one's, and the places under each candidate set move one
   voter, O(n^2) per switch;
+* neutral relabeling: the eleven base methods are neutral (``fn.neutral``):
+  relabeling the candidates relabels their winners, and leaves every
+  verdict as it is.  A holder of ranking r beside o is then a holder of
+  the identity (ranking 0) beside o relabeled so that r becomes the
+  identity.  So when every method is neutral the exhaustive walk judges
+  only the identity beside each o, which stands for all n! rankings'
+  pointed profiles, and keeps its sets per o; once the walk is done, a
+  class c ORs, over the rankings r it holds, the sets kept at its
+  relabeled c - e_r: n! times fewer verdicts.  A tiebreak order, a
+  pairwise dictator and a custom method are not neutral and keep the
+  walk that judges every ranking;
 * verdicts: whether one voter's ballot switch witnesses the notion depends
   only on the voter's ranking and the outcomes before and after it.  A
   chunk's switches are reduced to their distinct (ranking, before, after)
@@ -84,12 +95,13 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import Profile, all_rankings, ranking_orders
+from .core import Profile, all_rankings, ranking_orders, ranking_places
 from .manipulation import UncertaintySet, _validate, subset_family
 # Bound here only for ``censusbench/tracing.py``, which wraps them by name
 # on this module: the census's verdicts are array operations and call none
@@ -107,6 +119,9 @@ DEFAULT_BUDGET = 20_000_000
 BLOCK_CELLS = 1 << 16
 # A count row stores each ranking's holder count in one byte.
 MAX_VOTERS = 255
+# A census builds all n! rankings up front: 10! of them take half a minute
+# and over 2 GB, and 12! do not fit in memory.
+MAX_CANDIDATES = 10
 
 
 class BudgetExceededError(RuntimeError):
@@ -131,6 +146,8 @@ class CensusSpec:
     def __post_init__(self) -> None:
         if self.n < 1 or self.m < 1:
             raise ValueError("need at least one candidate and one voter")
+        if self.n > MAX_CANDIDATES:
+            raise ValueError(f"at most {MAX_CANDIDATES} candidates are supported, got {self.n}")
         if self.m > MAX_VOTERS:
             raise ValueError(f"at most {MAX_VOTERS} voters are supported, got {self.m}")
         if not self.method_sets:
@@ -290,23 +307,40 @@ class _Colex:
         self.classes = math.comb(fact + m - 1, m)
         # term[i, v]: the rank term of ranking v at place i of a sorted row
         self.term = np.array([[math.comb(v + i, i + 1) for v in range(fact)]
-                              for i in range(m)], np.int64)
+                              for i in range(m)], np.int64).reshape(m, fact)
         # below[v, s]: the term of ranking v with s voters below it
         self.below = np.array([[math.comb(v + s - 1, v) if v else 0 for s in range(m + 1)]
                                for v in range(fact)], np.int64)
+        # int64 while every weight, at most fact^m, and every binomial, at
+        # most 2^m, fits, and exact Python integers beyond
         self.binomial = np.array([[math.comb(a, b) for b in range(m + 1)]
-                                  for a in range(m + 1)], object)
+                                  for a in range(m + 1)],
+                                 np.int64 if max(2, fact) ** m < 2 ** 63 else object)
 
     def weights(self, counts: np.ndarray) -> np.ndarray:
         """m!/(c_1! ... c_k!) per row of holder counts c_i, exact: the labeled
-        profiles in each class.  It is the product of C(e_i, c_i) over the
-        held rankings, e_i the voters holding ranking i or one before it."""
+        profiles in each class."""
         if not self.m:  # the one empty class
-            return np.ones(len(counts), object)
+            return np.ones(len(counts), self.binomial.dtype)
         row, r = np.nonzero(counts)
-        held = counts[row, r]
-        upto = np.cumsum(counts, axis=1)[row, r]
-        starts = np.flatnonzero(np.r_[True, row[1:] != row[:-1]])
+        return self._multinomial(row, counts[row, r])
+
+    def row_weights(self, rows: np.ndarray) -> np.ndarray:
+        """``weights`` of the classes given as sorted rows, whose holders of
+        a ranking are a run of equal places."""
+        end = np.ones(rows.shape, bool)  # the last place of each run
+        end[:, :-1] = rows[:, 1:] != rows[:, :-1]
+        row, place = np.nonzero(end)
+        # a run's holders: its last place less the row's previous run's
+        first = np.diff(row, prepend=-1) != 0
+        return self._multinomial(row, place - np.where(first, -1, np.r_[-1, place[:-1]]))
+
+    def _multinomial(self, row: np.ndarray, held: np.ndarray) -> np.ndarray:
+        """Per row, the product of C(e_i, c_i) over its held rankings'
+        holder counts c_i, in ranking order, e_i their running sum."""
+        starts = np.flatnonzero(np.diff(row, prepend=-1))
+        upto = np.cumsum(held, dtype=np.int64)  # then less the rows before
+        upto -= np.repeat(upto[starts] - held[starts], np.diff(np.r_[starts, len(row)]))
         return np.multiply.reduceat(self.binomial[upto, held], starts)
 
     def _terms(self, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -319,16 +353,32 @@ class _Colex:
         """The rank of the class of each row of holder counts."""
         return self.classes - 1 - self._terms(counts)[1].sum(axis=1)
 
-    def unrank(self, ranks: np.ndarray) -> np.ndarray:
-        """``(len(ranks), fact)`` holder counts of the classes: each place of
-        the sorted row, last first, takes the largest ranking whose term fits
-        in what is left of the rank."""
+    def rows(self, ranks: np.ndarray) -> np.ndarray:
+        """``(len(ranks), m)`` sorted rows of the classes: each place, last
+        first, takes the largest ranking whose term fits in what is left of
+        the rank."""
         classes = np.empty((len(ranks), self.m), np.int64)
         left = ranks.copy()
         for i in range(self.m - 1, -1, -1):
             classes[:, i] = np.searchsorted(self.term[i], left, side="right") - 1
             left -= self.term[i, classes[:, i]]
-        return _counts(classes, self.fact)
+        return classes
+
+    def unrank(self, ranks: np.ndarray) -> np.ndarray:
+        """``(len(ranks), fact)`` holder counts of the classes: by ``rows``
+        while m < n!, and otherwise ranking by ranking, each ranking v from
+        the last taking the most voters below it, s_v, whose term
+        C(v + s_v - 1, v) fits in what is left of the last rank less the
+        rank: n! - 1 steps in place of m."""
+        if self.m < self.fact:
+            return _counts(self.rows(ranks), self.fact)
+        below = np.empty((len(ranks), self.fact + 1), np.int64)
+        below[:, 0], below[:, self.fact] = 0, self.m
+        left = self.classes - 1 - ranks
+        for v in range(self.fact - 1, 0, -1):
+            below[:, v] = np.searchsorted(self.below[v], left, side="right") - 1
+            left -= self.below[v, below[:, v]]
+        return np.diff(below, axis=1).astype(np.uint8)
 
     def added_ranks(self, others: np.ndarray) -> np.ndarray:
         """``(len(others), fact)``: the rank of the class reached when a voter
@@ -338,6 +388,43 @@ class _Colex:
         past = self.below[np.arange(self.fact), s + 1]  # the term once v < w
         return (self.classes - 1 - np.cumsum(at, axis=1)
                 - (past.sum(axis=1, keepdims=True) - np.cumsum(past, axis=1)))
+
+
+# Relabeling each candidate x by its place in ranking r takes r to the
+# identity, ranking index 0; a neutral census judges a holder of r as the
+# identity holder of the relabeled class.  Up to n = 5 the relabeled
+# indices come from an n! x n! table built on first use; at n = 8 such a
+# table would hold 40,320^2 entries, so beyond n = 5 each is computed.
+TABLE_CANDIDATES = 5
+
+
+def _relabeled(n: int, r: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The index of ranking q once candidates are relabeled by their place
+    in ranking r, elementwise over the broadcast of ``r`` and ``q``."""
+    if n <= TABLE_CANDIDATES:
+        table = _relabel_table(n)
+        return table.ravel().take(r * len(table) + q)
+    return _lehmer(n, r, q)
+
+
+@lru_cache(maxsize=None)
+def _relabel_table(n: int) -> np.ndarray:
+    """``(n!, n!)``: entry [r, q] is ``_relabeled(n, r, q)``."""
+    fact = math.factorial(n)
+    r, q = np.divmod(np.arange(fact * fact), fact)
+    return _lehmer(n, r, q).reshape(fact, fact).astype(np.int32)
+
+
+def _lehmer(n: int, r: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``_relabeled`` from positions, O(n^2) per entry: the relabeled order
+    is ranking r's place of each candidate of q, best first, and its
+    lexicographic index is its Lehmer code, place i counting the later
+    entries below it (n - 1 - i)! times."""
+    order = ranking_places(n)[np.asarray(r)[..., None], ranking_orders(n)[q]]
+    index = np.zeros(order.shape[:-1], np.int64)
+    for i in range(n - 1):
+        index += (order[..., i + 1:] < order[..., i:i + 1]).sum(axis=-1) * math.factorial(n - 1 - i)
+    return index
 
 
 class _Outcomes:
@@ -399,6 +486,9 @@ class _ClassKernel:
     (``_places``, rankings x 2^n cells), and ``_witnesses`` tests every
     set's notion on the distinct rows of flags against a set x method
     matrix of member weights (``_weight``).
+
+    ``neutral``: every method is neutral (``fn.neutral``), so relabeling
+    the candidates of a switch leaves its verdict as it is.
     """
 
     def __init__(self, spec: CensusSpec) -> None:
@@ -433,6 +523,8 @@ class _ClassKernel:
         if not all(hasattr(f.fn, "on_counts") for f in self.universe):
             labeled = range(spec.m)
         self.labeled = tuple(sorted(labeled))
+        # no neutral method reads a voter, so nothing is labeled then
+        self.neutral = all(getattr(f.fn, "neutral", False) for f in self.universe)
         # place value of each labeled voter's ranking in h's index in base n!
         self.place = self.fact ** np.arange(len(self.labeled) - 1, -1, -1)
         self._block_rows = max(1, BLOCK_CELLS // (
@@ -456,12 +548,13 @@ class _ClassKernel:
                 [int(w * scale) for w in spec.weights] if spec.weights else 1)
         self._size = self._weight.sum(axis=1)
 
-    def chunk(self, pairs: int, width: int | None = None) -> int:
+    def chunk(self, pairs: int, width: int | None = None, own: int = 0) -> int:
         """Classes per search chunk when each has up to ``pairs`` holders,
-        each judged against ``width`` outcomes (every ranking by default):
-        a chunk's widest arrays then have about ``BLOCK_CELLS`` cells."""
+        each judged against ``width`` outcomes (every ranking by default),
+        and ``own`` cells of its own arrays: a chunk's arrays then have
+        about ``BLOCK_CELLS`` cells."""
         width = self.fact if width is None else width
-        return max(1, BLOCK_CELLS // (pairs * (width * len(self.universe) + self.m)))
+        return max(1, BLOCK_CELLS // (own + pairs * (width * len(self.universe) + self.m)))
 
     def _score(self, block: _Counts | _Switched) -> np.ndarray:
         """Outcome id per row of a block that every method shares."""
@@ -579,7 +672,7 @@ class _ClassKernel:
         place (0 best) of the highest and of the lowest member of each
         candidate set under each of ``rankings``."""
         n = self.n
-        pos = np.argsort(self._order[rankings], axis=1)
+        pos = ranking_places(n)[rankings]
         best = np.empty((len(rankings), 1 << n), np.int8)
         worst = np.empty_like(best)
         best[:, 0], worst[:, 0] = n, -1  # the empty set is never a winner set
@@ -634,6 +727,13 @@ def _class_walk(spec: CensusSpec, kernel: _ClassKernel) -> Iterator[tuple]:
     is walked.  Its labeled voters' switches are judged then, each voter
     once per labeled profile, and it counts its weight for each set they
     or its bitmap hold.  With u = 0 each h is one class, already complete.
+
+    When every method is neutral, relabeling candidates leaves every
+    verdict as it is, and relabeling by a holder's ranking r makes r the
+    identity (ranking 0).  So only (o, identity) is judged, standing for
+    the n! rankings' pointed profiles, and its sets are kept per o.  Once
+    the walk is done, each class c ORs, over the rankings r it holds, the
+    sets kept at c - e_r relabeled so that r becomes the identity.
     """
     fact, size = kernel.fact, len(kernel.labeled)
     colex = _Colex(fact, spec.m - size)
@@ -660,11 +760,18 @@ def _class_walk(spec: CensusSpec, kernel: _ClassKernel) -> Iterator[tuple]:
         return
     others = _Colex(fact, colex.m - 1)
     walk = fact ** size * others.classes
-    seen = np.zeros((len(ids), kernel.nbytes), np.uint8)  # witnessed sets per class
+    judged = np.arange(1 if kernel.neutral else fact)  # the rankings judged beside each o
+    if kernel.neutral:
+        found = np.empty((walk, kernel.nbytes), np.uint8)  # witnessed sets per o
+    else:
+        seen = np.zeros((len(ids), kernel.nbytes), np.uint8)  # witnessed sets per class
     # an o completes (n! + u - 1) / u classes on average, and each of them
     # judges its labeled voters' n! switches: per (o, r), that many outcomes
     labeled_width = size * -(-(fact + colex.m - 1) // colex.m)
-    lo, step = 0, kernel.chunk(fact, fact + labeled_width)
+    # an o's own arrays (its counts, the running sums behind the ranks of
+    # the n! classes it reaches, their outcomes) are some eight rows of n!
+    own = 8 * fact
+    lo, step = 0, kernel.chunk(len(judged), fact + labeled_width, own)
     while lo < walk:
         point, rank = np.divmod(np.arange(lo, min(lo + step, walk)), others.classes)
         counts = others.unrank(rank)
@@ -674,20 +781,66 @@ def _class_walk(spec: CensusSpec, kernel: _ClassKernel) -> Iterator[tuple]:
         # only as many o's as fit are judged, each against its row and its
         # completed classes' labeled switches; the next chunk starts with
         # as many
-        step = kernel.chunk(fact, row.shape[1] + labeled_width)
+        step = kernel.chunk(len(judged), row.shape[1] + labeled_width, own)
         counts, ranks, reach, row = counts[:step], ranks[:step], reach[:step], row[:step]
+        hits = kernel.hits(np.tile(judged, len(counts)), reach[:, judged].ravel(),
+                           np.repeat(row, len(judged), axis=0))
+        pointed = colex.m * others.weights(counts).astype(dtype)
+        yield ("pointed", pointed * (fact // len(judged)),  # the identity stands for n!
+               _set_bits(hits, nsets).reshape(len(counts), len(judged), -1)
+               .sum(axis=1, dtype=np.int64))
+        if kernel.neutral:
+            found[lo:lo + len(counts)] = hits
+        else:
+            live = hits.any(axis=1)
+            np.bitwise_or.at(seen, ranks.ravel()[live], hits[live])
+            # (o, r) completes o + e_r when no voter of o holds a ranking below r
+            last = np.cumsum(counts, axis=1) == counts
+            yield from complete(ranks[last], (pointed[:, None] // (counts + 1))[last],
+                                seen[ranks[last]])
         lo += len(counts)
-        hits = kernel.hits(np.tile(np.arange(fact), len(counts)), reach.ravel(),
-                           np.repeat(row, fact, axis=0))
-        live = hits.any(axis=1)
-        np.bitwise_or.at(seen, ranks.ravel()[live], hits[live])
-        pointed = (colex.m * others.weights(counts)).astype(dtype)
-        yield ("pointed", pointed,
-               _set_bits(hits, nsets).reshape(len(counts), fact, -1).sum(axis=1, dtype=np.int64))
-        # (o, r) completes o + e_r when no voter of o holds a ranking below r
-        last = np.cumsum(counts, axis=1) == counts
-        yield from complete(ranks[last], (pointed[:, None] // (counts + 1))[last],
-                            seen[ranks[last]])
+    if kernel.neutral:
+        # per class: its holders' relabeled rankings and bitmaps, then its set bits
+        step = max(1, BLOCK_CELLS // (
+            min(colex.m, fact) * (min(others.m, fact) + kernel.nbytes) + nsets))
+        for lo in range(0, colex.classes, step):
+            weights, bitmaps = _relabeled_sets(
+                spec.n, colex, others, np.arange(lo, min(lo + step, colex.classes)), found)
+            yield "profiles", weights.astype(dtype), _set_bits(bitmaps, nsets)
+
+
+def _relabeled_sets(n: int, colex: _Colex, others: _Colex, ranks: np.ndarray,
+                    found: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The classes at ``ranks`` in ``colex`` that witness some set: their
+    weights, and their bitmaps, the OR over each ranking r a class holds of
+    ``found`` at the class of its other voters (ranked in ``others``)
+    relabeled so that r becomes the identity.
+
+    The other voters' rankings are relabeled one by one while m - 1 < n!,
+    and the holder counts' columns are permuted once n! <= m - 1,
+    whichever touches fewer cells.
+    """
+    if others.m < others.fact:
+        rows = colex.rows(ranks)
+        # place i stands for ranking rows[:, i]; a repeated ranking repeats
+        # its class, which the OR absorbs
+        drop = np.arange(others.m) + (np.arange(others.m) >= np.arange(colex.m)[:, None])
+        rest = np.sort(_relabeled(n, rows[:, :, None], rows[:, drop]), axis=2)
+        at = np.zeros(rest.shape[:2], np.int64)
+        for i in range(others.m):
+            at += others.term[i].take(rest[..., i])
+        bitmaps = np.bitwise_or.reduce(found[at], axis=1)
+        live = bitmaps.any(axis=1)
+        return colex.row_weights(rows[live]), bitmaps[live]
+    counts = colex.unrank(ranks)
+    cls, r = np.nonzero(counts)
+    rest = counts[cls]
+    rest[np.arange(len(cls)), r] -= 1
+    # column j of the relabeled counts is the ranking that becomes j
+    at = others.rank(rest[np.arange(len(cls))[:, None], np.argsort(_relabel_table(n), axis=1)[r]])
+    bitmaps = np.bitwise_or.reduceat(found[at], np.flatnonzero(np.diff(cls, prepend=-1)), axis=0)
+    live = bitmaps.any(axis=1)
+    return colex.weights(counts[live]), bitmaps[live]
 
 
 def _sampled_classes(spec: CensusSpec, kernel: _ClassKernel) -> Iterator[tuple]:

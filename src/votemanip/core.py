@@ -108,6 +108,13 @@ def ranking_orders(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def ranking_places(n: int) -> np.ndarray:
+    """``(n!, n)`` array of ``uint8``: entry [r, x] is candidate x's place
+    in ranking r, 0 best."""
+    return np.argsort(ranking_orders(n), axis=1).astype(np.uint8)
+
+
+@lru_cache(maxsize=None)
 def pairs_above(n: int) -> np.ndarray:
     """``(n!, n(n-1)/2)`` array: row r lists ``x * n + y`` for every pair
     (x, y) that ranking r puts x above y, ordered by the places of x and

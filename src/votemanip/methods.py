@@ -24,7 +24,8 @@ Each of the eleven methods, the tiebroken form of each and every pairwise
 dictator also carries a batched form ``fn.on_counts`` that the census
 engine uses on blocks of classes (see "batched forms" below).  The scalar
 functions stay the reference: the batched forms must agree with them on
-every class.
+every class.  The eleven methods are also marked neutral (``fn.neutral``):
+relabeling the candidates relabels their winners alike.
 """
 
 from __future__ import annotations
@@ -513,6 +514,13 @@ coombs.on_counts = lambda block: _first_or_last_elimination(block, worst=True)
 baldwin.on_counts = _baldwin_on_counts
 strict_nanson.on_counts = lambda block: _nanson_on_counts(block, strict=True)
 weak_nanson.on_counts = lambda block: _nanson_on_counts(block, strict=False)
+# Neutral: relabeling a profile's candidates relabels these methods' winners
+# the same way, which the census's neutral walk relies on.  A tiebreak order
+# and a dictator's pair favour some candidates, so neither carries the mark.
+for _fn in (plurality, borda, condorcet, copeland, maxmin, plurality_with_runoff,
+            hare, coombs, baldwin, strict_nanson, weak_nanson):
+    _fn.neutral = True
+del _fn
 
 
 @lru_cache(maxsize=None)

@@ -220,6 +220,105 @@ class TestOthersClassWalk:
         assert (walked[ranks[last]] == o[last]).all()
 
 
+ALL_METHODS = tuple(METHODS[name] for name in METHOD_ORDER)
+
+
+def unmarked(sets) -> tuple[UncertaintySet, ...]:
+    """``sets`` with each method's ``fn`` copied without its neutral mark,
+    so that a census of them judges every ranking beside each class."""
+    copies: dict[str, VotingMethod] = {}
+    for f in (f for s in sets for f in s if f.id not in copies):
+        fn = wraps(f.fn)(lambda profile, f=f: f.fn(profile))
+        del fn.neutral
+        copies[f.id] = VotingMethod(f.id, fn)
+    return tuple(UncertaintySet(tuple(copies[f.id] for f in s)) for s in sets)
+
+
+class TestNeutralWalk:
+    """With every method neutral, the class walk judges only the identity
+    ranking beside each class of the other voters and relabels; it must
+    count what the walk judging every ranking counts."""
+
+    def check(self, n, m, sets, notion="sure", kind="weak", weights=None):
+        spec = CensusSpec(n=n, m=m, method_sets=tuple(sets), notion=notion, kind=kind,
+                          weights=weights)
+        present = CensusSpec(n=n, m=m, method_sets=unmarked(sets), notion=notion, kind=kind,
+                             weights=weights)
+        assert _ClassKernel(spec).neutral and not _ClassKernel(present).neutral
+        assert engine_counts(spec) == engine_counts(present), (n, m, notion, kind)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("notion", NOTIONS)
+    def test_the_pair_family_matches(self, notion, kind):
+        sets = subset_family(ALL_METHODS, 1 if notion == "single" else 2)
+        for n, m in [*((3, m) for m in range(1, 9)), *((4, m) for m in range(1, 4))]:
+            self.check(n, m, sets, notion, kind)
+
+    # each kind once at (4,4), and the CLI defaults at (4,5): the walk
+    # judging every ranking takes about 0.7 s and 2.8 s there
+    @pytest.mark.parametrize("n,m,notion,kind", [
+        (4, 4, "harmless", "weak"), (4, 4, "safe", "pes"), (4, 4, "expected", "opt"),
+        (4, 5, "sure", "weak"),
+    ])
+    def test_the_pair_family_matches_at_four_candidates(self, n, m, notion, kind):
+        self.check(n, m, subset_family(ALL_METHODS, 1 if notion == "single" else 2),
+                   notion, kind)
+
+    @pytest.mark.parametrize("notion", ["sure", "safe"])
+    def test_every_subset_matches(self, notion):
+        sets = subset_family(ALL_METHODS, len(ALL_METHODS))
+        for n, m in [(3, 1), (3, 2), (3, 3), (3, 4), (4, 1), (4, 2)]:
+            self.check(n, m, sets, notion)
+
+    @pytest.mark.parametrize("n,m", [(3, 4), (4, 3)])
+    def test_weighted_expected_matches(self, n, m):
+        pairs = [s for s in subset_family(ALL_METHODS, 2) if len(s) == 2]
+        self.check(n, m, pairs, "expected", weights=(Fraction(1, 3), Fraction(2, 3)))
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 6])
+    def test_one_voter_matches(self, n):
+        # one voter: the other voters' only class is the empty one; at
+        # n = 6 rankings are relabeled from positions, with no table
+        self.check(n, 1, subset_family(ALL_METHODS, 2), "safe")
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_relabeling_takes_each_ranking_to_the_identity(self, n):
+        rankings = all_rankings(n)
+        index = {r.order: i for i, r in enumerate(rankings)}
+        r, q = np.divmod(np.random.default_rng(n).integers(0, len(rankings) ** 2, 500),
+                         len(rankings))
+        expected = [index[tuple(rankings[a].position[x] for x in rankings[b].order)]
+                    for a, b in zip(r.tolist(), q.tolist())]
+        assert census._relabeled(n, r, q).tolist() == expected
+        assert not census._relabeled(n, r, r).any()
+
+    def test_only_an_all_neutral_universe_is_relabeled(self, monkeypatch):
+        # the walk relabels classes only when every method is neutral: a
+        # tiebreak, a dictator or a custom method keeps the walk that
+        # judges every ranking, and a functools.wraps copy of a base
+        # method, as a timing wrapper makes, stays neutral
+        relabeled = []
+
+        def spy(*args):
+            relabeled.append(True)
+            return census_relabeled_sets(*args)
+
+        census_relabeled_sets = census._relabeled_sets
+        monkeypatch.setattr(census, "_relabeled_sets", spy)
+        borda = METHODS["borda"]
+        custom = VotingMethod("my_borda", lambda profile: borda.fn(profile))
+        wrapped = VotingMethod("borda", wraps(borda.fn)(lambda profile: borda.fn(profile)))
+        for extra, relabels in ((parse_method("borda@acb"), False),
+                                (parse_method("pdict:a,b,0"), False),
+                                (custom, False), (wrapped, True)):
+            sets = (UncertaintySet((extra,)), method_set("hare"),
+                    UncertaintySet((extra, METHODS["hare"])))
+            spec = CensusSpec(n=3, m=3, method_sets=sets, notion="safe")
+            relabeled.clear()
+            assert engine_counts(spec) == naive_counts(spec), extra.id
+            assert bool(relabeled) is relabels, extra.id
+
+
 class TestMethodRouting:
     """Methods with a batched form are scored on count blocks; a method
     without one labels every voter and runs on each row's profile."""
@@ -654,6 +753,15 @@ class TestSpecValidation:
                 n=3, m=4, method_sets=(method_set("borda"),), mode="sample",
                 samples=10,
             )
+
+    def test_more_than_10_candidates_are_rejected(self):
+        # A census builds all n! rankings, which past 10! do not fit; the
+        # spec refuses before anything is built.
+        for mode, samples in (("exhaustive", 0), ("sample", 1)):
+            with pytest.raises(ValueError, match="at most 10 candidates are supported, got 11"):
+                CensusSpec(n=11, m=2, method_sets=(method_set("borda"),), mode=mode,
+                           samples=samples, seed=1)
+        assert CensusSpec(n=10, m=2, method_sets=(method_set("borda"),)).n == 10
 
     def test_more_than_255_voters_are_rejected(self):
         # A count row stores each ranking's holder count in one byte.

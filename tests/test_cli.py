@@ -7,6 +7,8 @@ import sys
 
 import pytest
 
+from votemanip import census
+from votemanip.cli import main
 from votemanip.verify import CENSUS_TARGETS, TARGETS, run_target
 
 
@@ -240,6 +242,20 @@ class TestTable:
             assert proc.returncode == 2
             assert "error: unrecognized arguments: --weights 1/2,1/2" in proc.stderr
             assert proc.stdout == ""
+
+    @pytest.mark.parametrize("command", ["table", "eliminate"])
+    def test_more_than_10_candidates_fail_cleanly(self, command, monkeypatch, capsys):
+        # in process, with the census patched to fail, so that nothing of
+        # the 11! rankings is ever built
+        def refused(spec):
+            raise AssertionError("a census ran")
+
+        monkeypatch.setattr(census, "run_census", refused)
+        extra = ["--samples", "1", "--seed", "1"] if command == "table" else []
+        assert main([command, "-n", "11", "-m", "2", "--methods", "borda,hare", *extra]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == ["error: at most 10 candidates are supported, got 11"]
 
     def test_more_than_255_voters_fail_cleanly(self):
         proc = run_cli(

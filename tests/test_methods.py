@@ -429,3 +429,49 @@ class TestBatchedForms:
         custom = VotingMethod("custom", lambda profile: frozenset(profile.candidates))
         assert not hasattr(tiebroken(custom, ranking_of("abc")).fn, "on_counts")
         assert hasattr(tiebroken(METHODS["borda"], ranking_of("abc")).fn, "on_counts")
+
+
+class TestNeutralBatchedForms:
+    """The census judges only the identity ranking's switches when every
+    method is neutral (``fn.neutral``): relabeling a class's candidates by
+    sigma must relabel each method's winners by sigma."""
+
+    def check(self, n, combos):
+        rankings = all_rankings(n)
+        index = {r.order: i for i, r in enumerate(rankings)}
+        sigmas = list(permutations(range(n)))
+        rows = np.array([count_row(n, c) for c in combos], dtype=np.uint8)
+        # under sigma, ranking q becomes the ranking listing sigma[x] for
+        # each x of q, so count column q moves to that ranking's column
+        moved = np.zeros((len(sigmas), *rows.shape), np.uint8)
+        for s, sigma in enumerate(sigmas):
+            column = [index[tuple(sigma[x] for x in r.order)] for r in rankings]
+            moved[s][:, column] = rows
+        block = _Counts(moved.reshape(-1, rows.shape[1]))
+        for name in METHOD_ORDER:
+            fn = METHODS[name].fn
+            assert fn.neutral
+            plain = fn.on_counts(_Counts(rows)).tolist()
+            relabeled = fn.on_counts(block).reshape(len(sigmas), len(combos)).tolist()
+            for s, sigma in enumerate(sigmas):
+                expected = [sum(1 << sigma[x] for x in range(n) if w >> x & 1) for w in plain]
+                assert relabeled[s] == expected, (name, sigma)
+
+    @pytest.mark.parametrize("n,m", [*((3, m) for m in range(1, 6)),
+                                     *((4, m) for m in range(1, 4))])
+    def test_every_class_relabels_its_winners(self, n, m):
+        self.check(n, list(combinations_with_replacement(range(len(all_rankings(n))), m)))
+
+    def test_random_classes_relabel_their_winners(self):
+        rng = np.random.default_rng(507)
+        self.check(5, rng.integers(0, len(all_rankings(5)), size=(40, 7)).tolist())
+
+    def test_only_the_eleven_methods_are_marked_neutral(self):
+        # a tiebreak order and a dictator's pair favour some candidates
+        for text in ("borda@acb", "hare@cab", "pdict:a,b,0"):
+            assert not hasattr(parse_method(text, ("a", "b", "c")).fn, "neutral"), text
+        custom = VotingMethod("custom", lambda profile: frozenset(profile.candidates))
+        assert not hasattr(custom.fn, "neutral")
+        # a timing wrapper is a functools.wraps copy of fn
+        fn = METHODS["borda"].fn
+        assert wraps(fn)(lambda profile: fn(profile)).neutral
