@@ -45,13 +45,17 @@ chunk of classes at a time:
   relabeling the candidates relabels their winners, and leaves every
   verdict as it is.  A holder of ranking r beside o is then a holder of
   the identity (ranking 0) beside o relabeled so that r becomes the
-  identity.  So when every method is neutral the exhaustive walk judges
-  only the identity beside each o, which stands for all n! rankings'
-  pointed profiles, and keeps its sets per o; once the walk is done, a
-  class c ORs, over the rankings r it holds, the sets kept at its
-  relabeled c - e_r: n! times fewer verdicts.  A tiebreak order, a
-  pairwise dictator and a custom method are not neutral and keep the
-  walk that judges every ranking;
+  identity.  So when every method is neutral the exhaustive census works
+  on orbits under relabeling (``_Orbits``): it scores one representative
+  class per orbit and fills the id array by relabeling the winners of
+  each class's representative; its walk judges only the identity beside
+  each o, which stands for all n! rankings' pointed profiles, and keeps
+  its sets per o; once the walk is done, each representative ORs, over
+  the rankings r it holds, the sets kept at its relabeled c - e_r, and
+  counts the labeled profiles of its whole orbit: n! times fewer
+  verdicts, and about n! times fewer classes scored and ORed.  A tiebreak
+  order, a pairwise dictator and a custom method are not neutral and
+  keep the walk that scores every class and judges every ranking;
 * verdicts: whether one voter's ballot switch witnesses the notion depends
   only on the voter's ranking and the outcomes before and after it.  A
   chunk's switches are reduced to their distinct (ranking, before, after)
@@ -288,6 +292,17 @@ def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return index, inverse.reshape(-1)
 
 
+def _filled(total: int, step: int, block: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """``block`` of each run of ``step`` indices below ``total``, in one
+    array of the narrowest unsigned type that holds every value so far."""
+    out = np.empty(total, np.uint8)
+    for lo in range(0, total, step):
+        part = block(np.arange(lo, min(lo + step, total)))
+        out = out.astype(np.promote_types(out.dtype, np.min_scalar_type(part.max())), copy=False)
+        out[lo:lo + len(part)] = part
+    return out
+
+
 class _Colex:
     """The anonymous classes at (n, m) in colex order.
 
@@ -347,7 +362,11 @@ class _Colex:
         """Per row of holder counts, the voters below each ranking and the
         ranking's rank term."""
         s = np.cumsum(counts, axis=1, dtype=np.int64) - counts  # voters below each ranking
-        return s, self.below[np.arange(self.fact), s]
+        return s, self._below(s)
+
+    def _below(self, s: np.ndarray) -> np.ndarray:
+        """``below[v, s[..., v]]`` for every ranking v, as one flat gather."""
+        return self.below.take(s + np.arange(0, self.below.size, self.m + 1))
 
     def rank(self, counts: np.ndarray) -> np.ndarray:
         """The rank of the class of each row of holder counts."""
@@ -385,7 +404,7 @@ class _Colex:
         holding each ranking v joins each row of holder counts of m - 1
         voters."""
         s, at = self._terms(others)
-        past = self.below[np.arange(self.fact), s + 1]  # the term once v < w
+        past = self._below(s + 1)  # the term once v < w
         return (self.classes - 1 - np.cumsum(at, axis=1)
                 - (past.sum(axis=1, keepdims=True) - np.cumsum(past, axis=1)))
 
@@ -394,7 +413,8 @@ class _Colex:
 # identity, ranking index 0; a neutral census judges a holder of r as the
 # identity holder of the relabeled class.  Up to n = 5 the relabeled
 # indices come from an n! x n! table built on first use; at n = 8 such a
-# table would hold 40,320^2 entries, so beyond n = 5 each is computed.
+# table would hold 40,320^2 entries, so beyond n = 5 each is computed, and
+# relabeled winner masks are computed bit by bit from ranking orders.
 TABLE_CANDIDATES = 5
 
 
@@ -473,7 +493,9 @@ class _ClassKernel:
     (``_row_wise``).  ``class_ids`` scores every class of an exhaustive
     census, each block of rows in one ``_Counts`` that every method's
     batched form (``fn.on_counts``) scores in one call; only the distinct
-    rows of winner bitmasks are interned, in ``outcomes``.  For sampling,
+    rows of winner bitmasks are interned, in ``outcomes``.  When every
+    method is neutral, ``_Orbits.class_ids`` scores one class per orbit
+    under candidate relabeling in its place.  For sampling,
     ``neighbourhood`` scores a chunk's switches as ``_Switched`` blocks
     over one ``_Counts`` of its classes.
 
@@ -488,7 +510,8 @@ class _ClassKernel:
     matrix of member weights (``_weight``).
 
     ``neutral``: every method is neutral (``fn.neutral``), so relabeling
-    the candidates of a switch leaves its verdict as it is.
+    the candidates of a class relabels its winners, and relabeling those of
+    a switch leaves its verdict as it is.
     """
 
     def __init__(self, spec: CensusSpec) -> None:
@@ -562,21 +585,14 @@ class _ClassKernel:
 
     def class_ids(self, colex: _Colex) -> np.ndarray:
         """The outcome id of every class (h, c), at h's index in base n!
-        times ``colex.classes`` plus c's rank, in the narrowest unsigned
-        type that holds the ids seen so far, scored in blocks of at most
+        times ``colex.classes`` plus c's rank, scored in blocks of at most
         ``BLOCK_CELLS`` cells."""
-        total = self.fact ** len(self.labeled) * colex.classes
-        ids = np.empty(total, np.uint8)
-        for lo in range(0, total, self._block_rows):
-            point, rank = np.divmod(np.arange(lo, min(lo + self._block_rows, total)),
-                                    colex.classes)
+        def score(index: np.ndarray) -> np.ndarray:
+            point, rank = np.divmod(index, colex.classes)
             held = point[:, None] // self.place % self.fact
-            block = self._score(_Counts(colex.unrank(rank) + _counts(held, self.fact),
-                                        dict(zip(self.labeled, held.T))))
-            ids = ids.astype(np.promote_types(ids.dtype, np.min_scalar_type(block.max())),
-                             copy=False)
-            ids[lo:lo + len(block)] = block
-        return ids
+            return self._score(_Counts(colex.unrank(rank) + _counts(held, self.fact),
+                                       dict(zip(self.labeled, held.T))))
+        return _filled(self.fact ** len(self.labeled) * colex.classes, self._block_rows, score)
 
     def neighbourhood(self, held: np.ndarray, rest: np.ndarray) -> tuple:
         """The holders of a chunk of sampled classes, given by the ranking
@@ -716,6 +732,159 @@ def _distinct_per_row(a: np.ndarray) -> np.ndarray:
     return np.take_along_axis(a, np.argsort(repeat, axis=1, kind="stable")[:, :width], axis=1)
 
 
+class _Orbits:
+    """The anonymous classes of m voters in orbits under candidate
+    relabeling, for a census whose methods are all neutral.
+
+    Relabeling acts freely and transitively on rankings: one relabeling,
+    sigma_r, each candidate to its place in r, takes ranking r to the
+    identity (ranking 0).  So the members of a class c's orbit that hold
+    the identity are sigma_r(c) = sigma_r(c - e_r) + e_0 for the rankings r
+    that c holds, and ``held`` gives the ranks, among the classes of m - 1
+    voters (``others``), of those sigma_r(c - e_r).  The orbit's
+    representative is o* + e_0 for the least of them, o*, and the
+    relabelings that fix c are as many as the distinct held rankings r
+    that reach o*, so its orbit has n!/that many classes.  Each o such that
+    o + e_0 is a representative is scored; every other class's winners are
+    its representative's, relabeled (``class_ids``).
+    """
+
+    def __init__(self, n: int, colex: _Colex) -> None:
+        self.n = n
+        self.colex = colex
+        self.others = _Colex(colex.fact, colex.m - 1)
+        # A class is a sorted row of rankings while m - 1 < n! and holder
+        # counts beyond, whichever has fewer cells: min(m, n!) of them.
+        self.sorted = self.others.m < colex.fact
+        self.width = min(colex.m, colex.fact)
+        if not self.sorted:  # so n <= TABLE_CANDIDATES, as m <= MAX_VOTERS
+            # column j of relabeled holder counts is the ranking that becomes j
+            self._column = np.argsort(_relabel_table(n), axis=1)
+
+    def classes(self, ranks: np.ndarray) -> np.ndarray:
+        """The classes at ``ranks`` in ``colex``."""
+        return self.colex.rows(ranks) if self.sorted else self.colex.unrank(ranks)
+
+    def with_identity(self, o: np.ndarray) -> np.ndarray:
+        """o + e_0 for the classes at ``o`` in ``others``: their sorted rows
+        with ranking 0 prepended, or their holder counts with one more
+        holder of ranking 0."""
+        if self.sorted:
+            rows = self.others.rows(o)
+            return np.c_[np.zeros(len(o), rows.dtype), rows]
+        counts = self.others.unrank(o)
+        counts[:, 0] += 1
+        return counts
+
+    def counts(self, classes: np.ndarray) -> np.ndarray:
+        """The holder counts of ``classes``."""
+        return _counts(classes, self.colex.fact) if self.sorted else classes
+
+    def held(self, classes: np.ndarray, lowest: bool = False) -> tuple:
+        """For each ranking r that each class c holds, or only its lowest:
+        c's index, r, and the rank in ``others`` of c - e_r relabeled so
+        that r becomes the identity, by class.  A ranking held twice in a
+        sorted row is repeated.
+
+        The other voters' rankings are relabeled one by one in sorted rows,
+        and the columns of holder counts are permuted.
+        """
+        k = len(classes)
+        if self.sorted:
+            m = self.colex.m
+            if lowest:
+                row, r, rest = np.arange(k), classes[:, 0], classes[:, 1:]
+            else:  # place i stands for ranking classes[:, i]
+                drop = np.arange(m - 1) + (np.arange(m - 1) >= np.arange(m)[:, None])
+                row, r = np.repeat(np.arange(k), m), classes.ravel()
+                rest = classes[:, drop].reshape(k * m, m - 1)
+            moved = np.sort(_relabeled(self.n, r[:, None], rest), axis=1)
+            at = np.zeros(len(r), np.int64)
+            for i in range(m - 1):
+                at += self.others.term[i].take(moved[:, i])
+            return row, r, at
+        held = classes != 0
+        if lowest:
+            held &= np.cumsum(held, axis=1) == 1
+        at = np.zeros(classes.shape, np.int64)
+        for r in range(self.colex.fact):  # r's holders, r relabeled to column 0
+            rows = np.flatnonzero(held[:, r])
+            rest = classes.take(self._column[r], axis=1)[rows]
+            rest[:, 0] -= 1
+            at[rows, r] = self.others.rank(rest)
+        row, r = np.nonzero(held)
+        return row, r, at[row, r]
+
+    def canonical(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per class o of ``others``, the representative R of o + e_0 and
+        the lowest ranking t whose relabeling takes o + e_0 to R, as one
+        key: R's index among the representatives times n! plus t, in the
+        narrowest unsigned type.  And the ranks in ``others`` of the
+        representatives' o*, ascending."""
+        fact, total = self.colex.fact, self.others.classes
+        key = np.empty(total, np.min_scalar_type(total * fact - 1))
+        reps = []
+        step = max(1, BLOCK_CELLS // self.width ** 2)
+        for lo in range(0, total, step):
+            o = np.arange(lo, min(lo + step, total))
+            row, r, at = self.held(self.with_identity(o))
+            # the least image of each o + e_0 times n!, plus the lowest r reaching it
+            key[o] = np.minimum.reduceat(at * fact + r, np.flatnonzero(np.diff(row, prepend=-1)))
+            reps.append(o[key[o] // fact == o])
+        reps = np.concatenate(reps)
+        for lo in range(0, total, step):
+            least, turn = np.divmod(key[lo:lo + step], fact)
+            key[lo:lo + step] = np.searchsorted(reps, least) * fact + turn
+        return key, reps
+
+    def class_ids(self, kernel: _ClassKernel) -> tuple[np.ndarray, np.ndarray]:
+        """The outcome id of every class, by its rank in ``colex``, and the
+        representatives' o*.  Only the representatives are scored, in
+        blocks of at most ``BLOCK_CELLS`` cells.  A class c whose lowest
+        ranking is r is sigma_r^-1 sigma_t^-1 R for the representative R of
+        a + e_0, a = sigma_r(c - e_r), and the ranking t that takes a + e_0
+        to R; so R's winner y is c's candidate at place y of ranking t,
+        taken to its place in r's order."""
+        key, reps = self.canonical()
+        scored = _filled(len(reps), kernel._block_rows, lambda i: kernel._score(
+            _Counts(self.counts(self.with_identity(reps[i])))))
+        table = kernel.outcomes.arrays()[0].astype(np.int64)
+        order = ranking_orders(self.n).astype(np.intp)
+
+        def relabeled(index: np.ndarray) -> np.ndarray:
+            _, r, a = self.held(self.classes(index), lowest=True)
+            rep, t = np.divmod(key[a], self.colex.fact)
+            to = np.take_along_axis(order[r], order[t], axis=1)
+            won = table[scored[rep]]
+            masks = np.zeros_like(won)
+            for y in range(self.n):  # a winner y of R is candidate to[y] of c
+                masks |= (won >> y & 1) << to[:, y, None]
+            return kernel.outcomes.ids(masks)
+        step = max(1, BLOCK_CELLS // (self.width + self.n * len(kernel.universe)))
+        return _filled(self.colex.classes, step, relabeled), reps
+
+    def profiles(self, reps: np.ndarray, found: np.ndarray) -> Iterator[tuple]:
+        """Per block of representatives R (their o* in ``reps``): the
+        labeled profiles in each R, the number of classes in its orbit,
+        n!/|Stab(R)|, and the OR of ``found`` (a row per class of
+        ``others``) over R's held images."""
+        fact, nbytes = self.colex.fact, found.shape[1]
+        # per representative: its images' rows of others and of found, and
+        # a set bit per set once the bitmaps are unpacked
+        step = max(1, BLOCK_CELLS // (self.width * (self.width + nbytes) + 8 * nbytes))
+        for lo in range(0, len(reps), step):
+            o = reps[lo:lo + step]
+            classes = self.with_identity(o)
+            row, r, at = self.held(classes)
+            # Stab(R): the distinct held rankings whose relabeling gives R back
+            fixes = (at == o[row]) & (np.diff(row * fact + r, prepend=-1) != 0)
+            weights = (self.colex.row_weights(classes) if self.sorted
+                       else self.colex.weights(classes))
+            yield (weights, fact // np.bincount(row[fixes], minlength=len(o)),
+                   np.bitwise_or.reduceat(found[at], np.flatnonzero(np.diff(row, prepend=-1)),
+                                          axis=0))
+
+
 def _class_walk(spec: CensusSpec, kernel: _ClassKernel) -> Iterator[tuple]:
     """Every partly labeled class (h, c), walked by h and the class o of
     u - 1 unlabeled voters.
@@ -728,16 +897,22 @@ def _class_walk(spec: CensusSpec, kernel: _ClassKernel) -> Iterator[tuple]:
     once per labeled profile, and it counts its weight for each set they
     or its bitmap hold.  With u = 0 each h is one class, already complete.
 
-    When every method is neutral, relabeling candidates leaves every
-    verdict as it is, and relabeling by a holder's ranking r makes r the
-    identity (ranking 0).  So only (o, identity) is judged, standing for
-    the n! rankings' pointed profiles, and its sets are kept per o.  Once
-    the walk is done, each class c ORs, over the rankings r it holds, the
-    sets kept at c - e_r relabeled so that r becomes the identity.
+    When every method is neutral, relabeling candidates relabels winners
+    and leaves every verdict as it is, and relabeling by a holder's
+    ranking r makes r the identity (ranking 0).  So the id array is filled
+    from one scored class per orbit (``_Orbits``), only (o, identity) is
+    judged, standing for the n! rankings' pointed profiles, and its sets
+    are kept per o.  Once the walk is done, each orbit's representative R
+    ORs the sets kept at its relabeled R - e_r over the rankings r it
+    holds, and counts the labeled profiles of its whole orbit.
     """
     fact, size = kernel.fact, len(kernel.labeled)
     colex = _Colex(fact, spec.m - size)
-    ids = kernel.class_ids(colex)
+    if kernel.neutral:  # no neutral method reads a voter, so u = m
+        orbits = _Orbits(spec.n, colex)
+        ids, reps = orbits.class_ids(kernel)
+    else:
+        ids = kernel.class_ids(colex)
     nsets = len(spec.method_sets)
     stride = colex.classes * kernel.place  # a labeled voter's step through ids
     dtype = _count_dtype(spec)
@@ -758,7 +933,7 @@ def _class_walk(spec: CensusSpec, kernel: _ClassKernel) -> Iterator[tuple]:
             index = np.arange(lo, min(lo + step, len(ids)))
             yield from complete(index, np.ones(len(index), dtype), 0)
         return
-    others = _Colex(fact, colex.m - 1)
+    others = orbits.others if kernel.neutral else _Colex(fact, colex.m - 1)
     walk = fact ** size * others.classes
     judged = np.arange(1 if kernel.neutral else fact)  # the rankings judged beside each o
     if kernel.neutral:
@@ -800,47 +975,10 @@ def _class_walk(spec: CensusSpec, kernel: _ClassKernel) -> Iterator[tuple]:
                                 seen[ranks[last]])
         lo += len(counts)
     if kernel.neutral:
-        # per class: its holders' relabeled rankings and bitmaps, then its set bits
-        step = max(1, BLOCK_CELLS // (
-            min(colex.m, fact) * (min(others.m, fact) + kernel.nbytes) + nsets))
-        for lo in range(0, colex.classes, step):
-            weights, bitmaps = _relabeled_sets(
-                spec.n, colex, others, np.arange(lo, min(lo + step, colex.classes)), found)
-            yield "profiles", weights.astype(dtype), _set_bits(bitmaps, nsets)
-
-
-def _relabeled_sets(n: int, colex: _Colex, others: _Colex, ranks: np.ndarray,
-                    found: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The classes at ``ranks`` in ``colex`` that witness some set: their
-    weights, and their bitmaps, the OR over each ranking r a class holds of
-    ``found`` at the class of its other voters (ranked in ``others``)
-    relabeled so that r becomes the identity.
-
-    The other voters' rankings are relabeled one by one while m - 1 < n!,
-    and the holder counts' columns are permuted once n! <= m - 1,
-    whichever touches fewer cells.
-    """
-    if others.m < others.fact:
-        rows = colex.rows(ranks)
-        # place i stands for ranking rows[:, i]; a repeated ranking repeats
-        # its class, which the OR absorbs
-        drop = np.arange(others.m) + (np.arange(others.m) >= np.arange(colex.m)[:, None])
-        rest = np.sort(_relabeled(n, rows[:, :, None], rows[:, drop]), axis=2)
-        at = np.zeros(rest.shape[:2], np.int64)
-        for i in range(others.m):
-            at += others.term[i].take(rest[..., i])
-        bitmaps = np.bitwise_or.reduce(found[at], axis=1)
-        live = bitmaps.any(axis=1)
-        return colex.row_weights(rows[live]), bitmaps[live]
-    counts = colex.unrank(ranks)
-    cls, r = np.nonzero(counts)
-    rest = counts[cls]
-    rest[np.arange(len(cls)), r] -= 1
-    # column j of the relabeled counts is the ranking that becomes j
-    at = others.rank(rest[np.arange(len(cls))[:, None], np.argsort(_relabel_table(n), axis=1)[r]])
-    bitmaps = np.bitwise_or.reduceat(found[at], np.flatnonzero(np.diff(cls, prepend=-1)), axis=0)
-    live = bitmaps.any(axis=1)
-    return colex.weights(counts[live]), bitmaps[live]
+        for weights, sizes, bitmaps in orbits.profiles(reps, found):
+            live = bitmaps.any(axis=1)
+            yield ("profiles", weights[live].astype(dtype) * sizes[live],
+                   _set_bits(bitmaps[live], nsets))
 
 
 def _sampled_classes(spec: CensusSpec, kernel: _ClassKernel) -> Iterator[tuple]:

@@ -4,7 +4,7 @@ import json
 import math
 from fractions import Fraction
 from functools import cache, wraps
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -24,6 +24,7 @@ from votemanip.census import (
     sample_profiles,
     _ClassKernel,
     _Colex,
+    _Orbits,
     _sample_rows,
 )
 from votemanip.core import Ranking, all_rankings, default_labels
@@ -31,7 +32,9 @@ from votemanip.dominance import KINDS, dominates_nonstrict, dominates_strict
 from votemanip.manipulation import (
     NOTIONS, UncertaintySet, find_manipulation, method_set, notion_holds, subset_family,
 )
-from votemanip.methods import METHOD_ORDER, METHODS, VotingMethod, parse_method, tiebroken
+from votemanip.methods import (
+    METHOD_ORDER, METHODS, VotingMethod, _Counts, parse_method, tiebroken,
+)
 
 
 def naive_counts(spec: CensusSpec) -> dict[str, tuple[int, int]]:
@@ -299,12 +302,12 @@ class TestNeutralWalk:
         # method, as a timing wrapper makes, stays neutral
         relabeled = []
 
-        def spy(*args):
+        def spy(*args, **kwargs):
             relabeled.append(True)
-            return census_relabeled_sets(*args)
+            return census_held(*args, **kwargs)
 
-        census_relabeled_sets = census._relabeled_sets
-        monkeypatch.setattr(census, "_relabeled_sets", spy)
+        census_held = census._Orbits.held
+        monkeypatch.setattr(census._Orbits, "held", spy)
         borda = METHODS["borda"]
         custom = VotingMethod("my_borda", lambda profile: borda.fn(profile))
         wrapped = VotingMethod("borda", wraps(borda.fn)(lambda profile: borda.fn(profile)))
@@ -317,6 +320,73 @@ class TestNeutralWalk:
             relabeled.clear()
             assert engine_counts(spec) == naive_counts(spec), extra.id
             assert bool(relabeled) is relabels, extra.id
+
+    def test_one_voter_at_eight_candidates_scores_one_class(self, monkeypatch):
+        # the 8! one-voter classes are one orbit: one row is scored, and
+        # every other class's winners are relabeled from it
+        rows = []
+
+        def spy(kernel, block):
+            ids = census_score(kernel, block)
+            rows.append(len(ids))
+            return ids
+
+        census_score = _ClassKernel._score
+        monkeypatch.setattr(_ClassKernel, "_score", spy)
+        spec = CensusSpec(n=8, m=1, method_sets=(method_set("borda"),))
+        assert engine_counts(spec) == {"borda": (0, 0)}
+        assert rows == [1]
+
+
+def relabeling_orbits(n: int, m: int) -> int:
+    """Burnside's count of the classes of m voters up to candidate
+    relabeling: a relabeling of order d moves every ranking in cycles of
+    length d, so it fixes C(n!/d + m/d - 1, m/d) classes when d divides m."""
+    fact, fixed = math.factorial(n), 0
+    for sigma in permutations(range(n)):
+        cycles = []
+        for x in range(n):
+            if all(x not in c for c in cycles):
+                cycle = [x]
+                while sigma[cycle[-1]] != x:
+                    cycle.append(sigma[cycle[-1]])
+                cycles.append(cycle)
+        d = math.lcm(*map(len, cycles))
+        if m % d == 0:
+            fixed += math.comb(fact // d + m // d - 1, m // d)
+    return fixed // fact
+
+
+class TestOrbits:
+    """A neutral census scores one class per orbit under candidate
+    relabeling and relabels the winners of every other class from it."""
+
+    @pytest.mark.parametrize("n,m", [*((3, m) for m in range(1, 9)),
+                                     *((4, m) for m in range(1, 6)),
+                                     *((5, m) for m in range(1, 4)), (3, 30)])
+    def test_representatives_count_the_orbits(self, n, m):
+        orbits = _Orbits(n, _Colex(math.factorial(n), m))
+        _, reps = orbits.canonical()
+        assert len(reps) == relabeling_orbits(n, m)
+        # each orbit's classes and labeled profiles, over all the orbits
+        sizes = list(orbits.profiles(reps, np.zeros((orbits.others.classes, 1), np.uint8)))
+        assert sum(s.sum() for _, s, _ in sizes) == math.comb(math.factorial(n) + m - 1, m)
+        assert sum((w * s.astype(w.dtype)).sum() for w, s, _ in sizes) == math.factorial(n) ** m
+
+    @pytest.mark.parametrize("n,m", [*((3, m) for m in range(1, 9)),
+                                     *((4, m) for m in range(1, 5)),
+                                     (5, 1), (5, 2), (6, 1), (8, 1)])
+    def test_relabeled_winners_are_the_scored_winners(self, n, m):
+        colex = _Colex(math.factorial(n), m)
+        # a count row has 8! cells at n = 8: a seeded few classes are scored
+        ranks = (np.random.default_rng(m).choice(colex.classes, 40, replace=False)
+                 if n == 8 else np.arange(colex.classes))
+        for sets in [*(method_set(name) for name in METHOD_ORDER), method_set(*METHOD_ORDER)]:
+            kernel = _ClassKernel(CensusSpec(n=n, m=m, method_sets=(sets,)))
+            ids, _ = _Orbits(n, colex).class_ids(kernel)
+            # one interner, so equal ids are equal winner-mask tuples
+            scored = kernel._score(_Counts(colex.unrank(ranks)))
+            assert np.array_equal(ids[ranks], scored), (sets.id, n, m)
 
 
 class TestMethodRouting:
