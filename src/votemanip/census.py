@@ -14,65 +14,53 @@ labels every voter and runs on each row's profile.  A census therefore
 works on partly labeled classes (h, c) rather than labeled profiles: the
 rankings h of the labeled voters L and the anonymous class c (a multiset)
 of the u = m - |L| others, weighted by the labeled profiles in it, the
-multinomial u!/(c_1! ... c_k!) for the others' holder counts c_i.  With
-no labeled voter it is an anonymous class.  The kernel works on arrays, a
-chunk of classes at a time:
+multinomial u!/(c_1! ... c_k!) for the others' holder counts c_i.  The
+kernel works on arrays, a chunk of classes at a time:
 
 * class ranks: c is a sorted row of u ranking indices, and its colex rank
   sum_i C(a_i + i, i + 1) numbers the C(n! + u - 1, u) classes without
   gaps (``_Colex``); (h, c) is at h's index in base n!, the first labeled
-  voter outermost, times that count plus c's rank.  The exhaustive search
-  walks (h, o) for the classes o of u - 1 others: an unlabeled voter
-  holding r beside o is in (h, o + e_r), and the ranks of o's n! such
-  classes are two running sums over o's holder counts;
-* batched winners: a class is also a row of ranking counts, and each
-  method's batched form (``fn.on_counts``, see ``methods``) scores a whole
-  block of rows in one numpy call, every method reading the one block's
-  memoized statistics, with blocks kept under ``BLOCK_CELLS`` cells.  The
-  tuple of every method's winner set on a class is one outcome, interned
-  as a small integer id.  An exhaustive census fills one id array indexed
-  by class before its search and reads every switch's outcome from it:
-  an unlabeled voter beside (h, o) reaches the row of o's n! classes
-  whatever it holds, so it is judged against the row's distinct outcomes
-  only, and labeled voter j reaches the n! classes at a fixed stride
-  from its own; with u = 0 only labeled voters are judged.  A sampled
-  census meets classes that hardly repeat, so it scores each switch as a
-  correction to its class's statistics (a switched block,
-  ``methods._Switched``): the tallies lose the old ranking's pairs and
-  gain the new one's, and the places under each candidate set move one
-  voter, O(n^2) per switch;
+  voter outermost, times that count plus c's rank;
+* batched winners: each method's batched form (``fn.on_counts``, see
+  ``methods``) scores a block of classes in one numpy call, from sorted
+  rows while u < n! and holder counts beyond, with blocks kept under
+  ``BLOCK_CELLS`` cells.  The tuple of every method's winner set on a
+  class is one outcome, interned as a small integer id, and an
+  exhaustive census fills one id array indexed by class before its walk.  A sampled census meets
+  classes that hardly repeat, so it scores each switch as a correction to
+  its class's statistics (``methods._Switched``), O(n^2) per switch;
+* judge in the walk, count after it: the exhaustive walk visits (h, o) for
+  the classes o of u - 1 others.  An unlabeled voter holding r beside o is
+  in (h, o + e_r), and the ranks of o's n! such classes are two running
+  sums over o's holder counts, so the voter is judged against that row's
+  distinct outcomes only.  The walk counts pointed profiles and ORs each
+  (o, r)'s witnessed sets into a bitmap per class.  One pass after it
+  counts every class: each labeled voter's n! switches reach classes at a
+  fixed stride from its own, and a class counts its weight for each set
+  they or its bitmap hold;
 * neutral relabeling: the eleven base methods are neutral (``fn.neutral``):
   relabeling the candidates relabels their winners, and leaves every
-  verdict as it is.  A holder of ranking r beside o is then a holder of
-  the identity (ranking 0) beside o relabeled so that r becomes the
-  identity.  So when every method is neutral the exhaustive census works
-  on orbits under relabeling (``_Orbits``): it scores one representative
-  class per orbit and fills the id array by relabeling the winners of
-  each class's representative; its walk judges only the identity beside
-  each o, which stands for all n! rankings' pointed profiles, and keeps
-  its sets per o; once the walk is done, each representative ORs, over
-  the rankings r it holds, the sets kept at its relabeled c - e_r, and
-  counts the labeled profiles of its whole orbit: n! times fewer
-  verdicts, and about n! times fewer classes scored and ORed.  A tiebreak
-  order, a pairwise dictator and a custom method are not neutral and
-  keep the walk that scores every class and judges every ranking;
+  verdict as it is.  So when every method is neutral the census works on
+  orbits under relabeling (``_Orbits``): it scores one class per orbit and
+  fills the id array by relabeling, judges only the identity beside each
+  o, standing for all n! rankings, keeps a bitmap per o, and after the
+  walk counts each orbit from its representative's relabeled others'
+  classes: about n! times fewer verdicts, scored classes and ORs.  A
+  tiebreak order, a pairwise dictator and a custom method are not neutral;
 * verdicts: whether one voter's ballot switch witnesses the notion depends
   only on the voter's ranking and the outcomes before and after it.  A
   chunk's switches are reduced to their distinct (ranking, before, after)
   triples.  Every dominance kind compares one place of each winner set
   under the ranking (the best or the worst), so each method's flags
-  (improves, not worse, worsens) on every triple come from gathers into a
-  table of each candidate set's best and worst place under each of the
-  chunk's distinct rankings.  The triples' rows of flags are reduced to
-  their distinct rows, and each set's notion is tested on all of them at
-  once, as comparisons of the members (or, for a weighted ``expected``,
-  of their weights scaled to integers) that improve, are not worse or
-  worsen, giving a bitmap of the sets witnessed (set s at bit s % 8 of
-  byte s // 8).  OR-ing the triples' bitmaps over a voter's alternative
-  ballots gives the sets that voter witnesses;
+  (improves, not worse, worsens) come from gathers into a table of each
+  candidate set's best and worst place under each distinct ranking.  The
+  distinct rows of flags are tested against every set's notion at once,
+  as sums of the members (or, for a weighted ``expected``, of their
+  weights scaled to integers) that improve, are not worse or worsen,
+  giving a bitmap of the sets witnessed (set s at bit s % 8 of byte
+  s // 8), OR-ed over a voter's alternative ballots;
 * aggregation: weights times witnessed-set bits, in int64 while
-  (n!)^m * m fits and in exact Python integers beyond (``_class_walk``
-  gives the walk's weights).
+  (n!)^m * m fits and in exact Python integers beyond.
 
 The exhaustive walk is budgeted by its classes, and sampling by the
 profiles it draws, each voter's ranking independently and uniformly from
@@ -115,9 +103,9 @@ from .manipulation import notion_holds  # noqa: F401
 from .methods import MethodFn, VotingMethod, _Counts, _Switched
 
 DEFAULT_BUDGET = 20_000_000
-# Cells per batched call: each row of a block costs its n! ranking counts
-# plus n*n tally cells for every ranking it can hold, and a switched row its
-# n*n tallies and n places.  This keeps each call's arrays under a MB
+# Cells per batched call: each row of a block costs n*n tally cells of its
+# own and n*n for every ranking it holds, and a switched row its n*n
+# tallies and n places.  This keeps each call's arrays under a MB
 # whatever n and m are; larger blocks gain little time and raise a census's
 # peak RSS.
 BLOCK_CELLS = 1 << 16
@@ -275,6 +263,17 @@ def _counts(classes: np.ndarray, fact: int) -> np.ndarray:
     return np.bincount(cells.ravel(), minlength=k * fact).reshape(k, fact).astype(np.uint8)
 
 
+def _block(n: int, classes: np.ndarray, sorted_rows: bool,
+           held: dict[int, np.ndarray] | None = None) -> _Counts:
+    """The ``_Counts`` of classes given as sorted rows of ranking indices,
+    one entry per voter, or as holder counts, one entry per held ranking."""
+    if not sorted_rows:
+        return _Counts.of(classes, held)
+    k, width = classes.shape
+    return _Counts(n, k, np.repeat(np.arange(k), width), classes.ravel(),
+                   np.ones(k * width), held)
+
+
 def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The first index of each distinct row of a 2-D array, and each row's
     distinct row.  Rows are compared as opaque byte strings, which sorts
@@ -335,10 +334,8 @@ class _Colex:
     def weights(self, counts: np.ndarray) -> np.ndarray:
         """m!/(c_1! ... c_k!) per row of holder counts c_i, exact: the labeled
         profiles in each class."""
-        if not self.m:  # the one empty class
-            return np.ones(len(counts), self.binomial.dtype)
         row, r = np.nonzero(counts)
-        return self._multinomial(row, counts[row, r])
+        return self._multinomial(len(counts), row, counts[row, r])
 
     def row_weights(self, rows: np.ndarray) -> np.ndarray:
         """``weights`` of the classes given as sorted rows, whose holders of
@@ -348,15 +345,19 @@ class _Colex:
         row, place = np.nonzero(end)
         # a run's holders: its last place less the row's previous run's
         first = np.diff(row, prepend=-1) != 0
-        return self._multinomial(row, place - np.where(first, -1, np.r_[-1, place[:-1]]))
+        return self._multinomial(len(rows), row,
+                                 place - np.where(first, -1, np.r_[-1, place[:-1]]))
 
-    def _multinomial(self, row: np.ndarray, held: np.ndarray) -> np.ndarray:
-        """Per row, the product of C(e_i, c_i) over its held rankings'
-        holder counts c_i, in ranking order, e_i their running sum."""
+    def _multinomial(self, k: int, row: np.ndarray, held: np.ndarray) -> np.ndarray:
+        """Per row of k, the product of C(e_i, c_i) over its held rankings'
+        holder counts c_i, in ranking order, e_i their running sum: 1 for
+        the one empty class."""
         starts = np.flatnonzero(np.diff(row, prepend=-1))
         upto = np.cumsum(held, dtype=np.int64)  # then less the rows before
         upto -= np.repeat(upto[starts] - held[starts], np.diff(np.r_[starts, len(row)]))
-        return np.multiply.reduceat(self.binomial[upto, held], starts)
+        weights = np.ones(k, self.binomial.dtype)
+        weights[row[starts]] = np.multiply.reduceat(self.binomial[upto, held], starts)
+        return weights
 
     def _terms(self, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per row of holder counts, the voters below each ranking and the
@@ -550,8 +551,7 @@ class _ClassKernel:
         self.neutral = all(getattr(f.fn, "neutral", False) for f in self.universe)
         # place value of each labeled voter's ranking in h's index in base n!
         self.place = self.fact ** np.arange(len(self.labeled) - 1, -1, -1)
-        self._block_rows = max(1, BLOCK_CELLS // (
-            self.fact + min(spec.m, self.fact) * spec.n ** 2))
+        self._block_rows = max(1, BLOCK_CELLS // ((min(spec.m, self.fact) + 1) * spec.n ** 2))
         self._switch_rows = max(1, BLOCK_CELLS // (spec.n ** 2 + spec.n))
         self.outcomes = _Outcomes()
         self._order = ranking_orders(spec.n)
@@ -586,12 +586,17 @@ class _ClassKernel:
     def class_ids(self, colex: _Colex) -> np.ndarray:
         """The outcome id of every class (h, c), at h's index in base n!
         times ``colex.classes`` plus c's rank, scored in blocks of at most
-        ``BLOCK_CELLS`` cells."""
+        ``BLOCK_CELLS`` cells: from sorted rows while u < n!, so that no
+        n!-wide row is built."""
+        sorted_rows = colex.m < self.fact
+
         def score(index: np.ndarray) -> np.ndarray:
             point, rank = np.divmod(index, colex.classes)
             held = point[:, None] // self.place % self.fact
-            return self._score(_Counts(colex.unrank(rank) + _counts(held, self.fact),
-                                       dict(zip(self.labeled, held.T))))
+            classes = (np.c_[held, colex.rows(rank)] if sorted_rows
+                       else colex.unrank(rank) + _counts(held, self.fact))
+            return self._score(_block(self.n, classes, sorted_rows,
+                                      dict(zip(self.labeled, held.T))))
         return _filled(self.fact ** len(self.labeled) * colex.classes, self._block_rows, score)
 
     def neighbourhood(self, held: np.ndarray, rest: np.ndarray) -> tuple:
@@ -606,7 +611,7 @@ class _ClassKernel:
         a labeled voter's switch also moving what that voter holds.
         """
         k, size = held.shape
-        base = _Counts(rest + _counts(held, self.fact), dict(zip(self.labeled, held.T)))
+        base = _Counts.of(rest + _counts(held, self.fact), dict(zip(self.labeled, held.T)))
         # a column per labeled voter, then one per ranking the others hold
         holders = np.c_[np.ones((k, size), np.uint8), rest]
         row, col = np.nonzero(holders)
@@ -652,8 +657,9 @@ class _ClassKernel:
         each distinct row of dominance flags is judged once."""
         moves = self._dominance(r_idx, before, after)
         index, inverse = _distinct_rows(np.packbits(moves.reshape(len(moves), -1), axis=1))
-        # products of at most BLOCK_CELLS cells, which BLAS runs on one thread
-        step = max(1, BLOCK_CELLS // self._weight.size)
+        # products of at most BLOCK_CELLS cells: a row's flag per method and
+        # its sum per set
+        step = max(1, BLOCK_CELLS // (len(self.universe) + len(self._weight)))
         return np.concatenate([self._witnesses(moves[index[lo:lo + step]])
                                for lo in range(0, len(index), step)])[inverse]
 
@@ -776,10 +782,6 @@ class _Orbits:
         counts[:, 0] += 1
         return counts
 
-    def counts(self, classes: np.ndarray) -> np.ndarray:
-        """The holder counts of ``classes``."""
-        return _counts(classes, self.colex.fact) if self.sorted else classes
-
     def held(self, classes: np.ndarray, lowest: bool = False) -> tuple:
         """For each ranking r that each class c holds, or only its lowest:
         c's index, r, and the rank in ``others`` of c - e_r relabeled so
@@ -847,7 +849,7 @@ class _Orbits:
         taken to its place in r's order."""
         key, reps = self.canonical()
         scored = _filled(len(reps), kernel._block_rows, lambda i: kernel._score(
-            _Counts(self.counts(self.with_identity(reps[i])))))
+            _block(self.n, self.with_identity(reps[i]), self.sorted)))
         table = kernel.outcomes.arrays()[0].astype(np.int64)
         order = ranking_orders(self.n).astype(np.intp)
 
@@ -886,77 +888,49 @@ class _Orbits:
 
 
 def _class_walk(spec: CensusSpec, kernel: _ClassKernel) -> Iterator[tuple]:
-    """Every partly labeled class (h, c), walked by h and the class o of
-    u - 1 unlabeled voters.
+    """Every partly labeled class (h, c): a walk by h and the class o of
+    u - 1 unlabeled voters judges, and one pass after it counts.
 
     (h, o, r) stands for the c_r holders of r in each labeled profile of
-    (h, o + e_r), u (u-1)!/(o_1! ... o_k!) pointed profiles; its sets are
-    OR-ed into a bitmap indexed like the id array.  A class is complete
-    once its last o in colex order, the o without its lowest held ranking,
-    is walked.  Its labeled voters' switches are judged then, each voter
-    once per labeled profile, and it counts its weight for each set they
-    or its bitmap hold.  With u = 0 each h is one class, already complete.
+    (h, o + e_r), u (u-1)!/(o_1! ... o_k!) pointed profiles; the walk
+    counts those and ORs its sets into ``found``, a bitmap per class.  The
+    pass then judges each class's labeled voters, each once per labeled
+    profile, and counts the class's weight for each set they or its bitmap
+    hold.  With u = 0 there is no o to walk.
 
-    When every method is neutral, relabeling candidates relabels winners
-    and leaves every verdict as it is, and relabeling by a holder's
-    ranking r makes r the identity (ranking 0).  So the id array is filled
-    from one scored class per orbit (``_Orbits``), only (o, identity) is
-    judged, standing for the n! rankings' pointed profiles, and its sets
-    are kept per o.  Once the walk is done, each orbit's representative R
-    ORs the sets kept at its relabeled R - e_r over the rankings r it
-    holds, and counts the labeled profiles of its whole orbit.
+    When every method is neutral (``_Orbits``), the id array is filled from
+    one scored class per orbit, only (o, identity) is judged, standing for
+    the n! rankings' pointed profiles, and ``found`` has a bitmap per o.
+    The pass is then per orbit: its representative R ORs the bitmaps of its
+    relabeled R - e_r over the rankings r it holds, and counts the labeled
+    profiles of the whole orbit.
     """
     fact, size = kernel.fact, len(kernel.labeled)
     colex = _Colex(fact, spec.m - size)
+    nsets = len(spec.method_sets)
+    dtype = _count_dtype(spec)
     if kernel.neutral:  # no neutral method reads a voter, so u = m
         orbits = _Orbits(spec.n, colex)
         ids, reps = orbits.class_ids(kernel)
     else:
         ids = kernel.class_ids(colex)
-    nsets = len(spec.method_sets)
-    stride = colex.classes * kernel.place  # a labeled voter's step through ids
-    dtype = _count_dtype(spec)
-
-    def complete(index: np.ndarray, weights: np.ndarray, found: np.ndarray | int) -> Iterator:
-        # ``found``: the set bitmaps of the classes' unlabeled voters, if any
-        for s in stride:
-            held = index // s % fact
-            after = ids[index[:, None] + (np.arange(fact) - held[:, None]) * s]
-            hits = kernel.hits(held, ids[index], after)
-            yield "pointed", weights, _set_bits(hits, nsets)
-            found = found | hits
-        yield "profiles", weights, _set_bits(found, nsets)
-
-    if not colex.m:  # every voter is labeled
-        step = kernel.chunk(size)
-        for lo in range(0, len(ids), step):
-            index = np.arange(lo, min(lo + step, len(ids)))
-            yield from complete(index, np.ones(len(index), dtype), 0)
-        return
-    others = orbits.others if kernel.neutral else _Colex(fact, colex.m - 1)
-    walk = fact ** size * others.classes
+    others = orbits.others if kernel.neutral else _Colex(fact, max(colex.m - 1, 0))
+    walk = fact ** size * others.classes if colex.m else 0  # no o when u = 0
     judged = np.arange(1 if kernel.neutral else fact)  # the rankings judged beside each o
-    if kernel.neutral:
-        found = np.empty((walk, kernel.nbytes), np.uint8)  # witnessed sets per o
-    else:
-        seen = np.zeros((len(ids), kernel.nbytes), np.uint8)  # witnessed sets per class
-    # an o completes (n! + u - 1) / u classes on average, and each of them
-    # judges its labeled voters' n! switches: per (o, r), that many outcomes
-    labeled_width = size * -(-(fact + colex.m - 1) // colex.m)
+    found = np.zeros((walk if kernel.neutral else len(ids), kernel.nbytes), np.uint8)
     # an o's own arrays (its counts, the running sums behind the ranks of
     # the n! classes it reaches, their outcomes) are some eight rows of n!
     own = 8 * fact
-    lo, step = 0, kernel.chunk(len(judged), fact + labeled_width, own)
+    lo, step = 0, kernel.chunk(len(judged), fact, own)
     while lo < walk:
         point, rank = np.divmod(np.arange(lo, min(lo + step, walk)), others.classes)
         counts = others.unrank(rank)
         ranks = colex.classes * point[:, None] + colex.added_ranks(counts)
         reach = ids[ranks]  # reach[o, r]: the outcome when the voter holds r
         row = _distinct_per_row(reach)
-        # only as many o's as fit are judged, each against its row and its
-        # completed classes' labeled switches; the next chunk starts with
-        # as many
-        step = kernel.chunk(len(judged), row.shape[1] + labeled_width, own)
+        # only as many o's as fit are judged against their rows; the next
+        # chunk starts with as many
+        step = kernel.chunk(len(judged), row.shape[1], own)
         counts, ranks, reach, row = counts[:step], ranks[:step], reach[:step], row[:step]
         hits = kernel.hits(np.tile(judged, len(counts)), reach[:, judged].ravel(),
                            np.repeat(row, len(judged), axis=0))
@@ -968,17 +942,34 @@ def _class_walk(spec: CensusSpec, kernel: _ClassKernel) -> Iterator[tuple]:
             found[lo:lo + len(counts)] = hits
         else:
             live = hits.any(axis=1)
-            np.bitwise_or.at(seen, ranks.ravel()[live], hits[live])
-            # (o, r) completes o + e_r when no voter of o holds a ranking below r
-            last = np.cumsum(counts, axis=1) == counts
-            yield from complete(ranks[last], (pointed[:, None] // (counts + 1))[last],
-                                seen[ranks[last]])
+            np.bitwise_or.at(found, ranks.ravel()[live], hits[live])
         lo += len(counts)
     if kernel.neutral:
         for weights, sizes, bitmaps in orbits.profiles(reps, found):
             live = bitmaps.any(axis=1)
             yield ("profiles", weights[live].astype(dtype) * sizes[live],
                    _set_bits(bitmaps[live], nsets))
+        return
+    stride = colex.classes * kernel.place  # a labeled voter's step through ids
+    # a class's own arrays (its row, the runs behind its weight, its sets)
+    # are some eight rows of its min(u, n!) places, and a cell per set
+    step = kernel.chunk(size, own=8 * min(colex.m, fact) + nsets)
+    for lo in range(0, len(ids), step):
+        index = np.arange(lo, min(lo + step, len(ids)))
+        sets = found[index]
+        if not size:  # a class none of whose voters witnesses counts nothing
+            live = sets.any(axis=1)
+            index, sets = index[live], sets[live]
+        rank = index % colex.classes  # from sorted rows while u < n!: no n!-wide rows
+        weights = (colex.row_weights(colex.rows(rank)) if colex.m < fact
+                   else colex.weights(colex.unrank(rank)))
+        for s in stride:
+            held = index // s % fact
+            after = ids[index[:, None] + (np.arange(fact) - held[:, None]) * s]
+            hits = kernel.hits(held, ids[index], after)
+            yield "pointed", weights, _set_bits(hits, nsets)
+            sets |= hits
+        yield "profiles", weights, _set_bits(sets, nsets)
 
 
 def _sampled_classes(spec: CensusSpec, kernel: _ClassKernel) -> Iterator[tuple]:

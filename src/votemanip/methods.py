@@ -231,9 +231,9 @@ def pairwise_dictator_winners(
 #
 # ``f.on_counts(block)`` is f evaluated on a whole block of anonymous classes
 # at once, and the result is f's winner sets as int64 bitmasks (bit x for
-# candidate x), one per row.  The block is a ``_Counts`` of (k, n!) count
-# rows, row i holding how many voters hold each ranking of
-# ``all_rankings(n)``, which every method of a census shares, so its
+# candidate x), one per row.  The block is a ``_Counts`` of k classes, given
+# by how many voters of each row hold each ranking of ``all_rankings(n)``,
+# which every method of a census shares, so its
 # memoized tallies are computed once, or a ``_Switched`` block of one-voter
 # switches, whose statistics are corrections to its base block's.
 # A row forgets which voter holds what, except for the labeled voters a
@@ -271,27 +271,35 @@ def _top(scores: np.ndarray, alive: np.ndarray | None = None) -> np.ndarray:
 
 
 class _Counts:
-    """A block's nonzero ranking counts, one (row, ranking, holders) entry
-    each, so the work per row follows the rankings held, not n!, and the
-    ranking index per row of each labeled voter in ``held``.
+    """A block of k classes as (row, ranking, holders) entries, ``holders``
+    voters of row ``row`` holding ranking ``ranking``, so the work per row
+    follows the entries it has, not n!, and the ranking index per row of
+    each labeled voter in ``held``.  A row's entries may repeat a ranking:
+    a sorted row of ranking indices passes one entry per voter, and count
+    rows pass their nonzeros (``of``).
 
-    Sums run through ``np.bincount`` with float64 weights; every total is
-    an integer far below 2**53, so they are exact and cast back losslessly.
-    Tallies and the places under every candidate set are memoized, read-only,
-    for the methods and switched blocks that share the block.
+    Sums run through ``np.bincount`` with float64 weights, so repeated
+    entries add up; every total is an integer far below 2**53, so they are
+    exact and cast back losslessly.  Tallies and the places under every
+    candidate set are memoized, read-only, for the methods and switched
+    blocks that share the block.
     """
 
-    def __init__(self, rows: np.ndarray, held: Mapping[int, np.ndarray] | None = None) -> None:
-        self.k = len(rows)
+    def __init__(self, n: int, k: int, row: np.ndarray, ranking: np.ndarray,
+                 holders: np.ndarray, held: Mapping[int, np.ndarray] | None = None) -> None:
+        self.n, self.k = n, k
+        self.row, self.ranking = row, ranking
+        self.holders = holders.astype(np.float64)
         self.held = held or {}
-        self.n = _degree(rows.shape[1])
-        self.full = np.full(self.k, (1 << self.n) - 1, dtype=np.int64)
-        flat = rows.ravel()
-        cells = np.flatnonzero(flat)
-        self.holders = flat[cells].astype(np.float64)
-        self.row, self.ranking = np.divmod(cells, rows.shape[1])
+        self.full = np.full(k, (1 << n) - 1, dtype=np.int64)
         self._tallies: np.ndarray | None = None
         self._by_set: dict[bool, np.ndarray] = {}
+
+    @classmethod
+    def of(cls, rows: np.ndarray, held: Mapping[int, np.ndarray] | None = None) -> _Counts:
+        """The block of ``(k, n!)`` count rows: their nonzero entries."""
+        row, ranking = np.nonzero(rows)
+        return cls(_degree(rows.shape[1]), len(rows), row, ranking, rows[row, ranking], held)
 
     def _sum(self, cells: np.ndarray, holders: np.ndarray, size: int) -> np.ndarray:
         return np.bincount(cells, holders, minlength=size).astype(np.int64)

@@ -12,6 +12,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 from pathlib import Path
 
@@ -296,6 +297,10 @@ def test_c08_property_suites():
             )
         return f
 
+    @lru_cache(maxsize=None)
+    def verdicts(fl):  # sure, safe, expected: one pure verdict per distinct flag tuple
+        return tuple(notion_holds(notion, fl) for notion in ("sure", "safe", "expected"))
+
     def lottery2(sets_pair, wmap):
         probs = [Fraction(0)] * 3
         for mid in sets_pair:
@@ -317,10 +322,8 @@ def test_c08_property_suites():
                 after_key = rs[:voter] + (alt,) + rs[voter + 1:]
                 after = winners[after_key]
                 for pair in pairs:
-                    fl = [flags_for(sincere, base[mid], after[mid]) for mid in pair]
-                    sure = notion_holds("sure", fl)
-                    safe = notion_holds("safe", fl)
-                    expected = notion_holds("expected", fl)
+                    sure, safe, expected = verdicts(
+                        tuple(flags_for(sincere, base[mid], after[mid]) for mid in pair))
                     if (sure and not safe) or (safe and not expected):
                         chain_bad += 1
                     if safe:

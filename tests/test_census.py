@@ -131,13 +131,16 @@ class TestAgainstNaiveSearch:
     # Under ``safe`` a set with a dictator counts nonzero, so the labeled
     # voters' switches are pinned by more than zeros: borda+pdict:a,b,0 at
     # (3,3) counts (50, 64) and borda+pdict:a,c,1 at (3,2) (6, 10).
-    @pytest.mark.parametrize("notion", ["sure", "safe"])
+    # ``harmless`` is judged under ``opt`` and ``expected`` under ``pes``.
+    @pytest.mark.parametrize("notion", ["sure", "safe", "harmless", "expected"])
     @pytest.mark.parametrize("m,family", [
         (3, "dictator"), (3, "two-dictators"), (4, "two-dictators"), (3, "voter-one"),
         (3, "tiebroken-dictator"), (2, "every-voter-dictated"),
     ])
     def test_non_anonymous_sets_match(self, m, family, notion):
-        spec = CensusSpec(n=3, m=m, method_sets=non_anonymous_sets(family), notion=notion)
+        kind = {"harmless": "opt", "expected": "pes"}.get(notion, "weak")
+        spec = CensusSpec(n=3, m=m, method_sets=non_anonymous_sets(family), notion=notion,
+                          kind=kind)
         assert engine_counts(spec) == naive_counts(spec)
 
     def test_only_a_sampled_census_scores_switches(self, monkeypatch):
@@ -337,6 +340,23 @@ class TestNeutralWalk:
         assert engine_counts(spec) == {"borda": (0, 0)}
         assert rows == [1]
 
+    def test_one_voter_at_eight_candidates_scores_classes_in_blocks(self, monkeypatch):
+        # a tiebreak is not neutral, so each of the 8! classes is scored,
+        # but from sorted rows of one voter, many to a block
+        rows = []
+
+        def spy(kernel, block):
+            ids = census_score(kernel, block)
+            rows.append(len(ids))
+            return ids
+
+        census_score = _ClassKernel._score
+        monkeypatch.setattr(_ClassKernel, "_score", spy)
+        spec = CensusSpec(n=8, m=1, method_sets=(method_set("borda@abcdefgh"),))
+        assert engine_counts(spec) == {"borda@abcdefgh": (0, 0)}
+        assert sum(rows) == math.factorial(8)
+        assert len(rows) < 100
+
 
 def relabeling_orbits(n: int, m: int) -> int:
     """Burnside's count of the classes of m voters up to candidate
@@ -385,7 +405,7 @@ class TestOrbits:
             kernel = _ClassKernel(CensusSpec(n=n, m=m, method_sets=(sets,)))
             ids, _ = _Orbits(n, colex).class_ids(kernel)
             # one interner, so equal ids are equal winner-mask tuples
-            scored = kernel._score(_Counts(colex.unrank(ranks)))
+            scored = kernel._score(_Counts.of(colex.unrank(ranks)))
             assert np.array_equal(ids[ranks], scored), (sets.id, n, m)
 
 

@@ -307,7 +307,7 @@ class TestBatchedForms:
     ``fn`` on a member profile of the class."""
 
     def check(self, n, combos):
-        block = _Counts(np.array([count_row(n, c) for c in combos], dtype=np.uint8))
+        block = _Counts.of(np.array([count_row(n, c) for c in combos], dtype=np.uint8))
         profiles = [member(n, c) for c in combos]
         for f in batched_methods(n):
             got = f.fn.on_counts(block).tolist()
@@ -373,7 +373,7 @@ class TestBatchedForms:
         labels = "".join(default_labels(n))
         methods = batched_methods(n) + [parse_method(f"{name}@{labels[::-1]}")
                                         for name in ("coombs", "copeland", "strict_nanson")]
-        base = _Counts(counts)
+        base = _Counts.of(counts)
         step = max(1, (1 << 20) // fact)  # switches materialized at once
         for lo in range(0, len(cls), step):
             at = np.arange(lo, min(lo + step, len(cls)))
@@ -381,7 +381,7 @@ class TestBatchedForms:
             rows = counts[cls[at]]
             rows[np.arange(len(at)), a[at]] -= 1
             rows[np.arange(len(at)), b[at]] += 1
-            dense = _Counts(rows)
+            dense = _Counts.of(rows)
             for f in methods:
                 assert f.fn.on_counts(block).tolist() == f.fn.on_counts(dense).tolist(), f.id
         pick = np.sort(rng.choice(len(cls), size=min(len(cls), 300), replace=False))
@@ -404,12 +404,12 @@ class TestBatchedForms:
                    for x, y in combinations(range(n), 2) for i in range(m)]
         profiles = np.array(list(product(range(fact), repeat=m)))
         held = dict(enumerate(profiles.T))
-        base = _Counts(np.array([count_row(n, p) for p in profiles], np.uint8), held)
+        base = _Counts.of(np.array([count_row(n, p) for p in profiles], np.uint8), held)
         members = [member(n, p) for p in profiles]
         for f in methods:
             assert f.fn.on_counts(base).tolist() == [bitmask(f.fn(p)) for p in members], f.id
         extra = np.c_[profiles, np.zeros(len(profiles), int)]
-        base = _Counts(np.array([count_row(n, p) for p in extra], np.uint8), held)
+        base = _Counts.of(np.array([count_row(n, p) for p in extra], np.uint8), held)
         cls, voter, b = (a.ravel() for a in np.meshgrid(
             np.arange(len(extra)), np.r_[np.arange(m), -1], np.arange(fact), indexing="ij"))
         block = _Switched(base, cls, extra[cls, voter], b, voter)
@@ -447,11 +447,11 @@ class TestNeutralBatchedForms:
         for s, sigma in enumerate(sigmas):
             column = [index[tuple(sigma[x] for x in r.order)] for r in rankings]
             moved[s][:, column] = rows
-        block = _Counts(moved.reshape(-1, rows.shape[1]))
+        block = _Counts.of(moved.reshape(-1, rows.shape[1]))
         for name in METHOD_ORDER:
             fn = METHODS[name].fn
             assert fn.neutral
-            plain = fn.on_counts(_Counts(rows)).tolist()
+            plain = fn.on_counts(_Counts.of(rows)).tolist()
             relabeled = fn.on_counts(block).reshape(len(sigmas), len(combos)).tolist()
             for s, sigma in enumerate(sigmas):
                 expected = [sum(1 << sigma[x] for x in range(n) if w >> x & 1) for w in plain]
