@@ -450,33 +450,28 @@ def _lehmer(n: int, r: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 class _Outcomes:
     """Interned outcomes.  An outcome is the tuple of winner bitmasks of
-    some methods on one profile; each distinct one gets a small integer id."""
+    some methods on one profile; each distinct one gets a small integer id,
+    in the order first met, and is kept once: as its key in ``_ids``, whose
+    insertion order is id order."""
 
     def __init__(self) -> None:
         self._ids: dict[tuple[int, ...], int] = {}
-        self.masks: list[tuple[int, ...]] = []
         self._arrays: tuple[np.ndarray, np.ndarray] | None = None
-
-    def intern(self, masks: tuple[int, ...]) -> int:
-        oid = self._ids.get(masks)
-        if oid is None:
-            oid = self._ids[masks] = len(self.masks)
-            self.masks.append(masks)
-            self._arrays = None
-        return oid
 
     def ids(self, masks: np.ndarray) -> np.ndarray:
         """Id per row of a ``(k, methods)`` array of winner bitmasks, compared
         in the narrowest unsigned type that holds them."""
         index, inverse = _distinct_rows(masks.astype(np.min_scalar_type(masks.max(initial=0))))
-        ids = np.array([self.intern(tuple(w)) for w in masks[index].tolist()], np.int32)
+        ids = np.array([self._ids.setdefault(tuple(w), len(self._ids))
+                        for w in masks[index].tolist()], np.int32)
         return ids[inverse]
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """The ``(ids, methods)`` winner bitmasks, in the narrowest unsigned
-        type that holds them, and per id the union of its winner sets."""
-        if self._arrays is None:
-            masks = np.array(self.masks, np.int64)
+        type that holds them, and per id the union of its winner sets;
+        built again once ``ids`` has added outcomes."""
+        if self._arrays is None or len(self._arrays[0]) != len(self._ids):
+            masks = np.array(list(self._ids), np.int64)
             masks = masks.astype(np.min_scalar_type(masks.max(initial=0)))
             self._arrays = masks, np.bitwise_or.reduce(masks, axis=1)
         return self._arrays
@@ -562,10 +557,9 @@ class _ClassKernel:
         scale = math.lcm(*(w.denominator for w in spec.weights)) if spec.weights else 1
         # A set's weights sum to ``scale`` (or to its size), so every sum is an
         # integer below it: exact in float64, whose matmuls run on BLAS, below
-        # 2^53, and in int64 below 2^63.
+        # 2^53, and in Python integers beyond.
         self._weight = np.zeros((len(members), len(universe)),
-                                np.float64 if scale < 2 ** 53
-                                else np.int64 if scale < 2 ** 63 else object)
+                                np.float64 if scale < 2 ** 53 else object)
         for s, idxs in enumerate(members):
             self._weight[s, idxs] = (
                 [int(w * scale) for w in spec.weights] if spec.weights else 1)
@@ -763,9 +757,6 @@ class _Orbits:
         # counts beyond, whichever has fewer cells: min(m, n!) of them.
         self.sorted = self.others.m < colex.fact
         self.width = min(colex.m, colex.fact)
-        if not self.sorted:  # so n <= TABLE_CANDIDATES, as m <= MAX_VOTERS
-            # column j of relabeled holder counts is the ranking that becomes j
-            self._column = np.argsort(_relabel_table(n), axis=1)
 
     def classes(self, ranks: np.ndarray) -> np.ndarray:
         """The classes at ``ranks`` in ``colex``."""
@@ -788,8 +779,9 @@ class _Orbits:
         that r becomes the identity, by class.  A ranking held twice in a
         sorted row is repeated.
 
-        The other voters' rankings are relabeled one by one in sorted rows,
-        and the columns of holder counts are permuted.
+        The other voters' rankings are relabeled one by one in sorted rows;
+        in holder counts, each ranking's count is moved to its relabeled
+        index's column.
         """
         k = len(classes)
         if self.sorted:
@@ -808,10 +800,12 @@ class _Orbits:
         held = classes != 0
         if lowest:
             held &= np.cumsum(held, axis=1) == 1
+        fact = self.colex.fact
         at = np.zeros(classes.shape, np.int64)
-        for r in range(self.colex.fact):  # r's holders, r relabeled to column 0
+        for r in range(fact):  # r's holders, r relabeled to column 0
             rows = np.flatnonzero(held[:, r])
-            rest = classes.take(self._column[r], axis=1)[rows]
+            rest = np.empty((len(rows), fact), classes.dtype)
+            rest[:, _relabeled(self.n, r, np.arange(fact))] = classes[rows]
             rest[:, 0] -= 1
             at[rows, r] = self.others.rank(rest)
         row, r = np.nonzero(held)

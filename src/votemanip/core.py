@@ -158,10 +158,6 @@ class PairwiseTally:
 
     counts: tuple[tuple[int, ...], ...]
 
-    @property
-    def n(self) -> int:
-        return len(self.counts)
-
     def count(self, x: int, y: int) -> int:
         """Number of voters ranking x above y (0 when x == y)."""
         return self.counts[x][y]

@@ -8,10 +8,11 @@ single-character labels, best first, voters separated by spaces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 from .core import Profile, Ranking, default_labels
+from .methods import METHOD_ORDER
 
 
 def ranking_of(text: str) -> Ranking:
@@ -45,15 +46,13 @@ class Example:
     ballots: str
     winners: Mapping[str, str]  # method id -> winner labels
     moves: tuple[Move, ...] = ()
-    note: str = ""
 
     @property
     def profile(self) -> Profile:
         return profile_of(self.ballots)
 
 
-_TEN = ("plurality", "borda", "copeland", "maxmin", "plurality_runoff",
-        "hare", "coombs", "baldwin", "strict_nanson", "weak_nanson")
+_TEN = tuple(mid for mid in METHOD_ORDER if mid != "condorcet")
 
 
 def _spread(winners: str, methods=_TEN) -> dict[str, str]:

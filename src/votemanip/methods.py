@@ -209,24 +209,6 @@ def weak_nanson(profile: Profile) -> frozenset[int]:
     return frozenset(alive)
 
 
-def tiebroken_winners(
-    inner: MethodFn, order: Ranking, profile: Profile
-) -> frozenset[int]:
-    """The inner method's winning set reduced to its best member under ``order``."""
-    return frozenset({order.best_of(inner(profile))})
-
-
-def pairwise_dictator_winners(
-    x: int, y: int, voter: int, profile: Profile
-) -> frozenset[int]:
-    """Whichever of x and y the given voter ranks higher."""
-    if voter >= profile.m:
-        raise ValueError(
-            f"pairwise dictator voter {voter} out of range for {profile.m} voters"
-        )
-    return frozenset({x if profile.rankings[voter].prefers(x, y) else y})
-
-
 # --- batched forms on ranking counts -------------------------------------------
 #
 # ``f.on_counts(block)`` is f evaluated on a whole block of anonymous classes
@@ -522,13 +504,6 @@ coombs.on_counts = lambda block: _first_or_last_elimination(block, worst=True)
 baldwin.on_counts = _baldwin_on_counts
 strict_nanson.on_counts = lambda block: _nanson_on_counts(block, strict=True)
 weak_nanson.on_counts = lambda block: _nanson_on_counts(block, strict=False)
-# Neutral: relabeling a profile's candidates relabels these methods' winners
-# the same way, which the census's neutral walk relies on.  A tiebreak order
-# and a dictator's pair favour some candidates, so neither carries the mark.
-for _fn in (plurality, borda, condorcet, copeland, maxmin, plurality_with_runoff,
-            hare, coombs, baldwin, strict_nanson, weak_nanson):
-    _fn.neutral = True
-del _fn
 
 
 @lru_cache(maxsize=None)
@@ -562,20 +537,6 @@ class VotingMethod:
         return self.fn(profile)
 
 
-METHOD_ORDER = (
-    "plurality",
-    "borda",
-    "condorcet",
-    "copeland",
-    "maxmin",
-    "plurality_runoff",
-    "hare",
-    "coombs",
-    "baldwin",
-    "strict_nanson",
-    "weak_nanson",
-)
-
 METHODS: dict[str, VotingMethod] = {
     "plurality": VotingMethod("plurality", plurality),
     "borda": VotingMethod("borda", borda),
@@ -589,6 +550,13 @@ METHODS: dict[str, VotingMethod] = {
     "strict_nanson": VotingMethod("strict_nanson", strict_nanson),
     "weak_nanson": VotingMethod("weak_nanson", weak_nanson),
 }
+METHOD_ORDER = tuple(METHODS)
+# Neutral: relabeling a profile's candidates relabels these methods' winners
+# the same way, which the census's neutral walk relies on.  A tiebreak order
+# and a dictator's pair favour some candidates, so neither carries the mark.
+for _method in METHODS.values():
+    _method.fn.neutral = True
+del _method
 
 
 def tiebroken(inner: VotingMethod, order: Ranking) -> VotingMethod:
@@ -596,7 +564,7 @@ def tiebroken(inner: VotingMethod, order: Ranking) -> VotingMethod:
     order_text = "".join(default_labels(order.n)[x] for x in order.order)
 
     def fn(profile: Profile) -> frozenset[int]:
-        return tiebroken_winners(inner.fn, order, profile)
+        return frozenset({order.best_of(inner.fn(profile))})
 
     inner_on_counts = getattr(inner.fn, "on_counts", None)
     if inner_on_counts is not None:
@@ -614,7 +582,11 @@ def pairwise_dictator(x: int, y: int, voter: int, labels: Sequence[str]) -> Voti
         raise ValueError("voter index must be nonnegative")
 
     def fn(profile: Profile) -> frozenset[int]:
-        return pairwise_dictator_winners(x, y, voter, profile)
+        if voter >= profile.m:
+            raise ValueError(
+                f"pairwise dictator voter {voter} out of range for {profile.m} voters"
+            )
+        return frozenset({x if profile.rankings[voter].prefers(x, y) else y})
 
     fn.voter = voter
     fn.on_counts = lambda block: _dictator_table(x, y, block.n)[block.held_by(voter)]

@@ -128,6 +128,18 @@ class TestAgainstNaiveSearch:
         )
         assert engine_counts(spec) == naive_counts(spec)
 
+    def test_weighted_expected_past_float64_matches(self):
+        # a common denominator of 3^35, beyond float64's exact integers, so
+        # the kernel's member weights are Python integers
+        spec = CensusSpec(
+            n=3,
+            m=3,
+            method_sets=(method_set("borda", "hare"),),
+            notion="expected",
+            weights=(Fraction(1, 3 ** 35), 1 - Fraction(1, 3 ** 35)),
+        )
+        assert engine_counts(spec) == naive_counts(spec) == {"borda+hare": (54, 72)}
+
     # Under ``safe`` a set with a dictator counts nonzero, so the labeled
     # voters' switches are pinned by more than zeros: borda+pdict:a,b,0 at
     # (3,3) counts (50, 64) and borda+pdict:a,c,1 at (3,2) (6, 10).
@@ -562,6 +574,26 @@ def census_specs(draw, wide: bool = False) -> CensusSpec:
     )
 
 
+class TestOutcomes:
+    """Interned outcomes: each distinct row of winner bitmasks gets an id in
+    the order first met, and keeps it."""
+
+    def test_ids_are_kept_across_calls_and_arrays_follow_them(self):
+        outcomes = census._Outcomes()
+        rows = np.array([[1, 2], [3, 1], [1, 2]])
+        first = outcomes.ids(rows)
+        assert first[0] == first[2] and sorted(set(first.tolist())) == [0, 1]
+        masks, elected = outcomes.arrays()
+        assert masks[first].tolist() == rows.tolist()
+        assert outcomes.arrays()[0] is masks  # nothing added, nothing rebuilt
+        rows = np.array([[3, 1], [4, 4], [4, 4], [1, 2]])
+        second = outcomes.ids(rows)
+        assert second.tolist() == [first[1], 2, 2, first[0]]  # the new row comes next
+        masks, elected = outcomes.arrays()
+        assert len(masks) == 3 and masks[second].tolist() == rows.tolist()
+        assert elected[second].tolist() == [3, 4, 4, 3]
+
+
 class TestArrayVerdicts:
     """The kernel's table-lookup flags and array notion test against the
     scalar dominance and notion definitions, on every input they take."""
@@ -590,9 +622,8 @@ class TestArrayVerdicts:
         *((notion, None) for notion in NOTIONS),
         ("expected", (Fraction(3, 4), Fraction(1, 4))),
         ("expected", (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))),
-        # a common denominator beyond float64's exact integers, within int64
+        # common denominators beyond float64's exact integers, and beyond int64
         ("expected", (Fraction(1, 3 ** 35), 1 - Fraction(1, 3 ** 35))),
-        # a common denominator beyond int64
         ("expected", (Fraction(1, 3 ** 40), 1 - Fraction(1, 3 ** 40))),
     ])
     def test_notions_match_on_every_row_of_flags(self, notion, weights):

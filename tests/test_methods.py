@@ -345,7 +345,7 @@ class TestBatchedForms:
         assert colex.rank(counts).tolist() == list(range(colex.classes))
         for combo, oid in zip(combos, ids.tolist()):
             outcome = tuple(frozenset(x for x in range(n) if w >> x & 1)
-                            for w in kernel.outcomes.masks[oid])
+                            for w in kernel.outcomes.arrays()[0][oid].tolist())
             assert outcome == tuple(f.fn(member(n, combo)) for f in methods)
 
     @pytest.mark.parametrize("n,m,count", [
