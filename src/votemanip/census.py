@@ -28,7 +28,10 @@ kernel works on arrays, a chunk of classes at a time:
   class is one outcome, interned as a small integer id, and an
   exhaustive census fills one id array indexed by class before its walk.  A sampled census meets
   classes that hardly repeat, so it scores each switch as a correction to
-  its class's statistics (``methods._Switched``), O(n^2) per switch;
+  its class's statistics (``methods._Switched``): O(n^2) per switch for
+  tallies, O(n) for Borda scores and first or last places.  It scores no
+  switch of a holder who cannot gain, whose top candidate every method
+  already elects alone;
 * judge in the walk, count after it: the exhaustive walk visits (h, o) for
   the classes o of u - 1 others.  An unlabeled voter holding r beside o is
   in (h, o + e_r), and the ranks of o's n! such classes are two running
@@ -154,6 +157,8 @@ class CensusSpec:
                 raise ValueError("sample mode needs a positive sample count")
             if self.seed is None:
                 raise ValueError("sample mode needs an explicit seed")
+            if self.seed < 0:
+                raise ValueError(f"sample mode needs a non-negative seed, got {self.seed}")
         normalized = None
         for s in self.method_sets:
             normalized = _validate(self.notion, self.kind, s, self.weights)
@@ -492,8 +497,8 @@ class _ClassKernel:
     rows of winner bitmasks are interned, in ``outcomes``.  When every
     method is neutral, ``_Orbits.class_ids`` scores one class per orbit
     under candidate relabeling in its place.  For sampling,
-    ``neighbourhood`` scores a chunk's switches as ``_Switched`` blocks
-    over one ``_Counts`` of its classes.
+    ``neighbourhood`` scores the switches of a chunk's holders who can
+    gain as ``_Switched`` blocks over one ``_Counts`` of its classes.
 
     ``hits`` takes, per holder ranking, the outcome before its switches and
     the outcomes they reach, and returns the sets some switch witnesses, as
@@ -602,7 +607,9 @@ class _ClassKernel:
         A labeled voter is a holder of its own; the other voters holding a
         ranking are one holder.  No id array holds the classes the switches
         reach, so each is scored as a correction to its class's statistics,
-        a labeled voter's switch also moving what that voter holds.
+        a labeled voter's switch also moving what that voter holds.  The
+        base classes are scored first, and only the switches of holders
+        who can gain (``_can_gain``) are scored; the others witness nothing.
         """
         k, size = held.shape
         base = _Counts.of(rest + _counts(held, self.fact), dict(zip(self.labeled, held.T)))
@@ -610,15 +617,24 @@ class _ClassKernel:
         holders = np.c_[np.ones((k, size), np.uint8), rest]
         row, col = np.nonzero(holders)
         r = np.c_[held, np.broadcast_to(np.arange(self.fact), (k, self.fact))][row, col]
-        voter = np.array(self.labeled + (-1,) * self.fact)[col]
-        after = np.empty(len(r) * self.fact, np.int32)
+        before = self._score(base)[row]
+        gain = np.flatnonzero(self._can_gain(r, before))
+        voter = np.array(self.labeled + (-1,) * self.fact)[col[gain]]
+        after = np.empty(len(gain) * self.fact, np.int32)
         for lo in range(0, len(after), self._switch_rows):
             pair, r2 = np.divmod(np.arange(lo, min(lo + self._switch_rows, len(after))),
                                  self.fact)
             after[lo:lo + len(pair)] = self._score(
-                _Switched(base, row[pair], r[pair], r2, voter[pair]))
-        hits = self.hits(r, self._score(base)[row], after.reshape(len(r), self.fact))
+                _Switched(base, row[gain[pair]], r[gain[pair]], r2, voter[pair]))
+        hits = np.zeros((len(r), self.nbytes), np.uint8)
+        hits[gain] = self.hits(r[gain], before[gain], after.reshape(len(gain), self.fact))
         return row, holders[row, col], hits
+
+    def _can_gain(self, r: np.ndarray, base: np.ndarray) -> np.ndarray:
+        """Whether a voter with ranking ``r[j]`` facing outcome ``base[j]``
+        might gain by a switch: not when every method elects the voter's
+        top candidate alone, since no outcome beats that under any kind."""
+        return self.outcomes.arrays()[1][base] != self._top[r]
 
     def hits(self, r: np.ndarray, base: np.ndarray, after: np.ndarray) -> np.ndarray:
         """``(len(r), bytes)`` set bitmaps, set s at bit s % 8 of byte
@@ -628,12 +644,12 @@ class _ClassKernel:
         can reach, such as a class walk's distinct ones.
 
         Only the distinct (ranking, before, after) triples are judged.  An
-        unchanged outcome witnesses nothing, and no outcome beats a
-        unanimous win for the voter's top candidate.
+        unchanged outcome witnesses nothing, and neither does any switch
+        of a voter who cannot gain (``_can_gain``).
         """
-        masks, elected = self.outcomes.arrays()
+        masks = self.outcomes.arrays()[0]
         words = np.zeros((len(r), self.words), np.uint64)
-        live = (after != base[:, None]) & (elected[base] != self._top[r])[:, None]
+        live = (after != base[:, None]) & self._can_gain(r, base)[:, None]
         pair, col = np.nonzero(live)
         if len(pair):
             ids = len(masks)

@@ -36,7 +36,9 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import Profile, Ranking, all_rankings, alive_extremes, default_labels, pairs_above
+from .core import (
+    Profile, Ranking, all_rankings, alive_extremes, default_labels, pairs_above, ranking_places,
+)
 
 MethodFn = Callable[[Profile], frozenset[int]]
 
@@ -275,6 +277,7 @@ class _Counts:
         self.held = held or {}
         self.full = np.full(k, (1 << n) - 1, dtype=np.int64)
         self._tallies: np.ndarray | None = None
+        self._scores: np.ndarray | None = None
         self._by_set: dict[bool, np.ndarray] = {}
 
     @classmethod
@@ -307,6 +310,13 @@ class _Counts:
                                     .reshape(self.k, n, n))
         return self._tallies
 
+    def scores(self) -> np.ndarray:
+        """``(k, n)``: the Borda score of x in row i, the voters ranking x
+        above each other candidate, summed."""
+        if self._scores is None:
+            self._scores = _frozen(self.tallies().sum(axis=2))
+        return self._scores
+
     def places(self, alive: np.ndarray, worst: bool = False) -> np.ndarray:
         """``(k, n)``: row i's voters whose best (or worst) member of the set
         with bitmask ``alive[i]`` is x."""
@@ -333,10 +343,11 @@ class _Switched:
     labeled voter ``voter[i]``, or an unlabeled one (-1).
 
     Its statistics are the base block's with two corrections per row: the
-    tallies lose ranking a's ``pairs_above`` cells and gain b's, and the
+    tallies lose ranking a's ``pairs_above`` cells and gain b's, the Borda
+    scores gain x's place under a and lose its place under b, and the
     places under set A lose a voter at a's extreme member of A and gain one
-    at b's.  So a switched row costs O(n^2), not the O(n! + m n^2) of a
-    count row scored from scratch.
+    at b's.  So a switched row costs O(n^2), and its scores and places
+    O(n), not the O(n! + m n^2) of a count row scored from scratch.
     """
 
     def __init__(self, base: _Counts, cls: np.ndarray, a: np.ndarray, b: np.ndarray,
@@ -366,9 +377,15 @@ class _Switched:
             self._tallies = _frozen(tallies)
         return self._tallies
 
+    def scores(self) -> np.ndarray:
+        place = ranking_places(self.n)
+        return self.base.scores()[self.cls] + place[self.a] - place[self.b]
+
     def places(self, alive: np.ndarray, worst: bool = False) -> np.ndarray:
         table = alive_extremes(self.n)[worst]
-        places = self.base.places_by_set(worst)[self.cls, alive]
+        # one flat gather of row (class, set) of the base's places
+        places = self.base.places_by_set(worst).reshape(-1, self.n).take(
+            self.cls * (1 << self.n) + alive, axis=0)
         flat = places.reshape(-1)
         row = np.arange(self.k) * self.n
         flat[row + table[alive, self.a]] -= 1
@@ -411,7 +428,7 @@ def _plurality_on_counts(block: _Counts | _Switched) -> np.ndarray:
 
 
 def _borda_on_counts(block: _Counts | _Switched) -> np.ndarray:
-    return _top(block.tallies().sum(axis=2))
+    return _top(block.scores())
 
 
 def _condorcet_on_counts(block: _Counts | _Switched) -> np.ndarray:

@@ -209,6 +209,38 @@ class TestAgainstNaiveSearch:
         )
         assert engine_counts(spec) == naive_counts(spec)
 
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("notion", NOTIONS)
+    def test_sampled_census_scores_only_holders_who_can_gain(self, monkeypatch, notion, kind):
+        # A holder whose top candidate every method elects alone witnesses
+        # nothing, so its switches are not scored.  Counted from the scalar
+        # methods: the holders of the distinct classes drawn (each labeled
+        # voter, and each ranking the others hold), and those who can gain.
+        names = ([("borda",), ("hare",), ("pdict:a,b,0",)] if notion == "single" else
+                 [("borda",), ("hare",), ("borda", "hare"), ("borda", "pdict:a,b,0")])
+        spec = CensusSpec(n=3, m=4, method_sets=tuple(method_set(*s) for s in names),
+                          notion=notion, kind=kind, mode="sample", samples=60, seed=3)
+        universe = {f.id: f for s in spec.method_sets for f in s}.values()
+        classes = {(p.rankings[0], tuple(sorted(r.order for r in p.rankings[1:]))): p
+                   for p in sample_profiles(spec.n, spec.m, spec.samples, spec.seed)}
+        holders = gain = 0
+        for p in classes.values():
+            winners = {f.fn(p) for f in universe}
+            for r in [p.rankings[0], *set(p.rankings[1:])]:
+                holders += 1
+                gain += winners != {frozenset({r.order[0]})}
+        assert 0 < gain < holders
+        scored = []
+
+        def spy(base, cls, *args):
+            scored.append(len(cls))
+            return switched(base, cls, *args)
+
+        switched = census._Switched
+        monkeypatch.setattr(census, "_Switched", spy)
+        assert engine_counts(spec) == naive_counts(spec)
+        assert sum(scored) == math.factorial(spec.n) * gain
+
 
 class TestOthersClassWalk:
     """The exhaustive walk visits each class of m - 1 voters, o, and reaches
@@ -874,6 +906,14 @@ class TestSpecValidation:
                 n=3, m=4, method_sets=(method_set("borda"),), mode="sample",
                 samples=10,
             )
+
+    def test_sample_mode_needs_a_non_negative_seed(self):
+        # numpy's PCG64 refuses a negative seed in words that name no option
+        with pytest.raises(ValueError, match="non-negative seed, got -1"):
+            CensusSpec(n=3, m=4, method_sets=(method_set("borda"),), mode="sample",
+                       samples=5, seed=-1)
+        assert CensusSpec(n=3, m=4, method_sets=(method_set("borda"),), mode="sample",
+                          samples=5, seed=0).seed == 0
 
     def test_more_than_10_candidates_are_rejected(self):
         # A census builds all n! rankings, which past 10! do not fit; the

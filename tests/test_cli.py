@@ -301,6 +301,12 @@ class TestTable:
             "borda+hare,sure,weak,3,255,3,0,0,0.0000",
         ]
 
+    def test_a_negative_sample_seed_fails_cleanly(self):
+        proc = run_cli("table", "-n", "3", "-m", "3", "--samples", "5", "--seed", "-1")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == ["error: sample mode needs a non-negative seed, got -1"]
+
     def test_budget_exceeded_fails_cleanly(self):
         proc = run_cli(
             "table", "-n", "3", "-m", "9", "--methods", "borda",

@@ -357,8 +357,12 @@ class TestBatchedForms:
     def test_switched_blocks_match_count_rows_and_the_scalar_method(self, n, m, count):
         # Every one-voter switch of every class (or of ``count`` seeded random
         # classes), scored as a correction to its base class in ``_Switched``,
-        # against the same switches as count rows; a seeded subset of the
-        # switched classes also against the scalar method.
+        # against the same switches as count rows: the winners, and the
+        # statistics themselves (Borda scores, tallies, and places under
+        # every candidate set, each row meeting every set), so that a wrong
+        # statistic that leaves the winners as they are still fails.  A
+        # seeded subset of the switched classes also against the scalar
+        # method.
         fact = len(all_rankings(n))
         rng = np.random.default_rng(n * 100 + m)
         if count is None:
@@ -382,6 +386,11 @@ class TestBatchedForms:
             rows[np.arange(len(at)), a[at]] -= 1
             rows[np.arange(len(at)), b[at]] += 1
             dense = _Counts.of(rows)
+            assert np.array_equal(block.scores(), dense.scores())
+            assert np.array_equal(block.tallies(), dense.tallies())
+            for mask, worst in product(range(1 << n), (False, True)):
+                alive = (np.arange(len(at)) + mask) % (1 << n)
+                assert np.array_equal(block.places(alive, worst), dense.places(alive, worst))
             for f in methods:
                 assert f.fn.on_counts(block).tolist() == f.fn.on_counts(dense).tolist(), f.id
         pick = np.sort(rng.choice(len(cls), size=min(len(cls), 300), replace=False))
