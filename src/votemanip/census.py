@@ -29,9 +29,11 @@ kernel works on arrays, a chunk of classes at a time:
   exhaustive census fills one id array indexed by class before its walk.  A sampled census meets
   classes that hardly repeat, so it scores each switch as a correction to
   its class's statistics (``methods._Switched``): O(n^2) per switch for
-  tallies, O(n) for Borda scores and first or last places.  It scores no
-  switch of a holder who cannot gain, whose top candidate every method
-  already elects alone;
+  tallies, O(n) for Borda scores and first or last places, and for Hare
+  n - 1 gathers through a table of each class's elimination steps, one
+  per candidate set and pair of first places moved, built once per chunk.
+  It scores no switch of a holder who cannot gain, whose top candidate
+  every method already elects alone;
 * judge in the walk, count after it: the exhaustive walk visits (h, o) for
   the classes o of u - 1 others.  An unlabeled voter holding r beside o is
   in (h, o + e_r), and the ranks of o's n! such classes are two running
@@ -103,15 +105,9 @@ from .manipulation import UncertaintySet, _validate, subset_family
 # of them; they stay the reference behind ``find_manipulation``.
 from .dominance import dominates_nonstrict, dominates_strict  # noqa: F401
 from .manipulation import notion_holds  # noqa: F401
-from .methods import MethodFn, VotingMethod, _Counts, _Switched
+from .methods import BLOCK_CELLS, MethodFn, VotingMethod, _Counts, _Switched
 
 DEFAULT_BUDGET = 20_000_000
-# Cells per batched call: each row of a block costs n*n tally cells of its
-# own and n*n for every ranking it holds, and a switched row its n*n
-# tallies and n places.  This keeps each call's arrays under a MB
-# whatever n and m are; larger blocks gain little time and raise a census's
-# peak RSS.
-BLOCK_CELLS = 1 << 16
 # A count row stores each ranking's holder count in one byte.
 MAX_VOTERS = 255
 # A census builds all n! rankings up front: 10! of them take half a minute

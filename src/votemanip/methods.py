@@ -42,6 +42,13 @@ from .core import (
 
 MethodFn = Callable[[Profile], frozenset[int]]
 
+# Cells per batched call: each row of a census block costs n*n tally cells
+# of its own and n*n for every ranking it holds, a switched row its n*n
+# tallies and n places, and a row (class, candidate set) of Hare's step
+# table its n^3 cells.  This keeps each call's arrays under a MB whatever n
+# and m are; larger blocks gain little time and raise a census's peak RSS.
+BLOCK_CELLS = 1 << 16
+
 
 def _argmax(scores: Mapping[int, int]) -> frozenset[int]:
     best = max(scores.values())
@@ -219,7 +226,9 @@ def weak_nanson(profile: Profile) -> frozenset[int]:
 # by how many voters of each row hold each ranking of ``all_rankings(n)``,
 # which every method of a census shares, so its
 # memoized tallies are computed once, or a ``_Switched`` block of one-voter
-# switches, whose statistics are corrections to its base block's.
+# switches, whose statistics are corrections to its base block's, and whose
+# Hare winners are a walk through a table of its base block's elimination
+# steps (``_Counts.hare_steps``) rather than rounds.
 # A row forgets which voter holds what, except for the labeled voters a
 # block is given (``held_by``): a pairwise dictator, which reads one voter,
 # sets ``fn.voter`` and reads that voter's ranking per row.  All arithmetic
@@ -279,6 +288,7 @@ class _Counts:
         self._tallies: np.ndarray | None = None
         self._scores: np.ndarray | None = None
         self._by_set: dict[bool, np.ndarray] = {}
+        self._hare_steps: np.ndarray | None = None
 
     @classmethod
     def of(cls, rows: np.ndarray, held: Mapping[int, np.ndarray] | None = None) -> _Counts:
@@ -336,6 +346,13 @@ class _Counts:
             ).reshape(self.k, len(sets), self.n))
         return self._by_set[worst]
 
+    def hare_steps(self) -> np.ndarray:
+        """Hare's step from every candidate set of each row under every
+        one-voter switch (``_hare_steps``), for the switched blocks."""
+        if self._hare_steps is None:
+            self._hare_steps = _frozen(_hare_steps(self.places_by_set(False), self.voters()))
+        return self._hare_steps
+
 
 class _Switched:
     """A block of one-voter switches: row i is base class ``cls[i]`` with one
@@ -348,6 +365,11 @@ class _Switched:
     places under set A lose a voter at a's extreme member of A and gain one
     at b's.  So a switched row costs O(n^2), and its scores and places
     O(n), not the O(n! + m n^2) of a count row scored from scratch.
+
+    Hare runs no rounds on it: its next alive set from A depends only on
+    the class, A and the two best members of A that move, so ``hare``
+    walks the base block's table of steps (``_Counts.hare_steps``), one
+    gather per round.
     """
 
     def __init__(self, base: _Counts, cls: np.ndarray, a: np.ndarray, b: np.ndarray,
@@ -392,6 +414,20 @@ class _Switched:
         flat[row + table[alive, self.b]] += 1
         return places
 
+    def hare(self) -> np.ndarray:
+        """Hare's winners per row: n - 1 gathers through the base block's
+        steps, each at the alive set and its best members under rankings a
+        and b.  A majority winner and an all-tied set step to themselves."""
+        n = self.n
+        steps = self.base.hare_steps().reshape(-1)
+        best = alive_extremes(n)[0]
+        best, fact = best.reshape(-1), best.shape[1]
+        at, alive = self.cls << n, self.full
+        for _ in range(n - 1):
+            cell = ((at + alive) * n + best[alive * fact + self.a]) * n + best[alive * fact + self.b]
+            alive = steps.take(cell).astype(np.int64)
+        return alive
+
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     """``a``, made read-only because every method of a block shares it."""
@@ -400,21 +436,20 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def _eliminate(block: _Counts | _Switched,
-               step: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
-               ) -> np.ndarray:
+               step: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Masked elimination rounds from the full candidate set.
 
-    ``step(alive)`` gives every row's next alive bitmask and whether the row
-    stops there; rows stop for good once one candidate is left.  Each round
-    drops at least one candidate from every open row, so there are at most
-    n - 1 rounds.
+    ``step(alive)`` gives every row's next alive bitmask; a row stops where
+    its set steps to itself or one candidate is left.  Each round drops at
+    least one candidate from every open row, so there are at most n - 1
+    rounds.
     """
     alive = block.full
     open_ = alive & (alive - 1) != 0
     while open_.any():
-        after, stop = step(alive)
-        alive = np.where(open_, after, alive)
-        open_ &= ~stop & (alive & (alive - 1) != 0)
+        after = np.where(open_, step(alive), alive)
+        open_ &= (after != alive) & (after & (after - 1) != 0)
+        alive = after
     return alive
 
 
@@ -458,25 +493,64 @@ def _runoff_on_counts(block: _Counts | _Switched) -> np.ndarray:
     return _top(block.places(finalists), _members(finalists, block.n))
 
 
+def _first_or_last_step(alive: np.ndarray, firsts: np.ndarray, voters: np.ndarray,
+                        drop: np.ndarray) -> np.ndarray:
+    """One round of Hare or Coombs from the alive bitmasks ``alive``, with
+    the candidate axis leading: ``firsts[x]`` is x's first places among the
+    alive and ``drop[x]`` the statistic whose highest alive scorers go
+    (Hare: ``-firsts``; Coombs: last places).  A candidate first for a
+    strict majority of ``voters`` wins alone; otherwise the highest scorers
+    are dropped, unless they are every alive candidate, and the set stays.
+    """
+    # masks in alive's dtype, bit x from row x, ORed over the leading axis
+    shift = np.arange(len(firsts), dtype=alive.dtype).reshape((-1,) + (1,) * (firsts.ndim - 1))
+    majority = np.bitwise_or.reduce((2 * firsts > voters) << shift, axis=0)
+    drop = np.where((alive >> shift) & 1 == 1, drop, np.iinfo(drop.dtype).min)
+    dropped = np.bitwise_or.reduce((drop == drop.max(axis=0)) << shift, axis=0)
+    return np.where(majority != 0, majority,
+                    np.where(dropped == alive, alive, alive & ~dropped))
+
+
+def _hare_steps(firsts_by_set: np.ndarray, voters: np.ndarray) -> np.ndarray:
+    """``(k, 2^n, n, n)`` int16 masks: Hare's step (``_first_or_last_step``)
+    from set A in row c, whose first places under A are
+    ``firsts_by_set[c, A]``, when one of them moves from x to y, at
+    [c, A, x, y].  Built in slices of rows (c, A) whose arrays stay under
+    ``BLOCK_CELLS`` cells; int16 holds every count, as m <= 255, and mask."""
+    k, sets, n = firsts_by_set.shape
+    rows = firsts_by_set.reshape(-1, n).astype(np.int16)  # row c * 2^n + A
+    voters = voters.astype(np.int16)
+    eye = np.eye(n, dtype=np.int16)
+    moved = eye[:, None, None, :] - eye[:, None, :, None]  # [z, 0, x, y]: +1 at y, -1 at x
+    table = np.empty((len(rows), n, n), np.int16)
+    step = max(1, BLOCK_CELLS // n ** 3)
+    for lo in range(0, len(rows), step):
+        at = np.arange(lo, min(lo + step, len(rows)))
+        firsts = rows[lo:lo + step].T[:, :, None, None] + moved
+        table[lo:lo + step] = _first_or_last_step(
+            (at % sets).astype(np.int16)[:, None, None], firsts,
+            voters[at // sets][:, None, None], -firsts)
+    return table.reshape(k, sets, n, n)
+
+
 def _first_or_last_elimination(block: _Counts | _Switched, worst: bool) -> np.ndarray:
-    """Hare (drop the fewest first places) or Coombs (the most last places),
-    each with the strict-majority check on first places."""
-    voters = block.voters()[:, None]
+    """Hare (drop the fewest first places) or Coombs (the most last places)
+    in rounds, each with the strict-majority check on first places."""
+    voters = block.voters()
 
     def step(alive):
-        inside = _members(alive, block.n)
-        firsts = block.places(alive)
-        majority = _bitmask(2 * firsts > voters)
-        if worst:
-            dropped = _top(block.places(alive, worst=True), inside)
-        else:
-            dropped = _top(-firsts, inside)
-        tied = dropped == alive
-        won = majority != 0
-        after = np.where(won, majority, np.where(tied, alive, alive & ~dropped))
-        return after, won | tied
+        firsts = block.places(alive).T
+        return _first_or_last_step(alive, firsts, voters,
+                                   block.places(alive, worst=True).T if worst else -firsts)
 
     return _eliminate(block, step)
+
+
+def _hare_on_counts(block: _Counts | _Switched) -> np.ndarray:
+    """A switched block walks its base block's steps; count rows run rounds."""
+    if isinstance(block, _Switched):
+        return block.hare()
+    return _first_or_last_elimination(block, worst=False)
 
 
 def _baldwin_on_counts(block: _Counts | _Switched) -> np.ndarray:
@@ -485,8 +559,7 @@ def _baldwin_on_counts(block: _Counts | _Switched) -> np.ndarray:
     def step(alive):
         inside = _members(alive, block.n)
         dropped = _top(-_borda_within(tallies, inside), inside)
-        tied = dropped == alive
-        return np.where(tied, alive, alive & ~dropped), tied
+        return np.where(dropped == alive, alive, alive & ~dropped)
 
     return _eliminate(block, step)
 
@@ -503,9 +576,7 @@ def _nanson_on_counts(block: _Counts | _Switched, strict: bool) -> np.ndarray:
         total = np.where(inside, scores, 0).sum(axis=1)[:, None]
         kept = _bitmask(inside & (size * scores >= total if strict
                                   else size * scores > total))
-        if strict:
-            return kept, kept == alive
-        return np.where(kept == 0, alive, kept), kept == 0
+        return kept if strict else np.where(kept == 0, alive, kept)
 
     return _eliminate(block, step)
 
@@ -516,7 +587,7 @@ condorcet.on_counts = _condorcet_on_counts
 copeland.on_counts = _copeland_on_counts
 maxmin.on_counts = _maxmin_on_counts
 plurality_with_runoff.on_counts = _runoff_on_counts
-hare.on_counts = lambda block: _first_or_last_elimination(block, worst=False)
+hare.on_counts = _hare_on_counts
 coombs.on_counts = lambda block: _first_or_last_elimination(block, worst=True)
 baldwin.on_counts = _baldwin_on_counts
 strict_nanson.on_counts = lambda block: _nanson_on_counts(block, strict=True)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from votemanip import census
+from votemanip import census, methods
 from votemanip.census import (
     CSV_COLUMNS,
     BudgetExceededError,
@@ -240,6 +240,37 @@ class TestAgainstNaiveSearch:
         monkeypatch.setattr(census, "_Switched", spy)
         assert engine_counts(spec) == naive_counts(spec)
         assert sum(scored) == math.factorial(spec.n) * gain
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("notion", ["sure", "safe", "expected"])
+    def test_sampled_hare_walks_one_table_per_base_block(self, monkeypatch, notion, kind):
+        # Hare on a switched block reads no places: it walks its base
+        # block's steps, built once per chunk and shared by the chunk's
+        # switched blocks.  Borda and a pairwise dictator read no places
+        # either, so no switched block of this census calls ``places``.
+        names = [("hare",), ("hare@dcba",), ("borda", "hare"), ("hare", "pdict:a,b,0")]
+        spec = CensusSpec(n=4, m=4, method_sets=tuple(method_set(*s) for s in names),
+                          notion=notion, kind=kind, mode="sample", samples=60, seed=11)
+        walked, built = [], []
+
+        def places(self, *args):
+            raise AssertionError("a switched block's places were read")
+
+        def hare(self):
+            walked.append(self)  # held, so that ids stay distinct
+            return switched_hare(self)
+
+        def steps(*args):
+            built.append(1)
+            return build(*args)
+
+        switched_hare, build = methods._Switched.hare, methods._hare_steps
+        monkeypatch.setattr(methods._Switched, "places", places)
+        monkeypatch.setattr(methods._Switched, "hare", hare)
+        monkeypatch.setattr(methods, "_hare_steps", steps)
+        assert engine_counts(spec) == naive_counts(spec)
+        blocks = {id(block): block.base for block in walked}
+        assert len(built) == len({id(base) for base in blocks.values()}) < len(blocks)
 
 
 class TestOthersClassWalk:

@@ -17,6 +17,7 @@ from votemanip.methods import (
     VotingMethod,
     _Counts,
     _Switched,
+    _hare_steps,
     pairwise_dictator,
     parse_method,
     plurality,
@@ -401,6 +402,87 @@ class TestBatchedForms:
         for f in methods:
             assert f.fn.on_counts(block).tolist() == [
                 bitmask(f.fn(p)) for p in switched], f.id
+
+    def test_hare_and_coombs_on_switches_past_seven_candidates(self):
+        # n = 8 and an even m = 8: seeded classes, which tie on fewest first
+        # places; a 4-4 split of first places, which stays tied until a
+        # switch gives one side a majority; and a class whose switch ties
+        # all eight (first places 2 for a, 1 each for b to g, none for h,
+        # until one of a's voters puts h first).  Seeded switches of every
+        # holder, against the same switches as count rows and the scalar
+        # methods.
+        n, m = 8, 8
+        rankings = all_rankings(n)
+        fact = len(rankings)
+        index = {r.order: i for i, r in enumerate(rankings)}
+        rng = np.random.default_rng(808)
+
+        def led(x):
+            return index[(x, *rng.permutation([y for y in range(n) if y != x]).tolist())]
+
+        tie, split = [led(x) for x in (0, 0, 1, 2, 3, 4, 5, 6)], [led(x // 4) for x in range(m)]
+        combos = [tie, split, *rng.integers(0, fact, size=(3, m)).tolist()]
+        moves = [(0, tie[0], led(7)), (1, split[4], led(0))] + [
+            (c, x, y) for c, combo in enumerate(combos) for x in sorted(set(combo))
+            for y in rng.integers(0, fact, size=6).tolist()]
+        cls, a, b = (np.array(col) for col in zip(*moves))
+        counts = np.array([count_row(n, c) for c in combos], np.uint8)
+        base = _Counts.of(counts)
+        block = _Switched(base, cls, a, b)
+        rows = counts[cls]
+        rows[np.arange(len(cls)), a] -= 1
+        rows[np.arange(len(cls)), b] += 1
+        dense = _Counts.of(rows)
+        switched = []
+        for c, x, y in moves:
+            held = list(combos[c])
+            held[held.index(x)] = y
+            switched.append(member(n, held))
+        labels = "".join(default_labels(n))
+        hare = METHODS["hare"].fn.on_counts
+        assert hare(base)[:2].tolist() == [0b1, 0b11]  # a after two rounds; a tie
+        assert hare(block)[:2].tolist() == [(1 << n) - 1, 0b1]  # all tied; a majority
+        for f in (METHODS["hare"], parse_method(f"hare@{labels[::-1]}"), METHODS["coombs"]):
+            assert f.fn.on_counts(block).tolist() == f.fn.on_counts(dense).tolist() == [
+                bitmask(f.fn(p)) for p in switched], f.id
+
+    def test_hare_steps_past_eight_bits(self):
+        # n = 10, whose 10! rankings no test builds: each class's first
+        # places under every candidate set are counted from its voters'
+        # rankings, and walking the steps from the full set, by the best
+        # alive member under the ranking left and under the one taken, gives
+        # the scalar Hare winners of each seeded switch.  Classes as at
+        # n = 8: seeded ones, a 5-5 split, and one whose switch ties all ten,
+        # a winner mask wider than a byte.
+        n, m = 10, 10
+        rng = np.random.default_rng(1010)
+
+        def led(x):
+            return Ranking((x, *rng.permutation([y for y in range(n) if y != x]).tolist()))
+
+        tie, split = [led(x) for x in (0, 0, *range(1, 9))], [led(x // 5) for x in range(m)]
+        classes = [tie, split, *([Ranking(tuple(rng.permutation(n).tolist())) for _ in range(m)]
+                                 for _ in range(2))]
+        members = [frozenset(x for x in range(n) if alive >> x & 1) for alive in range(1 << n)]
+        firsts = np.zeros((len(classes), 1 << n, n), np.int64)
+        for c, held in enumerate(classes):
+            for alive in range(1, 1 << n):
+                for r in held:
+                    firsts[c, alive, r.best_of(members[alive])] += 1
+        steps = _hare_steps(firsts, np.full(len(classes), m))
+        moves = [(0, 0, led(9)), (1, 5, led(0))] + [
+            (c, j, Ranking(tuple(rng.permutation(n).tolist())))
+            for c in range(len(classes)) for j in range(m) for _ in range(3)]
+        got = []
+        for c, j, r in moves:
+            alive = (1 << n) - 1
+            for _ in range(n - 1):
+                left, taken = (q.best_of(members[alive]) for q in (classes[c][j], r))
+                alive = int(steps[c, alive, left, taken])
+            got.append(alive)
+        assert got[:2] == [(1 << n) - 1, 0b1]  # all tied; a majority
+        assert got == [bitmask(METHODS["hare"].fn(Profile(
+            (*classes[c][:j], r, *classes[c][j + 1:])))) for c, j, r in moves]
 
     @pytest.mark.parametrize("n,m", [(3, 1), (3, 2), (3, 3), (4, 1), (4, 2)])
     def test_pairwise_dictators_read_their_voter(self, n, m):
