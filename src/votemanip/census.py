@@ -98,7 +98,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import Profile, all_rankings, ranking_orders, ranking_places
+from .core import Profile, all_rankings, ranking_orders, ranking_places, set_extremes
 from .manipulation import UncertaintySet, _validate, subset_family
 # Bound here only for ``censusbench/tracing.py``, which wraps them by name
 # on this module: the census's verdicts are array operations and call none
@@ -110,8 +110,9 @@ from .methods import BLOCK_CELLS, MethodFn, VotingMethod, _Counts, _Switched
 DEFAULT_BUDGET = 20_000_000
 # A count row stores each ranking's holder count in one byte.
 MAX_VOTERS = 255
-# A census builds all n! rankings up front: 10! of them take half a minute
-# and over 2 GB, and 12! do not fit in memory.
+# A census builds tables with a row per ranking: at n = 10 Borda's pair table
+# takes 1.3 GB and a candidate-set table 3.7 GB per kind, and at n = 11 the
+# pair table alone would take 17.6 GB.
 MAX_CANDIDATES = 10
 
 
@@ -246,10 +247,11 @@ def sample_profiles(n: int, m: int, count: int, seed: int) -> list[Profile]:
 # --- the anonymous-class kernel ----------------------------------------------
 
 
-def _row_wise(fn: MethodFn, m: int, rankings: tuple) -> Callable:
+def _row_wise(fn: MethodFn, m: int) -> Callable:
     """A batched form for a method without one, such as a custom ``fn``:
     ``fn`` on the profile of each row, whose voters are all labeled."""
     def on_counts(block: _Counts | _Switched) -> np.ndarray:
+        rankings = all_rankings(block.n)
         held = np.stack([block.held_by(v) for v in range(m)], axis=1)
         return np.array([sum(1 << x for x in fn(Profile(tuple(rankings[d] for d in row))))
                          for row in held.tolist()], np.int64)
@@ -266,8 +268,8 @@ def _counts(classes: np.ndarray, fact: int) -> np.ndarray:
 
 def _block(n: int, classes: np.ndarray, sorted_rows: bool,
            held: dict[int, np.ndarray] | None = None) -> _Counts:
-    """The ``_Counts`` of classes given as sorted rows of ranking indices,
-    one entry per voter, or as holder counts, one entry per held ranking."""
+    """The ``_Counts`` of classes in a ``_Colex``'s form: sorted rows of
+    ranking indices, one entry per voter, or holder counts, one per held ranking."""
     if not sorted_rows:
         return _Counts.of(classes, held)
     k, width = classes.shape
@@ -314,11 +316,18 @@ class _Colex:
     class of m - 1 voters leaves s_w as it is for w <= v and adds one for
     w > v, so the ranks of all fact classes it can reach are two running
     sums over the smaller class's rankings (``added_ranks``).
+
+    A class is handed around as a sorted row (``rows``) while m < n! and as
+    holder counts (``unrank``) beyond, whichever has fewer cells: ``width``
+    of them.  ``sorted`` states that form, and ``at`` and ``weights_of``
+    work in it.
     """
 
     def __init__(self, fact: int, m: int) -> None:
         self.fact = fact
         self.m = m
+        self.sorted = m < fact
+        self.width = min(m, fact)
         self.classes = math.comb(fact + m - 1, m)
         # term[i, v]: the rank term of ranking v at place i of a sorted row
         self.term = np.array([[math.comb(v + i, i + 1) for v in range(fact)]
@@ -338,15 +347,17 @@ class _Colex:
         row, r = np.nonzero(counts)
         return self._multinomial(len(counts), row, counts[row, r])
 
-    def row_weights(self, rows: np.ndarray) -> np.ndarray:
-        """``weights`` of the classes given as sorted rows, whose holders of
-        a ranking are a run of equal places."""
-        end = np.ones(rows.shape, bool)  # the last place of each run
-        end[:, :-1] = rows[:, 1:] != rows[:, :-1]
+    def weights_of(self, classes: np.ndarray) -> np.ndarray:
+        """``weights`` of classes in this colex's form: holder counts, or
+        sorted rows, whose holders of a ranking are a run of equal places."""
+        if not self.sorted:
+            return self.weights(classes)
+        end = np.ones(classes.shape, bool)  # the last place of each run
+        end[:, :-1] = classes[:, 1:] != classes[:, :-1]
         row, place = np.nonzero(end)
         # a run's holders: its last place less the row's previous run's
         first = np.diff(row, prepend=-1) != 0
-        return self._multinomial(len(rows), row,
+        return self._multinomial(len(classes), row,
                                  place - np.where(first, -1, np.r_[-1, place[:-1]]))
 
     def _multinomial(self, k: int, row: np.ndarray, held: np.ndarray) -> np.ndarray:
@@ -391,7 +402,7 @@ class _Colex:
         the last taking the most voters below it, s_v, whose term
         C(v + s_v - 1, v) fits in what is left of the last rank less the
         rank: n! - 1 steps in place of m."""
-        if self.m < self.fact:
+        if self.sorted:
             return _counts(self.rows(ranks), self.fact)
         below = np.empty((len(ranks), self.fact + 1), np.int64)
         below[:, 0], below[:, self.fact] = 0, self.m
@@ -400,6 +411,10 @@ class _Colex:
             below[:, v] = np.searchsorted(self.below[v], left, side="right") - 1
             left -= self.below[v, below[:, v]]
         return np.diff(below, axis=1).astype(np.uint8)
+
+    def at(self, ranks: np.ndarray) -> np.ndarray:
+        """The classes at ``ranks``, in this colex's form."""
+        return self.rows(ranks) if self.sorted else self.unrank(ranks)
 
     def added_ranks(self, others: np.ndarray) -> np.ndarray:
         """``(len(others), fact)``: the rank of the class reached when a voter
@@ -502,9 +517,9 @@ class _ClassKernel:
     distinct (ranking, before, after) triples with arrays alone:
     ``_dominance`` reads every method's flags from a table of each
     candidate set's best and worst place under each distinct ranking
-    (``_places``, rankings x 2^n cells), and ``_witnesses`` tests every
-    set's notion on the distinct rows of flags against a set x method
-    matrix of member weights (``_weight``).
+    (``core.set_extremes``, rankings x 2^n cells), and ``_witnesses``
+    tests every set's notion on the distinct rows of flags against a set x
+    method matrix of member weights (``_weight``).
 
     ``neutral``: every method is neutral (``fn.neutral``), so relabeling
     the candidates of a class relabels its winners, and relabeling those of
@@ -516,8 +531,7 @@ class _ClassKernel:
         self.kind = spec.kind
         self.n = spec.n
         self.m = spec.m
-        self.rankings = all_rankings(spec.n)
-        self.fact = len(self.rankings)
+        self.fact = math.factorial(spec.n)
         universe: list[VotingMethod] = []
         seen: dict[str, int] = {}
         members: list[list[int]] = []
@@ -539,7 +553,7 @@ class _ClassKernel:
             raise ValueError(f"pairwise dictator voter {max(labeled)} out of range "
                              f"for {spec.m} voters")
         self._on_counts = [getattr(f.fn, "on_counts", None)
-                           or _row_wise(f.fn, spec.m, self.rankings) for f in self.universe]
+                           or _row_wise(f.fn, spec.m) for f in self.universe]
         if not all(hasattr(f.fn, "on_counts") for f in self.universe):
             labeled = range(spec.m)
         self.labeled = tuple(sorted(labeled))
@@ -547,11 +561,8 @@ class _ClassKernel:
         self.neutral = all(getattr(f.fn, "neutral", False) for f in self.universe)
         # place value of each labeled voter's ranking in h's index in base n!
         self.place = self.fact ** np.arange(len(self.labeled) - 1, -1, -1)
-        self._block_rows = max(1, BLOCK_CELLS // ((min(spec.m, self.fact) + 1) * spec.n ** 2))
         self._switch_rows = max(1, BLOCK_CELLS // (spec.n ** 2 + spec.n))
         self.outcomes = _Outcomes()
-        self._order = ranking_orders(spec.n)
-        self._top = 1 << self._order[:, 0].astype(np.int64)  # as a bitmask
         # set x universe method: 1 per member, or for a weighted ``expected``
         # each member's weight times the common denominator, so that sums
         # of weights compare as exact integers
@@ -574,6 +585,12 @@ class _ClassKernel:
         width = self.fact if width is None else width
         return max(1, BLOCK_CELLS // (own + pairs * (width * len(self.universe) + self.m)))
 
+    def block_rows(self, colex: _Colex) -> int:
+        """Classes per scored block of ``colex``: a class costs n*n tally
+        cells of its own and n*n for each labeled voter and each of its up
+        to ``colex.width`` other entries."""
+        return max(1, BLOCK_CELLS // ((len(self.labeled) + colex.width + 1) * self.n ** 2))
+
     def _score(self, block: _Counts | _Switched) -> np.ndarray:
         """Outcome id per row of a block that every method shares."""
         return self.outcomes.ids(np.stack([f(block) for f in self._on_counts], axis=1))
@@ -581,18 +598,17 @@ class _ClassKernel:
     def class_ids(self, colex: _Colex) -> np.ndarray:
         """The outcome id of every class (h, c), at h's index in base n!
         times ``colex.classes`` plus c's rank, scored in blocks of at most
-        ``BLOCK_CELLS`` cells: from sorted rows while u < n!, so that no
-        n!-wide row is built."""
-        sorted_rows = colex.m < self.fact
-
+        ``BLOCK_CELLS`` cells, in ``colex``'s form: from sorted rows while
+        u < n!, so that no n!-wide row is built."""
         def score(index: np.ndarray) -> np.ndarray:
             point, rank = np.divmod(index, colex.classes)
             held = point[:, None] // self.place % self.fact
-            classes = (np.c_[held, colex.rows(rank)] if sorted_rows
+            classes = (np.c_[held, colex.rows(rank)] if colex.sorted
                        else colex.unrank(rank) + _counts(held, self.fact))
-            return self._score(_block(self.n, classes, sorted_rows,
+            return self._score(_block(self.n, classes, colex.sorted,
                                       dict(zip(self.labeled, held.T))))
-        return _filled(self.fact ** len(self.labeled) * colex.classes, self._block_rows, score)
+        return _filled(self.fact ** len(self.labeled) * colex.classes, self.block_rows(colex),
+                       score)
 
     def neighbourhood(self, held: np.ndarray, rest: np.ndarray) -> tuple:
         """The holders of a chunk of sampled classes, given by the ranking
@@ -630,7 +646,8 @@ class _ClassKernel:
         """Whether a voter with ranking ``r[j]`` facing outcome ``base[j]``
         might gain by a switch: not when every method elects the voter's
         top candidate alone, since no outcome beats that under any kind."""
-        return self.outcomes.arrays()[1][base] != self._top[r]
+        top = 1 << ranking_orders(self.n)[r, 0].astype(np.int64)
+        return self.outcomes.arrays()[1][base] != top
 
     def hits(self, r: np.ndarray, base: np.ndarray, after: np.ndarray) -> np.ndarray:
         """``(len(r), bytes)`` set bitmaps, set s at bit s % 8 of byte
@@ -682,10 +699,12 @@ class _ClassKernel:
         differ (``weak``), or when the compared places differ (the others).
         """
         rankings, ri = np.unique(r_idx, return_inverse=True)
-        best, worst = self._places(rankings)
+        places = ranking_places(self.n)[rankings].T
+        best, worst = set_extremes(places, False), set_extremes(places, True)
         first, second = {"weak": (worst, best), "opt": (best, best), "pes": (worst, worst)}[self.kind]
-        at = ri.reshape(-1, 1) * (1 << self.n)  # the triple's row of the tables
-        b, a = at + before, at + after
+        # cell [A, i] of the tables, in int64 as the masks are narrow
+        b, a = (masks.astype(np.int64) * len(rankings) + ri.reshape(-1, 1)
+                for masks in (before, after))
         a1, a2, b1, b2 = first.take(a), second.take(a), first.take(b), second.take(b)
         not_worse = a1 <= b2
         if self.kind == "weak":
@@ -694,20 +713,6 @@ class _ClassKernel:
         else:
             improves, worsens = a1 < b2, b1 < a2
         return np.stack((improves, not_worse, worsens), axis=1)
-
-    def _places(self, rankings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(best, worst)``, each ``(len(rankings), 2^n)``: the
-        place (0 best) of the highest and of the lowest member of each
-        candidate set under each of ``rankings``."""
-        n = self.n
-        pos = ranking_places(n)[rankings]
-        best = np.empty((len(rankings), 1 << n), np.int8)
-        worst = np.empty_like(best)
-        best[:, 0], worst[:, 0] = n, -1  # the empty set is never a winner set
-        for x in range(n):  # the sets whose highest-numbered member is x
-            np.minimum(best[:, :1 << x], pos[:, x, None], out=best[:, 1 << x:2 << x])
-            np.maximum(worst[:, :1 << x], pos[:, x, None], out=worst[:, 1 << x:2 << x])
-        return best, worst
 
     def _witnesses(self, moves: np.ndarray) -> np.ndarray:
         """Witnessed-set words per ``(3, methods)`` row of dominance flags
@@ -765,20 +770,12 @@ class _Orbits:
         self.n = n
         self.colex = colex
         self.others = _Colex(colex.fact, colex.m - 1)
-        # A class is a sorted row of rankings while m - 1 < n! and holder
-        # counts beyond, whichever has fewer cells: min(m, n!) of them.
-        self.sorted = self.others.m < colex.fact
-        self.width = min(colex.m, colex.fact)
-
-    def classes(self, ranks: np.ndarray) -> np.ndarray:
-        """The classes at ``ranks`` in ``colex``."""
-        return self.colex.rows(ranks) if self.sorted else self.colex.unrank(ranks)
 
     def with_identity(self, o: np.ndarray) -> np.ndarray:
         """o + e_0 for the classes at ``o`` in ``others``: their sorted rows
         with ranking 0 prepended, or their holder counts with one more
-        holder of ranking 0."""
-        if self.sorted:
+        holder of ranking 0, in ``colex``'s form."""
+        if self.colex.sorted:
             rows = self.others.rows(o)
             return np.c_[np.zeros(len(o), rows.dtype), rows]
         counts = self.others.unrank(o)
@@ -796,7 +793,7 @@ class _Orbits:
         index's column.
         """
         k = len(classes)
-        if self.sorted:
+        if self.colex.sorted:
             m = self.colex.m
             if lowest:
                 row, r, rest = np.arange(k), classes[:, 0], classes[:, 1:]
@@ -832,7 +829,7 @@ class _Orbits:
         fact, total = self.colex.fact, self.others.classes
         key = np.empty(total, np.min_scalar_type(total * fact - 1))
         reps = []
-        step = max(1, BLOCK_CELLS // self.width ** 2)
+        step = max(1, BLOCK_CELLS // self.colex.width ** 2)
         for lo in range(0, total, step):
             o = np.arange(lo, min(lo + step, total))
             row, r, at = self.held(self.with_identity(o))
@@ -854,13 +851,13 @@ class _Orbits:
         to R; so R's winner y is c's candidate at place y of ranking t,
         taken to its place in r's order."""
         key, reps = self.canonical()
-        scored = _filled(len(reps), kernel._block_rows, lambda i: kernel._score(
-            _block(self.n, self.with_identity(reps[i]), self.sorted)))
+        scored = _filled(len(reps), kernel.block_rows(self.colex), lambda i: kernel._score(
+            _block(self.n, self.with_identity(reps[i]), self.colex.sorted)))
         table = kernel.outcomes.arrays()[0].astype(np.int64)
         order = ranking_orders(self.n).astype(np.intp)
 
         def relabeled(index: np.ndarray) -> np.ndarray:
-            _, r, a = self.held(self.classes(index), lowest=True)
+            _, r, a = self.held(self.colex.at(index), lowest=True)
             rep, t = np.divmod(key[a], self.colex.fact)
             to = np.take_along_axis(order[r], order[t], axis=1)
             won = table[scored[rep]]
@@ -868,7 +865,7 @@ class _Orbits:
             for y in range(self.n):  # a winner y of R is candidate to[y] of c
                 masks |= (won >> y & 1) << to[:, y, None]
             return kernel.outcomes.ids(masks)
-        step = max(1, BLOCK_CELLS // (self.width + self.n * len(kernel.universe)))
+        step = max(1, BLOCK_CELLS // (self.colex.width + self.n * len(kernel.universe)))
         return _filled(self.colex.classes, step, relabeled), reps
 
     def profiles(self, reps: np.ndarray, found: np.ndarray) -> Iterator[tuple]:
@@ -876,19 +873,18 @@ class _Orbits:
         labeled profiles in each R, the number of classes in its orbit,
         n!/|Stab(R)|, and the OR of ``found`` (a row per class of
         ``others``) over R's held images."""
-        fact, nbytes = self.colex.fact, found.shape[1]
+        fact, nbytes, width = self.colex.fact, found.shape[1], self.colex.width
         # per representative: its images' rows of others and of found, and
         # a set bit per set once the bitmaps are unpacked
-        step = max(1, BLOCK_CELLS // (self.width * (self.width + nbytes) + 8 * nbytes))
+        step = max(1, BLOCK_CELLS // (width * (width + nbytes) + 8 * nbytes))
         for lo in range(0, len(reps), step):
             o = reps[lo:lo + step]
             classes = self.with_identity(o)
             row, r, at = self.held(classes)
             # Stab(R): the distinct held rankings whose relabeling gives R back
             fixes = (at == o[row]) & (np.diff(row * fact + r, prepend=-1) != 0)
-            weights = (self.colex.row_weights(classes) if self.sorted
-                       else self.colex.weights(classes))
-            yield (weights, fact // np.bincount(row[fixes], minlength=len(o)),
+            yield (self.colex.weights_of(classes),
+                   fact // np.bincount(row[fixes], minlength=len(o)),
                    np.bitwise_or.reduceat(found[at], np.flatnonzero(np.diff(row, prepend=-1)),
                                           axis=0))
 
@@ -958,17 +954,15 @@ def _class_walk(spec: CensusSpec, kernel: _ClassKernel) -> Iterator[tuple]:
         return
     stride = colex.classes * kernel.place  # a labeled voter's step through ids
     # a class's own arrays (its row, the runs behind its weight, its sets)
-    # are some eight rows of its min(u, n!) places, and a cell per set
-    step = kernel.chunk(size, own=8 * min(colex.m, fact) + nsets)
+    # are some eight rows of its ``colex.width`` places, and a cell per set
+    step = kernel.chunk(size, own=8 * colex.width + nsets)
     for lo in range(0, len(ids), step):
         index = np.arange(lo, min(lo + step, len(ids)))
         sets = found[index]
         if not size:  # a class none of whose voters witnesses counts nothing
             live = sets.any(axis=1)
             index, sets = index[live], sets[live]
-        rank = index % colex.classes  # from sorted rows while u < n!: no n!-wide rows
-        weights = (colex.row_weights(colex.rows(rank)) if colex.m < fact
-                   else colex.weights(colex.unrank(rank)))
+        weights = colex.weights_of(colex.at(index % colex.classes))
         for s in stride:
             held = index // s % fact
             after = ids[index[:, None] + (np.arange(fact) - held[:, None]) * s]

@@ -93,8 +93,15 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     _add(parser, "format", "pretty", choices=("pretty", "csv", "json"))
 
 
+BUDGET_HELP = (
+    f"the most work a census may do (default {DEFAULT_BUDGET:,}): an exhaustive census "
+    "counts its classes, C(n!+m-1, m), or (n!)^|L| C(n!+u-1, u) with labeled voters L "
+    "(those a pdict:x,y,i method reads) and u = m-|L| others; a sampled census counts "
+    "the profiles it draws")
+
+
 def _add_budget(parser: argparse.ArgumentParser) -> None:
-    _add(parser, "budget", DEFAULT_BUDGET, int)
+    _add(parser, "budget", DEFAULT_BUDGET, int, help=BUDGET_HELP)
 
 
 def _add_notion(parser: argparse.ArgumentParser) -> None:
@@ -331,7 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="re-derive a named frozen claim")
     p.add_argument("target", choices=sorted(TARGETS))
     _add_common(p)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=None,
+                   help=BUDGET_HELP + "; a target that runs no census rejects it")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("pscf", help="induced lottery and dominance search")

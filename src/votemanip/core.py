@@ -22,6 +22,7 @@ the same best-first convention.
 from __future__ import annotations
 
 import json
+import math
 import string
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -81,19 +82,6 @@ class Ranking:
         """The lowest-ranked member of the nonempty set xs."""
         return max(xs, key=self.position.__getitem__)
 
-    def restrict(self, alive: Iterable[int]) -> tuple[int, ...]:
-        """The order restricted to ``alive``, still best first.
-
-        Restriction keeps relative positions, so restricting is idempotent
-        and commutes with intersecting the alive sets.
-        """
-        members = frozenset(alive)
-        if not members:
-            raise ValueError("cannot restrict to an empty candidate set")
-        if not members <= frozenset(self.order):
-            raise ValueError(f"unknown candidates in {sorted(members)!r}")
-        return tuple(x for x in self.order if x in members)
-
 
 @lru_cache(maxsize=None)
 def all_rankings(n: int) -> tuple[Ranking, ...]:
@@ -104,7 +92,7 @@ def all_rankings(n: int) -> tuple[Ranking, ...]:
 @lru_cache(maxsize=None)
 def ranking_orders(n: int) -> np.ndarray:
     """``(n!, n)`` array of ``uint8``: row r is ranking r's order, best first."""
-    return np.array([r.order for r in all_rankings(n)], dtype=np.uint8)
+    return np.fromiter(permutations(range(n)), np.dtype((np.uint8, n)), math.factorial(n))
 
 
 @lru_cache(maxsize=None)
@@ -132,20 +120,32 @@ def pairs_above(n: int) -> np.ndarray:
     return pairs
 
 
+def set_extremes(places: np.ndarray, worst: bool) -> np.ndarray:
+    """``(2^n, k)``: under each column of ``places``, the ``(n, k)`` places
+    (0 best) of the candidates in k rankings, the place of the best member
+    of each candidate set, or with ``worst`` of its worst member (0 for the
+    empty set).  Any keys that order the candidates as their places do
+    serve as well.  A set whose highest-numbered member is x is x added to a
+    set below 2^x, so the rows fill in n steps."""
+    table = np.zeros((1 << len(places),) + places.shape[1:], places.dtype)
+    extreme = np.maximum if worst else np.minimum
+    for x in range(len(places)):
+        table[1 << x] = places[x]
+        extreme(table[1:1 << x], places[x], out=table[(1 << x) + 1:2 << x])
+    return table
+
+
 @lru_cache(maxsize=None)
-def alive_extremes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(best, worst)``, each ``(2^n, n!)`` of ``uint8``: ``best[A, r]`` is
-    ranking r's highest member of the candidate set with bitmask A, and
-    ``worst[A, r]`` its lowest (both 0 for the empty set)."""
-    order = ranking_orders(n)
-    best = np.zeros((1 << n, len(order)), dtype=np.uint8)
-    worst = np.zeros_like(best)
-    rows = np.arange(len(order))
-    for alive in range(1, 1 << n):
-        member = (alive >> order.astype(np.int64)) & 1 == 1  # by place
-        best[alive] = order[rows, member.argmax(axis=1)]
-        worst[alive] = order[rows, n - 1 - member[:, ::-1].argmax(axis=1)]
-    return best, worst
+def alive_extremes(n: int, worst: bool) -> np.ndarray:
+    """``(2^n, n!)`` of ``uint8``: entry [A, r] is ranking r's highest
+    member of the candidate set with bitmask A, or with ``worst`` its lowest
+    (0 for the empty set)."""
+    # a candidate's key, its place times n plus itself, orders it as its
+    # place does, and the candidate is the key mod n; n * n fits in a byte
+    keys = ranking_places(n).T * n + np.arange(n, dtype=np.uint8)[:, None]
+    table = set_extremes(keys, worst)
+    table %= n
+    return table
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .core import (
-    Profile, Ranking, all_rankings, alive_extremes, default_labels, pairs_above, ranking_places,
+    Profile, Ranking, alive_extremes, default_labels, pairs_above, ranking_places, set_extremes,
 )
 
 MethodFn = Callable[[Profile], frozenset[int]]
@@ -223,7 +223,7 @@ def weak_nanson(profile: Profile) -> frozenset[int]:
 # ``f.on_counts(block)`` is f evaluated on a whole block of anonymous classes
 # at once, and the result is f's winner sets as int64 bitmasks (bit x for
 # candidate x), one per row.  The block is a ``_Counts`` of k classes, given
-# by how many voters of each row hold each ranking of ``all_rankings(n)``,
+# by how many voters of each row hold each ranking of ``ranking_orders(n)``,
 # which every method of a census shares, so its
 # memoized tallies are computed once, or a ``_Switched`` block of one-voter
 # switches, whose statistics are corrections to its base block's, and whose
@@ -330,14 +330,14 @@ class _Counts:
     def places(self, alive: np.ndarray, worst: bool = False) -> np.ndarray:
         """``(k, n)``: row i's voters whose best (or worst) member of the set
         with bitmask ``alive[i]`` is x."""
-        table = alive_extremes(self.n)[worst]
+        table = alive_extremes(self.n, worst)
         cells = self.row * self.n + table[alive[self.row], self.ranking]
         return self._sum(cells, self.holders, self.k * self.n).reshape(self.k, self.n)
 
     def places_by_set(self, worst: bool) -> np.ndarray:
         """``(k, 2^n, n)``: ``places`` under every candidate set at once."""
         if worst not in self._by_set:
-            table = alive_extremes(self.n)[worst]
+            table = alive_extremes(self.n, worst)
             sets = np.arange(1 << self.n)
             cells = (self.row[:, None] * len(sets) + sets) * self.n + table[:, self.ranking].T
             holders = np.repeat(self.holders, len(sets))
@@ -404,7 +404,7 @@ class _Switched:
         return self.base.scores()[self.cls] + place[self.a] - place[self.b]
 
     def places(self, alive: np.ndarray, worst: bool = False) -> np.ndarray:
-        table = alive_extremes(self.n)[worst]
+        table = alive_extremes(self.n, worst)
         # one flat gather of row (class, set) of the base's places
         places = self.base.places_by_set(worst).reshape(-1, self.n).take(
             self.cls * (1 << self.n) + alive, axis=0)
@@ -420,7 +420,7 @@ class _Switched:
         and b.  A majority winner and an all-tied set step to themselves."""
         n = self.n
         steps = self.base.hare_steps().reshape(-1)
-        best = alive_extremes(n)[0]
+        best = alive_extremes(n, False)
         best, fact = best.reshape(-1), best.shape[1]
         at, alive = self.cls << n, self.full
         for _ in range(n - 1):
@@ -596,21 +596,17 @@ weak_nanson.on_counts = lambda block: _nanson_on_counts(block, strict=False)
 
 @lru_cache(maxsize=None)
 def _tiebreak_table(order: Ranking) -> np.ndarray:
-    """For every candidate bitmask, the bitmask of its best member under
-    ``order`` (0 for the empty set)."""
-    table = [0] * (1 << order.n)
-    for x in reversed(order.order):
-        for mask in range(1 << order.n):
-            if mask >> x & 1:
-                table[mask] = 1 << x
-    return np.array(table, dtype=np.int64)
+    """For every nonempty candidate bitmask, the bitmask of its best member
+    under ``order``."""
+    return 1 << np.array(order.order, np.int64)[set_extremes(np.array(order.position), False)]
 
 
 @lru_cache(maxsize=None)
 def _dictator_table(x: int, y: int, n: int) -> np.ndarray:
-    """For every ranking of ``all_rankings(n)``, the bitmask of whichever of
-    x and y it ranks higher."""
-    return np.array([1 << (x if r.prefers(x, y) else y) for r in all_rankings(n)], np.int64)
+    """For every ranking index, the bitmask of whichever of x and y it ranks
+    higher."""
+    places = ranking_places(n)
+    return np.where(places[:, x] < places[:, y], 1 << x, 1 << y)
 
 
 @dataclass(frozen=True)

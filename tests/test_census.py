@@ -533,6 +533,21 @@ class TestMethodRouting:
         assert wrapped == engine_counts(spec(plain)) == naive_counts(spec(plain))
 
 
+    @pytest.mark.parametrize("samples", [None, 30])
+    def test_a_batched_census_builds_no_ranking_objects(self, samples):
+        # Every method below has a batched form, so the census reads ranking
+        # tables only; ``all_rankings`` is cached, so its calls show in its
+        # cache statistics wherever it is called from.
+        names = ("hare", "coombs", "borda@cbad", "pdict:a,b,1", "plurality_runoff")
+        spec = CensusSpec(n=4, m=3, method_sets=(method_set(*names), method_set("hare")),
+                          mode="exhaustive" if samples is None else "sample",
+                          samples=samples or 0, seed=2)
+        all_rankings.cache_clear()
+        run_census(spec)
+        info = all_rankings.cache_info()
+        assert info.hits == info.misses == 0
+
+
 def mixed_family(n: int, notion: str, weighted: bool, direct: bool) -> tuple:
     """Singletons, pairs and a triple over shared methods, borda@... included;
     ``direct`` adds a pairwise dictator.  ``single`` takes the singletons
@@ -900,6 +915,22 @@ class TestBudgets:
         with pytest.raises(BudgetExceededError,
                            match="^336 partly labeled classes exceed the budget of 335$"):
             run_census(spec)
+
+    @pytest.mark.parametrize("names", [("borda",), ("borda", "pdict:a,b,0"), ("custom",)])
+    def test_an_over_budget_census_builds_no_ranking_table(self, monkeypatch, names):
+        # 9! rankings: a census refused by its budget must not build them first
+        def refuse(n):
+            raise AssertionError(f"ranking table of n={n} built before the budget check")
+        monkeypatch.setattr(census, "ranking_orders", refuse)
+        monkeypatch.setattr(census, "all_rankings", refuse)
+        custom = VotingMethod("custom", lambda profile: frozenset({0}))
+        sets = (UncertaintySet(tuple(custom if f == "custom" else parse_method(f)
+                                     for f in names)),)
+        for mode, samples in (("exhaustive", 0), ("sample", 11)):
+            spec = CensusSpec(n=9, m=2, method_sets=sets, mode=mode, samples=samples,
+                              seed=1, budget=10)
+            with pytest.raises(BudgetExceededError, match="exceed the budget of 10$"):
+                run_census(spec)
 
     def test_sampling_escapes_the_labeled_space_size(self):
         # 24^10 labeled profiles, but only the 50 samples count

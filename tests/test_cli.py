@@ -315,6 +315,14 @@ class TestTable:
         assert proc.returncode == 2
         assert "error:" in proc.stderr and "exceed the budget" in proc.stderr
 
+    @pytest.mark.parametrize("command", ["table", "eliminate", "verify"])
+    def test_help_says_what_the_budget_counts(self, command, capsys):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert "an exhaustive census counts its classes, C(n!+m-1, m)," in text
+        assert "a sampled census counts the profiles it draws" in text
+
 
 class TestEliminate:
     def test_finds_the_borda_family_pairs(self):

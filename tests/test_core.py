@@ -1,5 +1,7 @@
 """Rankings, profiles, tallies, and the two file formats."""
 
+from itertools import permutations
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -8,6 +10,7 @@ from votemanip.core import (
     Profile,
     ProfileFormatError,
     Ranking,
+    alive_extremes,
     all_rankings,
     default_labels,
     format_profile_json,
@@ -16,8 +19,11 @@ from votemanip.core import (
     pairwise_tally,
     parse_profile_json,
     parse_profile_text,
+    ranking_orders,
+    ranking_places,
 )
 from votemanip.fixtures import profile_of, ranking_of
+from votemanip.methods import _dictator_table, _tiebreak_table
 
 
 def rankings(n_max=4):
@@ -54,25 +60,6 @@ class TestRanking:
         assert r.worst_of({0, 2}) == 0
         assert r.best_of({0}) == r.worst_of({0}) == 0
 
-    def test_restrict_preserves_relative_order(self):
-        r = ranking_of("abc")
-        assert r.restrict({0, 2}) == (0, 2)
-        assert r.restrict({0, 1, 2}) == (0, 1, 2)
-        assert ranking_of("cba").restrict({1}) == (1,)
-
-    def test_restrict_rejects_bad_sets(self):
-        r = ranking_of("abc")
-        with pytest.raises(ValueError):
-            r.restrict(set())
-        with pytest.raises(ValueError):
-            r.restrict({0, 7})
-
-    @given(rankings())
-    def test_restrict_is_idempotent(self, r):
-        alive = set(r.order[:: 2])
-        once = r.restrict(alive)
-        assert tuple(x for x in once if x in alive) == once
-
     def test_all_rankings_is_lexicographic(self):
         rs = all_rankings(3)
         assert len(rs) == 6
@@ -86,6 +73,62 @@ class TestRanking:
         assert table.dtype == np.int64
         assert table.shape == (len(nested), n * (n - 1) // 2)
         assert table.tolist() == nested
+
+
+def picked(n: int) -> list[int]:
+    """Every ranking index up to n = 5, and 40 seeded ones beyond."""
+    fact = len(all_rankings(n))
+    if n <= 5:
+        return list(range(fact))
+    return sorted(np.random.default_rng(n).choice(fact, 40, replace=False).tolist())
+
+
+def members(n: int) -> list[list[int]]:
+    """The members of every nonempty candidate set, by bitmask from 1."""
+    return [[x for x in range(n) if mask >> x & 1] for mask in range(1, 1 << n)]
+
+
+class TestRankingTables:
+    """The array tables against the scalar ``Ranking`` they stand for."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_orders_and_places_are_the_lexicographic_rankings(self, n):
+        assert ranking_orders(n).dtype == ranking_places(n).dtype == np.uint8
+        assert ranking_orders(n).tolist() == [list(r.order) for r in all_rankings(n)]
+        assert ranking_places(n).tolist() == [list(r.position) for r in all_rankings(n)]
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("worst", [False, True])
+    def test_alive_extremes_are_each_sets_best_or_worst_member(self, n, worst):
+        table = alive_extremes(n, worst)
+        rankings = all_rankings(n)
+        assert table.shape == (1 << n, len(rankings)) and table.dtype == np.uint8
+        assert not table[0].any()
+        for r in picked(n):
+            pick = rankings[r].worst_of if worst else rankings[r].best_of
+            assert table[1:, r].tolist() == [pick(xs) for xs in members(n)]
+        if n <= 7:  # the per-set search the table was built by before, on every ranking
+            order = ranking_orders(n)
+            for alive in range(1, 1 << n):
+                member = (alive >> order.astype(np.int64)) & 1 == 1  # by place
+                place = (n - 1 - member[:, ::-1].argmax(axis=1) if worst
+                         else member.argmax(axis=1))
+                assert (table[alive] == order[np.arange(len(order)), place]).all()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8])
+    def test_tiebreak_table_is_each_sets_best_member(self, n):
+        for r in picked(n):
+            order = all_rankings(n)[r]
+            assert _tiebreak_table(order)[1:].tolist() == [1 << order.best_of(xs)
+                                                           for xs in members(n)]
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
+    def test_dictator_table_is_each_rankings_preferred_candidate(self, n):
+        rankings = all_rankings(n)
+        for x, y in permutations(range(n), 2):
+            table = _dictator_table(x, y, n)
+            assert [table[r] for r in picked(n)] == [
+                1 << (x if rankings[r].prefers(x, y) else y) for r in picked(n)]
 
 
 class TestProfile:

@@ -338,7 +338,7 @@ class TestBatchedForms:
         kernel = _ClassKernel(spec)
         colex = _Colex(len(all_rankings(n)), m)
         ids = kernel.class_ids(colex)
-        assert len(ids) == colex.classes > 2 * kernel._block_rows
+        assert len(ids) == colex.classes > 2 * kernel.block_rows(colex)
         counts = colex.unrank(np.arange(colex.classes))
         combos = [tuple(np.repeat(np.arange(24), row).tolist()) for row in counts]
         assert combos == sorted(combinations_with_replacement(range(24), m),
