@@ -278,18 +278,34 @@ def _block(n: int, classes: np.ndarray, sorted_rows: bool,
 
 
 def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The first index of each distinct row of a 2-D array, and each row's
-    distinct row.  Rows are compared as opaque byte strings, which sorts
-    far faster than ``np.unique(axis=0)``, and as integers when a row fits
-    in eight bytes, faster still."""
-    a = np.ascontiguousarray(a)
+    """An index of one row of each distinct row of a 2-D array of
+    nonnegative integers, the distinct rows in ``np.unique(axis=0)``'s
+    order, and each row's distinct row.  Rows are compared as their
+    big-endian bytes, which order them so: as opaque byte strings, which
+    sort far faster than ``np.unique(axis=0)``, and as one integer when a
+    row fits in eight bytes.  Integers that span at most a few times as
+    many values as there are rows need no sort: the distinct ones are the
+    marked cells of a table over the span, numbered in order."""
+    a = np.ascontiguousarray(a, a.dtype.newbyteorder(">"))
     width = a.itemsize * a.shape[1]
-    if width <= 8:  # a row in one word sorts as an integer
-        rows = np.zeros((len(a), 8), np.uint8)
-        rows[:, :width] = a.view(np.uint8).reshape(len(a), width)
-        rows = rows.view(np.uint64).ravel()
-    else:
+    if width > 8:
         rows = a.view(np.dtype((np.void, width))).ravel()
+    else:  # a word of 1, 2, 4 or 8 bytes, zeros ahead of the row's
+        size = 1 << (width - 1).bit_length()
+        if size != width:
+            a = np.c_[np.zeros((len(a), size - width), np.uint8), a.view(np.uint8)]
+        rows = a.view(f">u{size}").ravel().astype(np.uint64)
+        if len(rows) and int(rows.max() - rows.min()) < 8 * len(rows):
+            at = (rows - rows.min()).astype(np.intp)
+            seen = np.zeros(at.max() + 1, bool)
+            seen[at] = True
+            distinct = np.flatnonzero(seen)
+            number = np.empty(len(seen), np.intp)
+            number[distinct] = np.arange(len(distinct))
+            inverse = number[at]
+            index = np.empty(len(distinct), np.intp)
+            index[inverse] = np.arange(len(rows))
+            return index, inverse
     _, index, inverse = np.unique(rows, return_index=True, return_inverse=True)
     return index, inverse.reshape(-1)
 

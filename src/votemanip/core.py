@@ -104,9 +104,9 @@ def ranking_places(n: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def pairs_above(n: int) -> np.ndarray:
-    """``(n!, n(n-1)/2)`` array: row r lists ``x * n + y`` for every pair
-    (x, y) that ranking r puts x above y, ordered by the places of x and
-    then y.
+    """``(n!, n(n-1)/2)`` array of ``uint8``: row r lists ``x * n + y`` for
+    every pair (x, y) that ranking r puts x above y, ordered by the places
+    of x and then y.  Every cell is below n * n <= 100.
 
     A voter holding ranking r adds one to each listed cell of the flattened
     ``n * n`` tally, so a block's tallies (its ranking counts times the
@@ -114,8 +114,7 @@ def pairs_above(n: int) -> np.ndarray:
     """
     order = ranking_orders(n)
     above, below = np.triu_indices(n, 1)
-    pairs = order[:, above].astype(np.int64)
-    pairs *= n
+    pairs = order[:, above] * n
     pairs += order[:, below]
     return pairs
 

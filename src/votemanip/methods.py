@@ -44,9 +44,10 @@ MethodFn = Callable[[Profile], frozenset[int]]
 
 # Cells per batched call: each row of a census block costs n*n tally cells
 # of its own and n*n for every ranking it holds, a switched row its n*n
-# tallies and n places, and a row (class, candidate set) of Hare's step
-# table its n^3 cells.  This keeps each call's arrays under a MB whatever n
-# and m are; larger blocks gain little time and raise a census's peak RSS.
+# tallies and n places, and a class of Hare's step table n first places
+# for each move within a candidate set.  This keeps each call's arrays
+# under a MB whatever n and m are; larger blocks gain little time and raise
+# a census's peak RSS.
 BLOCK_CELLS = 1 << 16
 
 
@@ -233,6 +234,12 @@ def weak_nanson(profile: Profile) -> frozenset[int]:
 # block is given (``held_by``): a pairwise dictator, which reads one voter,
 # sets ``fn.voter`` and reads that voter's ranking per row.  All arithmetic
 # is on exact integers.
+#
+# Every per-candidate statistic of a block is candidate-major: its candidate
+# axes lead and its k rows are the last, contiguous axis (``(n, n, k)``
+# tallies, ``(n, k)`` scores and places).  A reduction over the candidates,
+# such as a row's top scorers or its winner bitmask, is then n elementwise
+# passes over k-long rows rather than k reductions of n entries each.
 
 
 def _degree(width: int) -> int:
@@ -247,20 +254,27 @@ def _degree(width: int) -> int:
 
 
 def _members(masks: np.ndarray, n: int) -> np.ndarray:
-    """``(k, n)`` booleans: candidate x is in the set with bitmask ``masks[i]``."""
-    return (masks[:, None] >> np.arange(n)) & 1 == 1
+    """``(n,) + masks.shape`` booleans: [x, ...] is whether candidate x is
+    in the set with bitmask ``masks[...]``."""
+    return (masks >> np.arange(n, dtype=masks.dtype).reshape((n,) + (1,) * masks.ndim)) & 1 == 1
 
 
-def _bitmask(hits: np.ndarray) -> np.ndarray:
-    """Bitmask per row of a ``(k, n)`` boolean array."""
-    return hits @ (1 << np.arange(hits.shape[1]))
+def _bitmask(hits: np.ndarray, dtype: type = np.int64) -> np.ndarray:
+    """The bitmask of the x with ``hits[x]``, per entry of the other axes:
+    n shifted ORs over the leading candidate axis, exact in ``dtype``."""
+    mask = hits[0].astype(dtype)
+    for x in range(1, len(hits)):
+        mask |= hits[x].astype(dtype) << x
+    return mask
 
 
-def _top(scores: np.ndarray, alive: np.ndarray | None = None) -> np.ndarray:
-    """Bitmask per row of the highest scorers, among ``alive`` ones if given."""
+def _top(scores: np.ndarray, alive: np.ndarray | None = None,
+         dtype: type = np.int64) -> np.ndarray:
+    """The bitmask of the highest scorers over the leading candidate axis,
+    among the ``alive`` ones if given."""
     if alive is not None:
-        scores = np.where(alive, scores, np.iinfo(np.int64).min)
-    return _bitmask(scores == scores.max(axis=1, keepdims=True))
+        scores = np.where(alive, scores, np.iinfo(scores.dtype).min)
+    return _bitmask(scores == scores.max(axis=0), dtype)
 
 
 class _Counts:
@@ -273,9 +287,10 @@ class _Counts:
 
     Sums run through ``np.bincount`` with float64 weights, so repeated
     entries add up; every total is an integer far below 2**53, so they are
-    exact and cast back losslessly.  Tallies and the places under every
-    candidate set are memoized, read-only, for the methods and switched
-    blocks that share the block.
+    exact and cast back losslessly.  Each statistic is candidate-major,
+    its k rows last.  Tallies and the places under every candidate set are
+    memoized, read-only, for the methods and switched blocks that share
+    the block.
     """
 
     def __init__(self, n: int, k: int, row: np.ndarray, ranking: np.ndarray,
@@ -308,42 +323,45 @@ class _Counts:
         return self.held[voter]
 
     def tallies(self) -> np.ndarray:
-        """``(k, n, n)``: entry [i, x, y] counts row i's voters ranking x
+        """``(n, n, k)``: entry [x, y, i] counts row i's voters ranking x
         above y, i.e. the block times the pairwise indicator matrix."""
         if self._tallies is None:
             n = self.n
             pairs = pairs_above(n)
-            cells = pairs[self.ranking]
-            cells += (self.row * n * n)[:, None]
+            cells = pairs[self.ranking].astype(np.int64) * self.k
+            cells += self.row[:, None]
             holders = np.repeat(self.holders, pairs.shape[1])
-            self._tallies = _frozen(self._sum(cells.ravel(), holders, self.k * n * n)
-                                    .reshape(self.k, n, n))
+            self._tallies = _frozen(self._sum(cells.ravel(), holders, n * n * self.k)
+                                    .reshape(n, n, self.k))
         return self._tallies
 
     def scores(self) -> np.ndarray:
-        """``(k, n)``: the Borda score of x in row i, the voters ranking x
+        """``(n, k)``: the Borda score of x in row i, the voters ranking x
         above each other candidate, summed."""
         if self._scores is None:
-            self._scores = _frozen(self.tallies().sum(axis=2))
+            self._scores = _frozen(self.tallies().sum(axis=1))
         return self._scores
 
     def places(self, alive: np.ndarray, worst: bool = False) -> np.ndarray:
-        """``(k, n)``: row i's voters whose best (or worst) member of the set
+        """``(n, k)``: row i's voters whose best (or worst) member of the set
         with bitmask ``alive[i]`` is x."""
         table = alive_extremes(self.n, worst)
-        cells = self.row * self.n + table[alive[self.row], self.ranking]
-        return self._sum(cells, self.holders, self.k * self.n).reshape(self.k, self.n)
+        cells = table[alive[self.row], self.ranking].astype(np.int64) * self.k + self.row
+        return self._sum(cells, self.holders, self.n * self.k).reshape(self.n, self.k)
 
     def places_by_set(self, worst: bool) -> np.ndarray:
-        """``(k, 2^n, n)``: ``places`` under every candidate set at once."""
+        """``(n, k, 2^n)``: ``places`` under every candidate set at once,
+        entry [x, i, A] under the set with bitmask A."""
         if worst not in self._by_set:
             table = alive_extremes(self.n, worst)
-            sets = np.arange(1 << self.n)
-            cells = (self.row[:, None] * len(sets) + sets) * self.n + table[:, self.ranking].T
-            holders = np.repeat(self.holders, len(sets))
+            sets = 1 << self.n
+            # cell (x, i, A) of entry j under set A, x its extreme member
+            cells = table[:, self.ranking].astype(np.int64) * (self.k * sets) + self.row * sets
+            cells += np.arange(sets)[:, None]
+            holders = np.tile(self.holders, sets)
             self._by_set[worst] = _frozen(self._sum(
-                cells.ravel(), holders, self.k * len(sets) * self.n
-            ).reshape(self.k, len(sets), self.n))
+                cells.ravel(), holders, self.n * self.k * sets
+            ).reshape(self.n, self.k, sets))
         return self._by_set[worst]
 
     def hare_steps(self) -> np.ndarray:
@@ -364,7 +382,11 @@ class _Switched:
     scores gain x's place under a and lose its place under b, and the
     places under set A lose a voter at a's extreme member of A and gain one
     at b's.  So a switched row costs O(n^2), and its scores and places
-    O(n), not the O(n! + m n^2) of a count row scored from scratch.
+    O(n), not the O(n! + m n^2) of a count row scored from scratch.  The
+    statistics have ``_Counts``' candidate-major shapes, ``(n, n, k)``
+    tallies and ``(n, k)`` scores and places, each a gather of the base's
+    columns ``cls`` (of ``places_by_set``'s (class, set) columns for
+    places) with the corrections written in place.
 
     Hare runs no rounds on it: its next alive set from A depends only on
     the class, A and the two best members of A that move, so ``hare``
@@ -390,28 +412,29 @@ class _Switched:
         if self._tallies is None:
             n = self.n
             pairs = pairs_above(n)
-            tallies = self.base.tallies()[self.cls]
+            tallies = self.base.tallies().reshape(n * n, -1).take(self.cls, axis=1)
             flat = tallies.reshape(-1)  # a view: the gather made a new array
-            row = (np.arange(self.k) * n * n)[:, None]
+            col = np.arange(self.k)[:, None]
             # a row's cells are distinct, so plain fancy updates are exact
-            flat[row + pairs[self.a]] -= 1
-            flat[row + pairs[self.b]] += 1
-            self._tallies = _frozen(tallies)
+            flat[pairs[self.a].astype(np.int64) * self.k + col] -= 1
+            flat[pairs[self.b].astype(np.int64) * self.k + col] += 1
+            self._tallies = _frozen(tallies.reshape(n, n, self.k))
         return self._tallies
 
     def scores(self) -> np.ndarray:
-        place = ranking_places(self.n)
-        return self.base.scores()[self.cls] + place[self.a] - place[self.b]
+        place = _candidate_places(self.n)
+        return (self.base.scores().take(self.cls, axis=1)
+                + place.take(self.a, axis=1) - place.take(self.b, axis=1))
 
     def places(self, alive: np.ndarray, worst: bool = False) -> np.ndarray:
         table = alive_extremes(self.n, worst)
-        # one flat gather of row (class, set) of the base's places
-        places = self.base.places_by_set(worst).reshape(-1, self.n).take(
-            self.cls * (1 << self.n) + alive, axis=0)
-        flat = places.reshape(-1)
-        row = np.arange(self.k) * self.n
-        flat[row + table[alive, self.a]] -= 1
-        flat[row + table[alive, self.b]] += 1
+        # one gather of column (class, set) of the base's places
+        places = self.base.places_by_set(worst).reshape(self.n, -1).take(
+            self.cls * (1 << self.n) + alive, axis=1)
+        flat = places.reshape(-1)  # a view: the gather made a new array
+        col = np.arange(self.k)
+        flat[table[alive, self.a].astype(np.int64) * self.k + col] -= 1
+        flat[table[alive, self.b].astype(np.int64) * self.k + col] += 1
         return places
 
     def hare(self) -> np.ndarray:
@@ -424,9 +447,21 @@ class _Switched:
         best, fact = best.reshape(-1), best.shape[1]
         at, alive = self.cls << n, self.full
         for _ in range(n - 1):
-            cell = ((at + alive) * n + best[alive * fact + self.a]) * n + best[alive * fact + self.b]
+            row = alive * fact
+            cell = at + alive
+            cell *= n
+            cell += best.take(row + self.a)
+            cell *= n
+            cell += best.take(row + self.b)
             alive = steps.take(cell).astype(np.int64)
         return alive
+
+
+@lru_cache(maxsize=None)
+def _candidate_places(n: int) -> np.ndarray:
+    """``(n, n!)`` of ``uint8``: ``ranking_places(n)`` candidate-major,
+    entry [x, r] candidate x's place in ranking r."""
+    return np.ascontiguousarray(ranking_places(n).T)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -454,8 +489,9 @@ def _eliminate(block: _Counts | _Switched,
 
 
 def _borda_within(tallies: np.ndarray, inside: np.ndarray) -> np.ndarray:
-    """Borda scores restricted to each row's ``inside`` candidates."""
-    return (tallies * inside[:, None, :]).sum(axis=2)
+    """``(n, k)`` Borda scores restricted to each row's ``inside``
+    candidates, from ``(n, n, k)`` tallies and ``(n, k)`` members."""
+    return (tallies * inside).sum(axis=1)
 
 
 def _plurality_on_counts(block: _Counts | _Switched) -> np.ndarray:
@@ -468,21 +504,21 @@ def _borda_on_counts(block: _Counts | _Switched) -> np.ndarray:
 
 def _condorcet_on_counts(block: _Counts | _Switched) -> np.ndarray:
     tallies = block.tallies()
-    beats = tallies > tallies.transpose(0, 2, 1)
-    winner = _bitmask(beats.sum(axis=2) == block.n - 1)
+    beats = tallies > tallies.transpose(1, 0, 2)
+    winner = _bitmask(beats.sum(axis=1) == block.n - 1)
     return np.where(winner == 0, block.full, winner)
 
 
 def _copeland_on_counts(block: _Counts | _Switched) -> np.ndarray:
     tallies = block.tallies()
-    net = tallies - tallies.transpose(0, 2, 1)
-    return _top((net > 0).sum(axis=2) - (net < 0).sum(axis=2))
+    net = tallies - tallies.transpose(1, 0, 2)
+    return _top((net > 0).sum(axis=1) - (net < 0).sum(axis=1))
 
 
 def _maxmin_on_counts(block: _Counts | _Switched) -> np.ndarray:
     tallies = block.tallies()
-    own = np.eye(tallies.shape[1], dtype=bool)
-    return _top(np.where(own, np.iinfo(np.int64).max, tallies).min(axis=2))
+    own = np.eye(block.n, dtype=bool)[:, :, None]
+    return _top(np.where(own, np.iinfo(np.int64).max, tallies).min(axis=1))
 
 
 def _runoff_on_counts(block: _Counts | _Switched) -> np.ndarray:
@@ -502,11 +538,8 @@ def _first_or_last_step(alive: np.ndarray, firsts: np.ndarray, voters: np.ndarra
     strict majority of ``voters`` wins alone; otherwise the highest scorers
     are dropped, unless they are every alive candidate, and the set stays.
     """
-    # masks in alive's dtype, bit x from row x, ORed over the leading axis
-    shift = np.arange(len(firsts), dtype=alive.dtype).reshape((-1,) + (1,) * (firsts.ndim - 1))
-    majority = np.bitwise_or.reduce((2 * firsts > voters) << shift, axis=0)
-    drop = np.where((alive >> shift) & 1 == 1, drop, np.iinfo(drop.dtype).min)
-    dropped = np.bitwise_or.reduce((drop == drop.max(axis=0)) << shift, axis=0)
+    majority = _bitmask(2 * firsts > voters, alive.dtype)
+    dropped = _top(drop, _members(alive, len(firsts)), alive.dtype)
     return np.where(majority != 0, majority,
                     np.where(dropped == alive, alive, alive & ~dropped))
 
@@ -514,23 +547,42 @@ def _first_or_last_step(alive: np.ndarray, firsts: np.ndarray, voters: np.ndarra
 def _hare_steps(firsts_by_set: np.ndarray, voters: np.ndarray) -> np.ndarray:
     """``(k, 2^n, n, n)`` int16 masks: Hare's step (``_first_or_last_step``)
     from set A in row c, whose first places under A are
-    ``firsts_by_set[c, A]``, when one of them moves from x to y, at
-    [c, A, x, y].  Built in slices of rows (c, A) whose arrays stay under
-    ``BLOCK_CELLS`` cells; int16 holds every count, as m <= 255, and mask."""
-    k, sets, n = firsts_by_set.shape
-    rows = firsts_by_set.reshape(-1, n).astype(np.int16)  # row c * 2^n + A
-    voters = voters.astype(np.int16)
+    ``firsts_by_set[:, c, A]``, when one of them moves from x to y, at
+    [c, A, x, y].  A set of at most one member steps to itself.  Of the
+    other sets only the moves between two members are built
+    (``_moves_within``), as no walk reads any other cell, which is left
+    unset; in slices of rows whose arrays stay under ``BLOCK_CELLS``
+    cells.  int16 holds every count, as m <= 255, and mask."""
+    n, k, sets = firsts_by_set.shape
+    table = np.empty((k, sets, n, n), np.int16)
+    every = np.arange(sets)
+    small = every & (every - 1) == 0
+    table[:, small] = every[small, None, None]
+    within, cells, moved = _moves_within(n)
+    rows = table.reshape(k, -1)
+    firsts_of = firsts_by_set.astype(np.int16)
+    voters = voters.astype(np.int16)[:, None]
+    alive = within.astype(np.int16)[None, :]
+    step = max(1, BLOCK_CELLS // (n * len(within)))
+    for lo in range(0, k, step):
+        firsts = firsts_of[:, lo:lo + step].take(within, axis=2)
+        firsts += moved[:, None, :]
+        rows[lo:lo + step, cells] = _first_or_last_step(
+            alive, firsts, voters[lo:lo + step], -firsts)
+    return table
+
+
+@lru_cache(maxsize=None)
+def _moves_within(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every move of one voter's first place from x to y, both members of a
+    candidate set A of two or more members: per move its A, its cell
+    ``(A * n + x) * n + y`` of a row of Hare's step table, and as an
+    ``(n, moves)`` int16 change of first places (+1 at y, -1 at x)."""
+    every = np.arange(1 << n)
+    inside = _members(every, n) & (every & (every - 1) != 0)
+    x, y, within = np.nonzero(inside[:, None] & inside[None])
     eye = np.eye(n, dtype=np.int16)
-    moved = eye[:, None, None, :] - eye[:, None, :, None]  # [z, 0, x, y]: +1 at y, -1 at x
-    table = np.empty((len(rows), n, n), np.int16)
-    step = max(1, BLOCK_CELLS // n ** 3)
-    for lo in range(0, len(rows), step):
-        at = np.arange(lo, min(lo + step, len(rows)))
-        firsts = rows[lo:lo + step].T[:, :, None, None] + moved
-        table[lo:lo + step] = _first_or_last_step(
-            (at % sets).astype(np.int16)[:, None, None], firsts,
-            voters[at // sets][:, None, None], -firsts)
-    return table.reshape(k, sets, n, n)
+    return within, (within * n + x) * n + y, eye[:, y] - eye[:, x]
 
 
 def _first_or_last_elimination(block: _Counts | _Switched, worst: bool) -> np.ndarray:
@@ -539,9 +591,9 @@ def _first_or_last_elimination(block: _Counts | _Switched, worst: bool) -> np.nd
     voters = block.voters()
 
     def step(alive):
-        firsts = block.places(alive).T
+        firsts = block.places(alive)
         return _first_or_last_step(alive, firsts, voters,
-                                   block.places(alive, worst=True).T if worst else -firsts)
+                                   block.places(alive, worst=True) if worst else -firsts)
 
     return _eliminate(block, step)
 
@@ -572,8 +624,8 @@ def _nanson_on_counts(block: _Counts | _Switched, strict: bool) -> np.ndarray:
     def step(alive):
         inside = _members(alive, block.n)
         scores = _borda_within(tallies, inside)
-        size = inside.sum(axis=1)[:, None]
-        total = np.where(inside, scores, 0).sum(axis=1)[:, None]
+        size = inside.sum(axis=0)
+        total = np.where(inside, scores, 0).sum(axis=0)
         kept = _bitmask(inside & (size * scores >= total if strict
                                   else size * scores > total))
         return kept if strict else np.where(kept == 0, alive, kept)

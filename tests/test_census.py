@@ -672,6 +672,47 @@ class TestOutcomes:
         assert elected[second].tolist() == [3, 4, 4, 3]
 
 
+class TestDistinctRows:
+    """``_distinct_rows`` finds the distinct rows of packed words that span
+    few values with a table and no sort, and all others by sorting; both
+    give the rows in ``np.unique(axis=0)``'s order."""
+
+    rng = np.random.default_rng(2020)
+    CASES = {
+        # name: (rows, whether a sort finds them)
+        "narrow": (rng.integers(1, 32, size=(2000, 2)).astype(np.uint8), False),
+        "narrow_three_bytes": (np.c_[np.full(500, 5), rng.integers(0, 2, size=500),
+                                     rng.integers(0, 256, size=500)].astype(np.uint8), False),
+        "wide": (rng.integers(0, 1 << 16, size=(300, 2)).astype(np.uint16), True),
+        "wide_three_bytes": (rng.integers(0, 256, size=(300, 3)).astype(np.uint8), True),
+        "past_eight_bytes": (rng.integers(0, 3, size=(400, 11)).astype(np.uint8), True),
+        "int64_keys": (rng.integers(0, 1 << 40, size=(200, 3)), True),
+        "one_row": (np.array([[7, 1]], np.uint8), False),
+        "one_wide_row": (np.arange(11, dtype=np.uint8)[None], True),
+        "no_rows": (np.zeros((0, 2), np.uint8), True),
+        "no_wide_rows": (np.zeros((0, 11), np.uint8), True),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_rows_at_index_are_the_distinct_rows_in_order(self, monkeypatch, name):
+        a, sorts = self.CASES[name]
+        a = np.r_[a, a[::3]]  # rows that repeat
+        calls = []
+
+        def unique(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        original = np.unique
+        monkeypatch.setattr(np, "unique", unique)
+        index, inverse = census._distinct_rows(a)
+        monkeypatch.undo()
+        assert bool(calls) == sorts
+        assert np.array_equal(a[index][inverse], a)
+        assert len({tuple(row) for row in a[index].tolist()}) == len(index)
+        assert np.array_equal(a[index], np.unique(a, axis=0))
+
+
 class TestArrayVerdicts:
     """The kernel's table-lookup flags and array notion test against the
     scalar dominance and notion definitions, on every input they take."""

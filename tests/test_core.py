@@ -70,7 +70,7 @@ class TestRanking:
         nested = [[x * n + y for i, x in enumerate(r.order) for y in r.order[i + 1:]]
                   for r in all_rankings(n)]
         table = pairs_above(n)
-        assert table.dtype == np.int64
+        assert table.dtype == np.uint8  # every cell is below n * n <= 100
         assert table.shape == (len(nested), n * (n - 1) // 2)
         assert table.tolist() == nested
 

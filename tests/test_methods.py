@@ -17,7 +17,10 @@ from votemanip.methods import (
     VotingMethod,
     _Counts,
     _Switched,
+    _bitmask,
     _hare_steps,
+    _members,
+    _top,
     pairwise_dictator,
     parse_method,
     plurality,
@@ -303,6 +306,54 @@ def bitmask(winners) -> int:
     return sum(1 << x for x in winners)
 
 
+class TestCandidateMajorHelpers:
+    """``_members``, ``_bitmask`` and ``_top`` take the candidate axis
+    first and the rows last, and agree with a per-row Python reference,
+    also past eight candidates, where masks are wider than a byte."""
+
+    @staticmethod
+    def columns(n, k, seed):
+        # scores drawn from a narrow range, so that rows tie, and one row
+        # where every candidate ties
+        rng = np.random.default_rng(seed)
+        scores = rng.integers(-2, 3, size=(n, k))
+        scores[:, 0] = 1
+        alive = rng.integers(1, 1 << n, size=k)
+        alive[1] = 1 << (n - 1)  # a single candidate alive
+        return scores, alive
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_members_and_bitmask_invert_each_other(self, n):
+        masks = np.arange(1 << n)
+        inside = _members(masks, n)
+        assert inside.shape == (n, 1 << n)
+        assert [[x for x in range(n) if inside[x, i]] for i in range(1 << n)] == [
+            [x for x in range(n) if mask >> x & 1] for mask in range(1 << n)]
+        for dtype in (np.int16, np.int64):
+            assert _bitmask(inside, dtype).dtype == dtype
+            assert _bitmask(inside, dtype).tolist() == masks.tolist()
+        # more leading-axis shapes: (n, 2, 2^n / 2)
+        assert _bitmask(inside.reshape(n, 2, -1)).ravel().tolist() == masks.tolist()
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_top_matches_a_per_row_reference(self, n):
+        scores, alive = self.columns(n, 300, n)
+        best = [max(row) for row in scores.T.tolist()]
+        assert _top(scores).tolist() == [
+            bitmask(x for x in range(n) if row[x] == top)
+            for row, top in zip(scores.T.tolist(), best)]
+        assert _top(scores)[0] == (1 << n) - 1  # the all-tied row
+        expected = []
+        for row, mask in zip(scores.T.tolist(), alive.tolist()):
+            inside = [x for x in range(n) if mask >> x & 1]
+            top = max(row[x] for x in inside)
+            expected.append(bitmask(x for x in inside if row[x] == top))
+        got = _top(scores, _members(alive, n))
+        assert got.tolist() == expected
+        assert got[1] == alive[1]
+        assert _top(scores, _members(alive, n), np.int16).tolist() == expected
+
+
 class TestBatchedForms:
     """``fn.on_counts`` on a class's ranking-count row against the scalar
     ``fn`` on a member profile of the class."""
@@ -361,9 +412,10 @@ class TestBatchedForms:
         # against the same switches as count rows: the winners, and the
         # statistics themselves (Borda scores, tallies, and places under
         # every candidate set, each row meeting every set), so that a wrong
-        # statistic that leaves the winners as they are still fails.  A
-        # seeded subset of the switched classes also against the scalar
-        # method.
+        # statistic that leaves the winners as they are still fails.  Both
+        # kinds of block give the statistics candidate-major, the rows
+        # last.  A seeded subset of the switched classes also against the
+        # scalar method.
         fact = len(all_rankings(n))
         rng = np.random.default_rng(n * 100 + m)
         if count is None:
@@ -387,10 +439,13 @@ class TestBatchedForms:
             rows[np.arange(len(at)), a[at]] -= 1
             rows[np.arange(len(at)), b[at]] += 1
             dense = _Counts.of(rows)
+            assert block.scores().shape == dense.scores().shape == (n, len(at))
+            assert block.tallies().shape == dense.tallies().shape == (n, n, len(at))
             assert np.array_equal(block.scores(), dense.scores())
             assert np.array_equal(block.tallies(), dense.tallies())
             for mask, worst in product(range(1 << n), (False, True)):
                 alive = (np.arange(len(at)) + mask) % (1 << n)
+                assert block.places(alive, worst).shape == (n, len(at))
                 assert np.array_equal(block.places(alive, worst), dense.places(alive, worst))
             for f in methods:
                 assert f.fn.on_counts(block).tolist() == f.fn.on_counts(dense).tolist(), f.id
@@ -446,6 +501,27 @@ class TestBatchedForms:
             assert f.fn.on_counts(block).tolist() == f.fn.on_counts(dense).tolist() == [
                 bitmask(f.fn(p)) for p in switched], f.id
 
+    @pytest.mark.parametrize("n,m", [(2, 3), (3, 4), (4, 5), (5, 7)])
+    def test_hare_steps_keep_sets_of_at_most_one_member(self, n, m):
+        # The step table is built only for moves within sets of two or
+        # more members; a set of at most one member steps to itself under
+        # every move, as the walk reads it.
+        rng = np.random.default_rng(n)
+        block = _Counts.of(np.array(
+            [count_row(n, c) for c in rng.integers(0, len(all_rankings(n)), size=(6, m))],
+            np.uint8))
+        steps = block.hare_steps()
+        assert steps.shape == (6, 1 << n, n, n)
+        small = [0, *(1 << x for x in range(n))]
+        assert (steps[:, small] == np.array(small)[:, None, None]).all()
+        # every other set steps to a nonempty subset of itself when a voter
+        # moves between two of its members
+        for a in range(1 << n):
+            if a not in small:
+                xs = [x for x in range(n) if a >> x & 1]
+                got = steps[:, a][:, xs][:, :, xs]
+                assert ((got != 0) & (got & ~a == 0)).all()
+
     def test_hare_steps_past_eight_bits(self):
         # n = 10, whose 10! rankings no test builds: each class's first
         # places under every candidate set are counted from its voters'
@@ -464,11 +540,11 @@ class TestBatchedForms:
         classes = [tie, split, *([Ranking(tuple(rng.permutation(n).tolist())) for _ in range(m)]
                                  for _ in range(2))]
         members = [frozenset(x for x in range(n) if alive >> x & 1) for alive in range(1 << n)]
-        firsts = np.zeros((len(classes), 1 << n, n), np.int64)
+        firsts = np.zeros((n, len(classes), 1 << n), np.int64)
         for c, held in enumerate(classes):
             for alive in range(1, 1 << n):
                 for r in held:
-                    firsts[c, alive, r.best_of(members[alive])] += 1
+                    firsts[r.best_of(members[alive]), c, alive] += 1
         steps = _hare_steps(firsts, np.full(len(classes), m))
         moves = [(0, 0, led(9)), (1, 5, led(0))] + [
             (c, j, Ranking(tuple(rng.permutation(n).tolist())))
