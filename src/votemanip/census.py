@@ -92,7 +92,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, product
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -266,17 +266,6 @@ def _counts(classes: np.ndarray, fact: int) -> np.ndarray:
     return np.bincount(cells.ravel(), minlength=k * fact).reshape(k, fact).astype(np.uint8)
 
 
-def _block(n: int, classes: np.ndarray, sorted_rows: bool,
-           held: dict[int, np.ndarray] | None = None) -> _Counts:
-    """The ``_Counts`` of classes in a ``_Colex``'s form: sorted rows of
-    ranking indices, one entry per voter, or holder counts, one per held ranking."""
-    if not sorted_rows:
-        return _Counts.of(classes, held)
-    k, width = classes.shape
-    return _Counts(n, k, np.repeat(np.arange(k), width), classes.ravel(),
-                   np.ones(k * width), held)
-
-
 def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """An index of one row of each distinct row of a 2-D array of
     nonnegative integers, the distinct rows in ``np.unique(axis=0)``'s
@@ -325,23 +314,24 @@ class _Colex:
     """The anonymous classes at (n, m) in colex order.
 
     A class is a sorted row a_0 <= ... <= a_{m-1} of ranking indices below
-    ``fact``, and its rank sum_i C(a_i + i, i + 1) runs over every number
+    ``fact`` = n!, and its rank sum_i C(a_i + i, i + 1) runs over every number
     below C(fact + m - 1, m).  Counted by rankings instead, with s_v voters
     holding a ranking below v, the same rank is the last rank minus
     sum_v C(v + s_v - 1, v) over v >= 1.  Adding a voter with ranking v to a
-    class of m - 1 voters leaves s_w as it is for w <= v and adds one for
-    w > v, so the ranks of all fact classes it can reach are two running
-    sums over the smaller class's rankings (``added_ranks``).
+    class of m - 1 voters (``others``) leaves s_w as it is for w <= v and
+    adds one for w > v, so the ranks of all fact classes it can reach are
+    two running sums over the smaller class's rankings (``added_ranks``).
 
     A class is handed around as a sorted row (``rows``) while m < n! and as
     holder counts (``unrank``) beyond, whichever has fewer cells: ``width``
-    of them.  ``sorted`` states that form, and ``at`` and ``weights_of``
+    of them.  ``sorted`` states that form, and only this class reads it:
+    ``at``, ``weights_of``, ``block``, ``with_identity`` and ``relabeled``
     work in it.
     """
 
-    def __init__(self, fact: int, m: int) -> None:
-        self.fact = fact
-        self.m = m
+    def __init__(self, n: int, m: int) -> None:
+        self.n, self.m = n, m
+        self.fact = fact = math.factorial(n)
         self.sorted = m < fact
         self.width = min(m, fact)
         self.classes = math.comb(fact + m - 1, m)
@@ -440,6 +430,69 @@ class _Colex:
         past = self._below(s + 1)  # the term once v < w
         return (self.classes - 1 - np.cumsum(at, axis=1)
                 - (past.sum(axis=1, keepdims=True) - np.cumsum(past, axis=1)))
+
+    @cached_property
+    def others(self) -> _Colex:
+        """The classes of m - 1 voters (of none when m = 0)."""
+        return _Colex(self.n, max(self.m - 1, 0))
+
+    def block(self, classes: np.ndarray, held: dict[int, np.ndarray] | None = None) -> _Counts:
+        """The ``_Counts`` of classes in this colex's form beside labeled
+        voters, ``held[v]`` voter v's ranking index per class: a sorted row
+        passes one entry per voter, and holder counts their nonzeros."""
+        held = held or {}
+        labeled = np.array(list(held.values()), np.int64).reshape(len(held), len(classes)).T
+        if not self.sorted:
+            return _Counts.of(self.n, classes + _counts(labeled, self.fact), held)
+        rows = np.c_[labeled, classes]
+        return _Counts(self.n, len(rows), np.repeat(np.arange(len(rows)), rows.shape[1]),
+                       rows.ravel(), np.ones(rows.size), held)
+
+    def with_identity(self, o: np.ndarray) -> np.ndarray:
+        """o + e_0 for the classes at ``o`` in ``others``: their sorted rows
+        with ranking 0 prepended, or their holder counts with one more
+        holder of ranking 0."""
+        if self.sorted:
+            return np.c_[np.zeros(len(o), np.int64), self.others.rows(o)]
+        counts = self.others.unrank(o)
+        counts[:, 0] += 1
+        return counts
+
+    def relabeled(self, classes: np.ndarray, lowest: bool = False) -> tuple:
+        """For each ranking r that each class c holds, or only its lowest:
+        c's index, r, and the rank in ``others`` of c - e_r relabeled so
+        that r becomes the identity, by class.  A ranking held twice in a
+        sorted row is repeated.
+
+        The other voters' rankings are relabeled one by one in sorted rows;
+        in holder counts, each ranking's count is moved to its relabeled
+        index's column.
+        """
+        k = len(classes)
+        if self.sorted:
+            if lowest:
+                row, r, rest = np.arange(k), classes[:, 0], classes[:, 1:]
+            else:  # place i stands for ranking classes[:, i]
+                drop = np.arange(self.m - 1) + (np.arange(self.m - 1) >= np.arange(self.m)[:, None])
+                row, r = np.repeat(np.arange(k), self.m), classes.ravel()
+                rest = classes[:, drop].reshape(k * self.m, self.m - 1)
+            moved = np.sort(_relabeled(self.n, r[:, None], rest), axis=1)
+            at = np.zeros(len(r), np.int64)
+            for i in range(self.m - 1):
+                at += self.others.term[i].take(moved[:, i])
+            return row, r, at
+        held = classes != 0
+        if lowest:
+            held &= np.cumsum(held, axis=1) == 1
+        at = np.zeros(classes.shape, np.int64)
+        for r in range(self.fact):  # r's holders, r relabeled to column 0
+            rows = np.flatnonzero(held[:, r])
+            rest = np.empty((len(rows), self.fact), classes.dtype)
+            rest[:, _relabeled(self.n, r, np.arange(self.fact))] = classes[rows]
+            rest[:, 0] -= 1
+            at[rows, r] = self.others.rank(rest)
+        row, r = np.nonzero(held)
+        return row, r, at[row, r]
 
 
 # Relabeling each candidate x by its place in ranking r takes r to the
@@ -573,6 +626,9 @@ class _ClassKernel:
         if not all(hasattr(f.fn, "on_counts") for f in self.universe):
             labeled = range(spec.m)
         self.labeled = tuple(sorted(labeled))
+        # an exhaustive census's partly labeled classes, before any n!-sized table
+        u = spec.m - len(self.labeled)
+        self.classes = self.fact ** len(self.labeled) * math.comb(self.fact + u - 1, u)
         # no neutral method reads a voter, so nothing is labeled then
         self.neutral = all(getattr(f.fn, "neutral", False) for f in self.universe)
         # place value of each labeled voter's ranking in h's index in base n!
@@ -619,12 +675,8 @@ class _ClassKernel:
         def score(index: np.ndarray) -> np.ndarray:
             point, rank = np.divmod(index, colex.classes)
             held = point[:, None] // self.place % self.fact
-            classes = (np.c_[held, colex.rows(rank)] if colex.sorted
-                       else colex.unrank(rank) + _counts(held, self.fact))
-            return self._score(_block(self.n, classes, colex.sorted,
-                                      dict(zip(self.labeled, held.T))))
-        return _filled(self.fact ** len(self.labeled) * colex.classes, self.block_rows(colex),
-                       score)
+            return self._score(colex.block(colex.at(rank), dict(zip(self.labeled, held.T))))
+        return _filled(self.classes, self.block_rows(colex), score)
 
     def neighbourhood(self, held: np.ndarray, rest: np.ndarray) -> tuple:
         """The holders of a chunk of sampled classes, given by the ranking
@@ -640,7 +692,7 @@ class _ClassKernel:
         who can gain (``_can_gain``) are scored; the others witness nothing.
         """
         k, size = held.shape
-        base = _Counts.of(rest + _counts(held, self.fact), dict(zip(self.labeled, held.T)))
+        base = _Counts.of(self.n, rest + _counts(held, self.fact), dict(zip(self.labeled, held.T)))
         # a column per labeled voter, then one per ranking the others hold
         holders = np.c_[np.ones((k, size), np.uint8), rest]
         row, col = np.nonzero(holders)
@@ -782,59 +834,12 @@ class _Orbits:
     its representative's, relabeled (``class_ids``).
     """
 
-    def __init__(self, n: int, colex: _Colex) -> None:
-        self.n = n
-        self.colex = colex
-        self.others = _Colex(colex.fact, colex.m - 1)
-
-    def with_identity(self, o: np.ndarray) -> np.ndarray:
-        """o + e_0 for the classes at ``o`` in ``others``: their sorted rows
-        with ranking 0 prepended, or their holder counts with one more
-        holder of ranking 0, in ``colex``'s form."""
-        if self.colex.sorted:
-            rows = self.others.rows(o)
-            return np.c_[np.zeros(len(o), rows.dtype), rows]
-        counts = self.others.unrank(o)
-        counts[:, 0] += 1
-        return counts
+    def __init__(self, colex: _Colex) -> None:
+        self.colex, self.others = colex, colex.others
 
     def held(self, classes: np.ndarray, lowest: bool = False) -> tuple:
-        """For each ranking r that each class c holds, or only its lowest:
-        c's index, r, and the rank in ``others`` of c - e_r relabeled so
-        that r becomes the identity, by class.  A ranking held twice in a
-        sorted row is repeated.
-
-        The other voters' rankings are relabeled one by one in sorted rows;
-        in holder counts, each ranking's count is moved to its relabeled
-        index's column.
-        """
-        k = len(classes)
-        if self.colex.sorted:
-            m = self.colex.m
-            if lowest:
-                row, r, rest = np.arange(k), classes[:, 0], classes[:, 1:]
-            else:  # place i stands for ranking classes[:, i]
-                drop = np.arange(m - 1) + (np.arange(m - 1) >= np.arange(m)[:, None])
-                row, r = np.repeat(np.arange(k), m), classes.ravel()
-                rest = classes[:, drop].reshape(k * m, m - 1)
-            moved = np.sort(_relabeled(self.n, r[:, None], rest), axis=1)
-            at = np.zeros(len(r), np.int64)
-            for i in range(m - 1):
-                at += self.others.term[i].take(moved[:, i])
-            return row, r, at
-        held = classes != 0
-        if lowest:
-            held &= np.cumsum(held, axis=1) == 1
-        fact = self.colex.fact
-        at = np.zeros(classes.shape, np.int64)
-        for r in range(fact):  # r's holders, r relabeled to column 0
-            rows = np.flatnonzero(held[:, r])
-            rest = np.empty((len(rows), fact), classes.dtype)
-            rest[:, _relabeled(self.n, r, np.arange(fact))] = classes[rows]
-            rest[:, 0] -= 1
-            at[rows, r] = self.others.rank(rest)
-        row, r = np.nonzero(held)
-        return row, r, at[row, r]
+        """``colex.relabeled``, which every relabeling here goes through."""
+        return self.colex.relabeled(classes, lowest)
 
     def canonical(self) -> tuple[np.ndarray, np.ndarray]:
         """Per class o of ``others``, the representative R of o + e_0 and
@@ -848,7 +853,7 @@ class _Orbits:
         step = max(1, BLOCK_CELLS // self.colex.width ** 2)
         for lo in range(0, total, step):
             o = np.arange(lo, min(lo + step, total))
-            row, r, at = self.held(self.with_identity(o))
+            row, r, at = self.held(self.colex.with_identity(o))
             # the least image of each o + e_0 times n!, plus the lowest r reaching it
             key[o] = np.minimum.reduceat(at * fact + r, np.flatnonzero(np.diff(row, prepend=-1)))
             reps.append(o[key[o] // fact == o])
@@ -867,22 +872,23 @@ class _Orbits:
         to R; so R's winner y is c's candidate at place y of ranking t,
         taken to its place in r's order."""
         key, reps = self.canonical()
-        scored = _filled(len(reps), kernel.block_rows(self.colex), lambda i: kernel._score(
-            _block(self.n, self.with_identity(reps[i]), self.colex.sorted)))
+        colex = self.colex
+        scored = _filled(len(reps), kernel.block_rows(colex),
+                         lambda i: kernel._score(colex.block(colex.with_identity(reps[i]))))
         table = kernel.outcomes.arrays()[0].astype(np.int64)
-        order = ranking_orders(self.n).astype(np.intp)
+        order = ranking_orders(colex.n).astype(np.intp)
 
         def relabeled(index: np.ndarray) -> np.ndarray:
-            _, r, a = self.held(self.colex.at(index), lowest=True)
-            rep, t = np.divmod(key[a], self.colex.fact)
+            _, r, a = self.held(colex.at(index), lowest=True)
+            rep, t = np.divmod(key[a], colex.fact)
             to = np.take_along_axis(order[r], order[t], axis=1)
             won = table[scored[rep]]
             masks = np.zeros_like(won)
-            for y in range(self.n):  # a winner y of R is candidate to[y] of c
+            for y in range(colex.n):  # a winner y of R is candidate to[y] of c
                 masks |= (won >> y & 1) << to[:, y, None]
             return kernel.outcomes.ids(masks)
-        step = max(1, BLOCK_CELLS // (self.colex.width + self.n * len(kernel.universe)))
-        return _filled(self.colex.classes, step, relabeled), reps
+        step = max(1, BLOCK_CELLS // (colex.width + colex.n * len(kernel.universe)))
+        return _filled(colex.classes, step, relabeled), reps
 
     def profiles(self, reps: np.ndarray, found: np.ndarray) -> Iterator[tuple]:
         """Per block of representatives R (their o* in ``reps``): the
@@ -895,7 +901,7 @@ class _Orbits:
         step = max(1, BLOCK_CELLS // (width * (width + nbytes) + 8 * nbytes))
         for lo in range(0, len(reps), step):
             o = reps[lo:lo + step]
-            classes = self.with_identity(o)
+            classes = self.colex.with_identity(o)
             row, r, at = self.held(classes)
             # Stab(R): the distinct held rankings whose relabeling gives R back
             fixes = (at == o[row]) & (np.diff(row * fact + r, prepend=-1) != 0)
@@ -924,16 +930,15 @@ def _class_walk(spec: CensusSpec, kernel: _ClassKernel) -> Iterator[tuple]:
     profiles of the whole orbit.
     """
     fact, size = kernel.fact, len(kernel.labeled)
-    colex = _Colex(fact, spec.m - size)
+    colex = _Colex(spec.n, spec.m - size)
     nsets = len(spec.method_sets)
     dtype = _count_dtype(spec)
     if kernel.neutral:  # no neutral method reads a voter, so u = m
-        orbits = _Orbits(spec.n, colex)
+        orbits = _Orbits(colex)
         ids, reps = orbits.class_ids(kernel)
     else:
         ids = kernel.class_ids(colex)
-    others = orbits.others if kernel.neutral else _Colex(fact, max(colex.m - 1, 0))
-    walk = fact ** size * others.classes if colex.m else 0  # no o when u = 0
+    walk = fact ** size * colex.others.classes if colex.m else 0  # no o when u = 0
     judged = np.arange(1 if kernel.neutral else fact)  # the rankings judged beside each o
     found = np.zeros((walk if kernel.neutral else len(ids), kernel.nbytes), np.uint8)
     # an o's own arrays (its counts, the running sums behind the ranks of
@@ -941,8 +946,8 @@ def _class_walk(spec: CensusSpec, kernel: _ClassKernel) -> Iterator[tuple]:
     own = 8 * fact
     lo, step = 0, kernel.chunk(len(judged), fact, own)
     while lo < walk:
-        point, rank = np.divmod(np.arange(lo, min(lo + step, walk)), others.classes)
-        counts = others.unrank(rank)
+        point, rank = np.divmod(np.arange(lo, min(lo + step, walk)), colex.others.classes)
+        counts = colex.others.unrank(rank)
         ranks = colex.classes * point[:, None] + colex.added_ranks(counts)
         reach = ids[ranks]  # reach[o, r]: the outcome when the voter holds r
         row = _distinct_per_row(reach)
@@ -952,7 +957,7 @@ def _class_walk(spec: CensusSpec, kernel: _ClassKernel) -> Iterator[tuple]:
         counts, ranks, reach, row = counts[:step], ranks[:step], reach[:step], row[:step]
         hits = kernel.hits(np.tile(judged, len(counts)), reach[:, judged].ravel(),
                            np.repeat(row, len(judged), axis=0))
-        pointed = colex.m * others.weights(counts).astype(dtype)
+        pointed = colex.m * colex.others.weights(counts).astype(dtype)
         yield ("pointed", pointed * (fact // len(judged)),  # the identity stands for n!
                _set_bits(hits, nsets).reshape(len(counts), len(judged), -1)
                .sum(axis=1, dtype=np.int64))
@@ -1045,9 +1050,8 @@ def run_census(spec: CensusSpec) -> CensusReport:
     if spec.mode == "sample":
         work, unit, census = spec.samples, "profiles", _sampled_classes
     else:
-        size = len(kernel.labeled)
-        work = kernel.fact ** size * math.comb(kernel.fact + spec.m - size - 1, spec.m - size)
-        unit, census = "partly labeled classes" if size else "classes", _class_walk
+        work, census = kernel.classes, _class_walk
+        unit = "partly labeled classes" if kernel.labeled else "classes"
     if work > spec.budget:
         raise BudgetExceededError(f"{work} {unit} exceed the budget of {spec.budget}")
     return CensusReport(spec, _results(spec, census(spec, kernel)))
@@ -1145,7 +1149,7 @@ def pair_table(
     kind: str = "weak",
     samples: int | None = None,
     seed: int | None = None,
-    budget: int = DEFAULT_BUDGET,
+    budget: int | None = None,
 ) -> PairTable:
     """One census pass covering every singleton and unordered pair."""
     return PairTable(tuple(methods),
@@ -1165,7 +1169,7 @@ def elimination_scan(
     notion: str = "sure",
     kind: str = "weak",
     max_set_size: int = 2,
-    budget: int = DEFAULT_BUDGET,
+    budget: int | None = None,
 ) -> EliminationScanReport:
     """Finds subsets (up to ``max_set_size``) that eliminate manipulation,
     by the elimination rule, from one exhaustive census of the family."""

@@ -227,9 +227,10 @@ def weak_nanson(profile: Profile) -> frozenset[int]:
 # by how many voters of each row hold each ranking of ``ranking_orders(n)``,
 # which every method of a census shares, so its
 # memoized tallies are computed once, or a ``_Switched`` block of one-voter
-# switches, whose statistics are corrections to its base block's, and whose
-# Hare winners are a walk through a table of its base block's elimination
-# steps (``_Counts.hare_steps``) rather than rounds.
+# switches, whose statistics are corrections to its base block's.  Each
+# block type gives its own Hare winners (``hare()``): a ``_Counts`` runs
+# rounds, and a ``_Switched`` walks a table of its base block's elimination
+# steps (``_Counts.hare_steps``).
 # A row forgets which voter holds what, except for the labeled voters a
 # block is given (``held_by``): a pairwise dictator, which reads one voter,
 # sets ``fn.voter`` and reads that voter's ranking per row.  All arithmetic
@@ -240,17 +241,6 @@ def weak_nanson(profile: Profile) -> frozenset[int]:
 # tallies, ``(n, k)`` scores and places).  A reduction over the candidates,
 # such as a row's top scorers or its winner bitmask, is then n elementwise
 # passes over k-long rows rather than k reductions of n entries each.
-
-
-def _degree(width: int) -> int:
-    """The n with n! == width."""
-    n = fact = 1
-    while fact < width:
-        n += 1
-        fact *= n
-    if fact != width:
-        raise ValueError(f"{width} ranking counts per row is not n! for any n")
-    return n
 
 
 def _members(masks: np.ndarray, n: int) -> np.ndarray:
@@ -306,10 +296,10 @@ class _Counts:
         self._hare_steps: np.ndarray | None = None
 
     @classmethod
-    def of(cls, rows: np.ndarray, held: Mapping[int, np.ndarray] | None = None) -> _Counts:
+    def of(cls, n: int, rows: np.ndarray, held: Mapping[int, np.ndarray] | None = None) -> _Counts:
         """The block of ``(k, n!)`` count rows: their nonzero entries."""
         row, ranking = np.nonzero(rows)
-        return cls(_degree(rows.shape[1]), len(rows), row, ranking, rows[row, ranking], held)
+        return cls(n, len(rows), row, ranking, rows[row, ranking], held)
 
     def _sum(self, cells: np.ndarray, holders: np.ndarray, size: int) -> np.ndarray:
         return np.bincount(cells, holders, minlength=size).astype(np.int64)
@@ -370,6 +360,10 @@ class _Counts:
         if self._hare_steps is None:
             self._hare_steps = _frozen(_hare_steps(self.places_by_set(False), self.voters()))
         return self._hare_steps
+
+    def hare(self) -> np.ndarray:
+        """Hare's winners per row, in elimination rounds."""
+        return _first_or_last_elimination(self, worst=False)
 
 
 class _Switched:
@@ -598,13 +592,6 @@ def _first_or_last_elimination(block: _Counts | _Switched, worst: bool) -> np.nd
     return _eliminate(block, step)
 
 
-def _hare_on_counts(block: _Counts | _Switched) -> np.ndarray:
-    """A switched block walks its base block's steps; count rows run rounds."""
-    if isinstance(block, _Switched):
-        return block.hare()
-    return _first_or_last_elimination(block, worst=False)
-
-
 def _baldwin_on_counts(block: _Counts | _Switched) -> np.ndarray:
     tallies = block.tallies()
 
@@ -639,7 +626,7 @@ condorcet.on_counts = _condorcet_on_counts
 copeland.on_counts = _copeland_on_counts
 maxmin.on_counts = _maxmin_on_counts
 plurality_with_runoff.on_counts = _runoff_on_counts
-hare.on_counts = _hare_on_counts
+hare.on_counts = lambda block: block.hare()
 coombs.on_counts = lambda block: _first_or_last_elimination(block, worst=True)
 baldwin.on_counts = _baldwin_on_counts
 strict_nanson.on_counts = lambda block: _nanson_on_counts(block, strict=True)

@@ -123,28 +123,18 @@ def _target_ten_method_profile() -> VerifyReport:
 def _target_examples() -> VerifyReport:
     checks = []
     for ex in EXAMPLES.values():
-        profile = ex.profile
-        n = profile.n
-        bad = []
-        for mid, expect in ex.winners.items():
-            got = METHODS[mid].winners(profile)
-            if got != set_of(expect, n):
-                bad.append(f"{mid}: got {sorted(got)}, expected {expect!r}")
-        checks.append(Check(
-            f"{ex.name}: sincere winners",
-            not bad, "; ".join(bad) or f"{len(ex.winners)} methods as recorded",
-        ))
-        for move in ex.moves:
-            changed = profile.replace_ranking(move.voter, ranking_of(move.ballot))
+        cases = [(f"{ex.name}: sincere winners", ex.profile, ex.winners)] + [
+            (f"{ex.name}: winners after voter {move.voter} -> {move.ballot}",
+             ex.profile.replace_ranking(move.voter, ranking_of(move.ballot)), move.after)
+            for move in ex.moves]
+        for name, profile, winners in cases:
             bad = []
-            for mid, expect in move.after.items():
-                got = METHODS[mid].winners(changed)
-                if got != set_of(expect, n):
+            for mid, expect in winners.items():
+                got = METHODS[mid].winners(profile)
+                if got != set_of(expect, profile.n):
                     bad.append(f"{mid}: got {sorted(got)}, expected {expect!r}")
-            checks.append(Check(
-                f"{ex.name}: winners after voter {move.voter} -> {move.ballot}",
-                not bad, "; ".join(bad) or f"{len(move.after)} methods as recorded",
-            ))
+            checks.append(Check(name, not bad,
+                                "; ".join(bad) or f"{len(winners)} methods as recorded"))
     return VerifyReport("examples", tuple(checks))
 
 

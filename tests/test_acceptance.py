@@ -419,7 +419,7 @@ def test_c10_exhaustive_class_weights_equal_the_labeled_enumeration():
         for p in enumerate_profiles(n, m):
             key = tuple(sorted(index[r] for r in p.rankings))
             labeled[key] = labeled.get(key, 0) + 1
-        colex = _Colex(len(index), m)
+        colex = _Colex(n, m)
         counts = colex.unrank(np.arange(colex.classes))
         combos = (tuple(np.repeat(np.arange(len(index)), row).tolist()) for row in counts)
         weights = dict(zip(combos, colex.weights(counts).tolist()))

@@ -282,7 +282,7 @@ class TestOthersClassWalk:
                                      *((4, m) for m in range(1, 4))])
     def test_added_ranks_and_pointed_weights_match_the_explicit_classes(self, n, m):
         fact = math.factorial(n)
-        colex, others = _Colex(fact, m), _Colex(fact, m - 1)
+        colex, others = _Colex(n, m), _Colex(n, m - 1)
         counts = others.unrank(np.arange(others.classes))
         ranks = colex.added_ranks(counts).ravel()
         o, v = np.divmod(np.arange(len(ranks)), fact)
@@ -299,6 +299,38 @@ class TestOthersClassWalk:
         walked = np.zeros(colex.classes, np.int64)
         np.maximum.at(walked, ranks, o)
         assert (walked[ranks[last]] == o[last]).all()
+
+
+class TestColexBlocks:
+    """``_Colex.block`` builds the block of its classes in its own form:
+    one entry per voter of a sorted row while m < n!, and the nonzero
+    holder counts of a count row beyond."""
+
+    @pytest.mark.parametrize("labeled", [0, 2])
+    @pytest.mark.parametrize("n,m", [(2, 1), (2, 2), (3, 5), (3, 6), (3, 7), (4, 3)])
+    def test_a_block_has_the_statistics_of_its_count_rows(self, n, m, labeled):
+        # Every class, beside ``labeled`` voters holding seeded rankings,
+        # against the same classes as dense count rows: (3, 5) and (4, 3)
+        # are sorted rows, (3, 6) and (3, 7) holder counts.
+        colex = _Colex(n, m)
+        index = np.arange(colex.classes)
+        rng = np.random.default_rng(n * 10 + m)
+        held = {v: rng.integers(0, colex.fact, colex.classes) for v in range(labeled)}
+        classes = colex.at(index)
+        assert classes.shape == (colex.classes, min(m, colex.fact))
+        rows = colex.unrank(index)
+        for rankings in held.values():
+            rows[index, rankings] += 1
+        block, dense = colex.block(classes, held), _Counts.of(n, rows, held)
+        assert np.array_equal(block.voters(), np.full(colex.classes, m + labeled))
+        assert np.array_equal(block.voters(), dense.voters())
+        assert np.array_equal(block.tallies(), dense.tallies())
+        assert np.array_equal(block.scores(), dense.scores())
+        for mask, worst in product(range(1 << n), (False, True)):
+            alive = np.full(colex.classes, mask)
+            assert np.array_equal(block.places(alive, worst), dense.places(alive, worst))
+        for v, rankings in held.items():
+            assert np.array_equal(block.held_by(v), rankings)
 
 
 ALL_METHODS = tuple(METHODS[name] for name in METHOD_ORDER)
@@ -460,7 +492,7 @@ class TestOrbits:
                                      *((4, m) for m in range(1, 6)),
                                      *((5, m) for m in range(1, 4)), (3, 30)])
     def test_representatives_count_the_orbits(self, n, m):
-        orbits = _Orbits(n, _Colex(math.factorial(n), m))
+        orbits = _Orbits(_Colex(n, m))
         _, reps = orbits.canonical()
         assert len(reps) == relabeling_orbits(n, m)
         # each orbit's classes and labeled profiles, over all the orbits
@@ -472,15 +504,15 @@ class TestOrbits:
                                      *((4, m) for m in range(1, 5)),
                                      (5, 1), (5, 2), (6, 1), (8, 1)])
     def test_relabeled_winners_are_the_scored_winners(self, n, m):
-        colex = _Colex(math.factorial(n), m)
+        colex = _Colex(n, m)
         # a count row has 8! cells at n = 8: a seeded few classes are scored
         ranks = (np.random.default_rng(m).choice(colex.classes, 40, replace=False)
                  if n == 8 else np.arange(colex.classes))
         for sets in [*(method_set(name) for name in METHOD_ORDER), method_set(*METHOD_ORDER)]:
             kernel = _ClassKernel(CensusSpec(n=n, m=m, method_sets=(sets,)))
-            ids, _ = _Orbits(n, colex).class_ids(kernel)
+            ids, _ = _Orbits(colex).class_ids(kernel)
             # one interner, so equal ids are equal winner-mask tuples
-            scored = kernel._score(_Counts.of(colex.unrank(ranks)))
+            scored = kernel._score(_Counts.of(n, colex.unrank(ranks)))
             assert np.array_equal(ids[ranks], scored), (sets.id, n, m)
 
 

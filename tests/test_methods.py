@@ -359,7 +359,7 @@ class TestBatchedForms:
     ``fn`` on a member profile of the class."""
 
     def check(self, n, combos):
-        block = _Counts.of(np.array([count_row(n, c) for c in combos], dtype=np.uint8))
+        block = _Counts.of(n, np.array([count_row(n, c) for c in combos], dtype=np.uint8))
         profiles = [member(n, c) for c in combos]
         for f in batched_methods(n):
             got = f.fn.on_counts(block).tolist()
@@ -387,7 +387,7 @@ class TestBatchedForms:
         methods = batched_methods(n)
         spec = CensusSpec(n=n, m=m, method_sets=tuple(UncertaintySet((f,)) for f in methods))
         kernel = _ClassKernel(spec)
-        colex = _Colex(len(all_rankings(n)), m)
+        colex = _Colex(n, m)
         ids = kernel.class_ids(colex)
         assert len(ids) == colex.classes > 2 * kernel.block_rows(colex)
         counts = colex.unrank(np.arange(colex.classes))
@@ -430,7 +430,7 @@ class TestBatchedForms:
         labels = "".join(default_labels(n))
         methods = batched_methods(n) + [parse_method(f"{name}@{labels[::-1]}")
                                         for name in ("coombs", "copeland", "strict_nanson")]
-        base = _Counts.of(counts)
+        base = _Counts.of(n, counts)
         step = max(1, (1 << 20) // fact)  # switches materialized at once
         for lo in range(0, len(cls), step):
             at = np.arange(lo, min(lo + step, len(cls)))
@@ -438,7 +438,7 @@ class TestBatchedForms:
             rows = counts[cls[at]]
             rows[np.arange(len(at)), a[at]] -= 1
             rows[np.arange(len(at)), b[at]] += 1
-            dense = _Counts.of(rows)
+            dense = _Counts.of(n, rows)
             assert block.scores().shape == dense.scores().shape == (n, len(at))
             assert block.tallies().shape == dense.tallies().shape == (n, n, len(at))
             assert np.array_equal(block.scores(), dense.scores())
@@ -482,12 +482,12 @@ class TestBatchedForms:
             for y in rng.integers(0, fact, size=6).tolist()]
         cls, a, b = (np.array(col) for col in zip(*moves))
         counts = np.array([count_row(n, c) for c in combos], np.uint8)
-        base = _Counts.of(counts)
+        base = _Counts.of(n, counts)
         block = _Switched(base, cls, a, b)
         rows = counts[cls]
         rows[np.arange(len(cls)), a] -= 1
         rows[np.arange(len(cls)), b] += 1
-        dense = _Counts.of(rows)
+        dense = _Counts.of(n, rows)
         switched = []
         for c, x, y in moves:
             held = list(combos[c])
@@ -507,7 +507,7 @@ class TestBatchedForms:
         # more members; a set of at most one member steps to itself under
         # every move, as the walk reads it.
         rng = np.random.default_rng(n)
-        block = _Counts.of(np.array(
+        block = _Counts.of(n, np.array(
             [count_row(n, c) for c in rng.integers(0, len(all_rankings(n)), size=(6, m))],
             np.uint8))
         steps = block.hare_steps()
@@ -571,12 +571,12 @@ class TestBatchedForms:
                    for x, y in combinations(range(n), 2) for i in range(m)]
         profiles = np.array(list(product(range(fact), repeat=m)))
         held = dict(enumerate(profiles.T))
-        base = _Counts.of(np.array([count_row(n, p) for p in profiles], np.uint8), held)
+        base = _Counts.of(n, np.array([count_row(n, p) for p in profiles], np.uint8), held)
         members = [member(n, p) for p in profiles]
         for f in methods:
             assert f.fn.on_counts(base).tolist() == [bitmask(f.fn(p)) for p in members], f.id
         extra = np.c_[profiles, np.zeros(len(profiles), int)]
-        base = _Counts.of(np.array([count_row(n, p) for p in extra], np.uint8), held)
+        base = _Counts.of(n, np.array([count_row(n, p) for p in extra], np.uint8), held)
         cls, voter, b = (a.ravel() for a in np.meshgrid(
             np.arange(len(extra)), np.r_[np.arange(m), -1], np.arange(fact), indexing="ij"))
         block = _Switched(base, cls, extra[cls, voter], b, voter)
@@ -614,11 +614,11 @@ class TestNeutralBatchedForms:
         for s, sigma in enumerate(sigmas):
             column = [index[tuple(sigma[x] for x in r.order)] for r in rankings]
             moved[s][:, column] = rows
-        block = _Counts.of(moved.reshape(-1, rows.shape[1]))
+        block = _Counts.of(n, moved.reshape(-1, rows.shape[1]))
         for name in METHOD_ORDER:
             fn = METHODS[name].fn
             assert fn.neutral
-            plain = fn.on_counts(_Counts.of(rows)).tolist()
+            plain = fn.on_counts(_Counts.of(n, rows)).tolist()
             relabeled = fn.on_counts(block).reshape(len(sigmas), len(combos)).tolist()
             for s, sigma in enumerate(sigmas):
                 expected = [sum(1 << sigma[x] for x in range(n) if w >> x & 1) for w in plain]

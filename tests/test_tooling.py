@@ -1,0 +1,49 @@
+"""Guards on the package source itself, read as syntax trees."""
+
+import ast
+from pathlib import Path
+
+SOURCE = Path(__file__).resolve().parents[1] / "src" / "votemanip"
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_definitions(tree: ast.Module) -> list[tuple[str, ast.stmt]]:
+    """Each module-level private def, class or assigned name, with the
+    statement that defines it."""
+    found = []
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            found.append((stmt.name, stmt))
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            found += [(node.id, stmt) for target in targets for node in ast.walk(target)
+                      if isinstance(node, ast.Name)]
+    return [(name, stmt) for name, stmt in found if _private(name)]
+
+
+def names_read(stmt: ast.stmt) -> set[str]:
+    """The names a statement reads, as a name or as an attribute."""
+    read = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+    return read
+
+
+def test_every_private_module_name_is_read_outside_its_definition():
+    # A private helper left behind once its last caller is gone is read
+    # nowhere but in itself.
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SOURCE.glob("*.py"))}
+    statements = [(module, stmt, names_read(stmt))
+                  for module, tree in trees.items() for stmt in tree.body]
+    definitions = [(module, name, stmt) for module, tree in trees.items()
+                   for name, stmt in private_definitions(tree)]
+    assert len(definitions) > 50  # the package source was found and parsed
+    unread = [f"{module}: {name}" for module, name, own in definitions
+              if not any(name in read for _, stmt, read in statements if stmt is not own)]
+    assert not unread
