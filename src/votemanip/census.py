@@ -46,12 +46,14 @@ kernel works on arrays, a chunk of classes at a time:
 * neutral relabeling: the eleven base methods are neutral (``fn.neutral``):
   relabeling the candidates relabels their winners, and leaves every
   verdict as it is.  So when every method is neutral the census works on
-  orbits under relabeling (``_Orbits``): it scores one class per orbit and
-  fills the id array by relabeling, judges only the identity beside each
-  o, standing for all n! rankings, keeps a bitmap per o, and after the
-  walk counts each orbit from its representative's relabeled others'
-  classes: about n! times fewer verdicts, scored classes and ORs.  A
-  tiebreak order, a pairwise dictator and a custom method are not neutral;
+  orbits under relabeling (``_Orbits``): it scores one class per orbit,
+  relabels each distinct scored outcome once by each of the n!
+  relabelings, fills the id array with one gather per class from that
+  table, judges only the identity beside each o, standing for all n!
+  rankings, keeps a bitmap per o, and after the walk counts each orbit
+  from its representative's relabeled others' classes: about n! times
+  fewer verdicts, scored classes and ORs.  A tiebreak order, a pairwise
+  dictator and a custom method are not neutral;
 * verdicts: whether one voter's ballot switch witnesses the notion depends
   only on the voter's ranking and the outcomes before and after it.  A
   chunk's switches are reduced to their distinct (ranking, before, after)
@@ -497,11 +499,11 @@ class _Colex:
 
 # Relabeling each candidate x by its place in ranking r takes r to the
 # identity, ranking index 0; a neutral census judges a holder of r as the
-# identity holder of the relabeled class.  Up to n = 5 the relabeled
-# indices come from an n! x n! table built on first use; at n = 8 such a
-# table would hold 40,320^2 entries, so beyond n = 5 each is computed, and
-# relabeled winner masks are computed bit by bit from ranking orders.
-TABLE_CANDIDATES = 5
+# identity holder of the relabeled class.  Up to n = 6 the relabeled
+# indices come from an n! x n! table built on first use (518,400 entries
+# at n = 6); at n = 7 such a table would hold 5,040^2 entries, so beyond
+# n = 6 each is computed.
+TABLE_CANDIDATES = 6
 
 
 def _relabeled(n: int, r: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -509,27 +511,41 @@ def _relabeled(n: int, r: np.ndarray, q: np.ndarray) -> np.ndarray:
     in ranking r, elementwise over the broadcast of ``r`` and ``q``."""
     if n <= TABLE_CANDIDATES:
         table = _relabel_table(n)
-        return table.ravel().take(r * len(table) + q)
+        # in intp, as the table, and so indices read from it, may be narrow
+        return table.ravel().take(np.multiply(r, len(table), dtype=np.intp) + q)
     return _lehmer(n, r, q)
 
 
 @lru_cache(maxsize=None)
 def _relabel_table(n: int) -> np.ndarray:
-    """``(n!, n!)``: entry [r, q] is ``_relabeled(n, r, q)``."""
+    """``(n!, n!)``: entry [r, q] is ``_relabeled(n, r, q)``, in the
+    narrowest unsigned type, computed a slice of rows at a time, its n
+    places per entry under ``BLOCK_CELLS`` cells."""
     fact = math.factorial(n)
-    r, q = np.divmod(np.arange(fact * fact), fact)
-    return _lehmer(n, r, q).reshape(fact, fact).astype(np.int32)
+    table = np.empty((fact, fact), np.min_scalar_type(fact - 1))
+    step = max(1, BLOCK_CELLS // (fact * n))
+    for lo in range(0, fact, step):
+        table[lo:lo + step] = _lehmer(n, np.arange(lo, min(lo + step, fact))[:, None],
+                                      np.arange(fact))
+    return table
 
 
 def _lehmer(n: int, r: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """``_relabeled`` from positions, O(n^2) per entry: the relabeled order
+    """``_relabeled`` from positions, O(n) per entry: the relabeled order
     is ranking r's place of each candidate of q, best first, and its
     lexicographic index is its Lehmer code, place i counting the later
-    entries below it (n - 1 - i)! times."""
+    entries below it (n - 1 - i)! times: its entry less the earlier
+    entries below it, the set bits below it in a mask of those seen."""
     order = ranking_places(n)[np.asarray(r)[..., None], ranking_orders(n)[q]]
-    index = np.zeros(order.shape[:-1], np.int64)
+    ones = np.zeros(1 << n, np.int64)  # ones[s]: the set bits of s
+    for b in range(n):
+        ones[1 << b:2 << b] = ones[:1 << b] + 1
+    index, seen = np.zeros(order.shape[:-1], np.int64), np.zeros(order.shape[:-1], np.int64)
     for i in range(n - 1):
-        index += (order[..., i + 1:] < order[..., i:i + 1]).sum(axis=-1) * math.factorial(n - 1 - i)
+        place = order[..., i].astype(np.int64)
+        bit = 1 << place
+        index += (place - ones[seen & (bit - 1)]) * math.factorial(n - 1 - i)
+        seen |= bit
     return index
 
 
@@ -825,21 +841,18 @@ class _Orbits:
     sigma_r, each candidate to its place in r, takes ranking r to the
     identity (ranking 0).  So the members of a class c's orbit that hold
     the identity are sigma_r(c) = sigma_r(c - e_r) + e_0 for the rankings r
-    that c holds, and ``held`` gives the ranks, among the classes of m - 1
-    voters (``others``), of those sigma_r(c - e_r).  The orbit's
-    representative is o* + e_0 for the least of them, o*, and the
+    that c holds, and ``colex.relabeled`` gives the ranks, among the
+    classes of m - 1 voters (``others``), of those sigma_r(c - e_r).  The
+    orbit's representative is o* + e_0 for the least of them, o*, and the
     relabelings that fix c are as many as the distinct held rankings r
     that reach o*, so its orbit has n!/that many classes.  Each o such that
-    o + e_0 is a representative is scored; every other class's winners are
-    its representative's, relabeled (``class_ids``).
+    o + e_0 is a representative is scored.  Each distinct scored outcome is
+    relabeled once by each of the n! relabelings, and every other class
+    reads its outcome from that table with one gather (``class_ids``).
     """
 
     def __init__(self, colex: _Colex) -> None:
         self.colex, self.others = colex, colex.others
-
-    def held(self, classes: np.ndarray, lowest: bool = False) -> tuple:
-        """``colex.relabeled``, which every relabeling here goes through."""
-        return self.colex.relabeled(classes, lowest)
 
     def canonical(self) -> tuple[np.ndarray, np.ndarray]:
         """Per class o of ``others``, the representative R of o + e_0 and
@@ -853,7 +866,7 @@ class _Orbits:
         step = max(1, BLOCK_CELLS // self.colex.width ** 2)
         for lo in range(0, total, step):
             o = np.arange(lo, min(lo + step, total))
-            row, r, at = self.held(self.colex.with_identity(o))
+            row, r, at = self.colex.relabeled(self.colex.with_identity(o))
             # the least image of each o + e_0 times n!, plus the lowest r reaching it
             key[o] = np.minimum.reduceat(at * fact + r, np.flatnonzero(np.diff(row, prepend=-1)))
             reps.append(o[key[o] // fact == o])
@@ -869,26 +882,45 @@ class _Orbits:
         blocks of at most ``BLOCK_CELLS`` cells.  A class c whose lowest
         ranking is r is sigma_r^-1 sigma_t^-1 R for the representative R of
         a + e_0, a = sigma_r(c - e_r), and the ranking t that takes a + e_0
-        to R; so R's winner y is c's candidate at place y of ranking t,
-        taken to its place in r's order."""
+        to R; so R's winner y is c's candidate order[r][order[t][y]], the
+        order of ranking s = ``_relabeled(n, inverse[r], t)``, inverse[r]
+        being the ranking whose order is r's places.  Each class's id is
+        then one gather from ``moved``, the table of every scored outcome
+        relabeled by every s."""
         key, reps = self.canonical()
         colex = self.colex
         scored = _filled(len(reps), kernel.block_rows(colex),
                          lambda i: kernel._score(colex.block(colex.with_identity(reps[i]))))
-        table = kernel.outcomes.arrays()[0].astype(np.int64)
-        order = ranking_orders(colex.n).astype(np.intp)
+        moved = self.moved(kernel)
+        inverse = _relabeled(colex.n, np.arange(colex.fact), 0)
 
         def relabeled(index: np.ndarray) -> np.ndarray:
-            _, r, a = self.held(colex.at(index), lowest=True)
+            _, r, a = colex.relabeled(colex.at(index), lowest=True)
             rep, t = np.divmod(key[a], colex.fact)
-            to = np.take_along_axis(order[r], order[t], axis=1)
-            won = table[scored[rep]]
-            masks = np.zeros_like(won)
-            for y in range(colex.n):  # a winner y of R is candidate to[y] of c
-                masks |= (won >> y & 1) << to[:, y, None]
-            return kernel.outcomes.ids(masks)
-        step = max(1, BLOCK_CELLS // (colex.width + colex.n * len(kernel.universe)))
+            return moved[scored[rep], _relabeled(colex.n, inverse[r], t)]
+        # per class its row and, past the relabel table, a Lehmer code's n places
+        step = max(1, BLOCK_CELLS // (colex.width + colex.n))
         return _filled(colex.classes, step, relabeled), reps
+
+    def moved(self, kernel: _ClassKernel) -> np.ndarray:
+        """``(D, n!)`` outcome ids for the D outcomes ``kernel`` has interned,
+        which, as the census scores nothing before its representatives, are
+        the distinct outcomes they scored: entry [d, s] is outcome d with
+        each winner y moved to candidate order[s][y], relabeled and
+        interned in blocks of at most ``BLOCK_CELLS`` cells.  Each is the
+        outcome of a class in d's orbit."""
+        n, fact = self.colex.n, self.colex.fact
+        won = kernel.outcomes.arrays()[0].astype(np.int64)
+        order = ranking_orders(n).astype(np.intp)
+
+        def block(index: np.ndarray) -> np.ndarray:
+            d, s = np.divmod(index, fact)
+            w, masks = won[d], np.zeros((len(index), won.shape[1]), np.int64)
+            for y in range(n):
+                masks |= (w >> y & 1) << order[s, y, None]
+            return kernel.outcomes.ids(masks)
+        step = max(1, BLOCK_CELLS // (n * len(kernel.universe)))
+        return _filled(len(won) * fact, step, block).reshape(len(won), fact)
 
     def profiles(self, reps: np.ndarray, found: np.ndarray) -> Iterator[tuple]:
         """Per block of representatives R (their o* in ``reps``): the
@@ -902,7 +934,7 @@ class _Orbits:
         for lo in range(0, len(reps), step):
             o = reps[lo:lo + step]
             classes = self.colex.with_identity(o)
-            row, r, at = self.held(classes)
+            row, r, at = self.colex.relabeled(classes)
             # Stab(R): the distinct held rankings whose relabeling gives R back
             fixes = (at == o[row]) & (np.diff(row * fact + r, prepend=-1) != 0)
             yield (self.colex.weights_of(classes),

@@ -27,7 +27,7 @@ from votemanip.census import (
     _Orbits,
     _sample_rows,
 )
-from votemanip.core import Ranking, all_rankings, default_labels
+from votemanip.core import Ranking, all_rankings, default_labels, ranking_orders
 from votemanip.dominance import KINDS, dominates_nonstrict, dominates_strict
 from votemanip.manipulation import (
     NOTIONS, UncertaintySet, find_manipulation, method_set, notion_holds, subset_family,
@@ -388,10 +388,10 @@ class TestNeutralWalk:
         pairs = [s for s in subset_family(ALL_METHODS, 2) if len(s) == 2]
         self.check(n, m, pairs, "expected", weights=(Fraction(1, 3), Fraction(2, 3)))
 
-    @pytest.mark.parametrize("n", [1, 2, 5, 6])
+    @pytest.mark.parametrize("n", [1, 2, 5, 6, 7])
     def test_one_voter_matches(self, n):
         # one voter: the other voters' only class is the empty one; at
-        # n = 6 rankings are relabeled from positions, with no table
+        # n = 7 rankings are relabeled from positions, with no table
         self.check(n, 1, subset_family(ALL_METHODS, 2), "safe")
 
     @pytest.mark.parametrize("n", range(1, 7))
@@ -414,10 +414,10 @@ class TestNeutralWalk:
 
         def spy(*args, **kwargs):
             relabeled.append(True)
-            return census_held(*args, **kwargs)
+            return census_relabeled(*args, **kwargs)
 
-        census_held = census._Orbits.held
-        monkeypatch.setattr(census._Orbits, "held", spy)
+        census_relabeled = _Colex.relabeled
+        monkeypatch.setattr(_Colex, "relabeled", spy)
         borda = METHODS["borda"]
         custom = VotingMethod("my_borda", lambda profile: borda.fn(profile))
         wrapped = VotingMethod("borda", wraps(borda.fn)(lambda profile: borda.fn(profile)))
@@ -502,18 +502,52 @@ class TestOrbits:
 
     @pytest.mark.parametrize("n,m", [*((3, m) for m in range(1, 9)),
                                      *((4, m) for m in range(1, 5)),
-                                     (5, 1), (5, 2), (6, 1), (8, 1)])
+                                     (5, 1), (5, 2), (5, 3), (6, 1), (6, 2), (8, 1)])
     def test_relabeled_winners_are_the_scored_winners(self, n, m):
         colex = _Colex(n, m)
-        # a count row has 8! cells at n = 8: a seeded few classes are scored
-        ranks = (np.random.default_rng(m).choice(colex.classes, 40, replace=False)
-                 if n == 8 else np.arange(colex.classes))
+        # every class is relabeled, but past 10^7 count cells a seeded few
+        # are scored: a count row has 8! cells at n = 8
+        ranks = (np.random.default_rng(m).choice(colex.classes, 40 if n == 8 else 2000,
+                                                 replace=False)
+                 if colex.classes * colex.fact > 10 ** 7 else np.arange(colex.classes))
         for sets in [*(method_set(name) for name in METHOD_ORDER), method_set(*METHOD_ORDER)]:
             kernel = _ClassKernel(CensusSpec(n=n, m=m, method_sets=(sets,)))
             ids, _ = _Orbits(colex).class_ids(kernel)
             # one interner, so equal ids are equal winner-mask tuples
             scored = kernel._score(_Counts.of(n, colex.unrank(ranks)))
             assert np.array_equal(ids[ranks], scored), (sets.id, n, m)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_relabelings_compose(self, n):
+        # the fill reads a class's outcome at s = _relabeled(n, inverse[r], t),
+        # the ranking whose order is order[r][order[t]]; n = 7 is past the
+        # relabel table and runs on Lehmer codes
+        fact, order = math.factorial(n), ranking_orders(n)
+        inverse = census._relabeled(n, np.arange(fact), 0)
+        r, t = np.random.default_rng(n).integers(0, fact, (2, 500))
+        s = census._relabeled(n, inverse[r], t)
+        assert np.array_equal(order[s], np.take_along_axis(order[r], order[t].astype(np.intp),
+                                                           axis=1))
+
+    def test_the_fill_interns_each_relabeled_outcome_once(self, monkeypatch):
+        # the representatives are interned as they are scored, then each
+        # distinct scored outcome once per relabeling, and no class alone
+        rows = []
+
+        def spy(outcomes, masks):
+            ids = census_ids(outcomes, masks)
+            rows.append(ids)
+            return ids
+
+        census_ids = census._Outcomes.ids
+        monkeypatch.setattr(census._Outcomes, "ids", spy)
+        colex = _Colex(4, 5)
+        kernel = _ClassKernel(CensusSpec(n=4, m=5, method_sets=(method_set(*METHOD_ORDER),)))
+        _, reps = _Orbits(colex).class_ids(kernel)
+        interned = np.concatenate(rows)
+        scored = len(np.unique(interned[:len(reps)]))
+        assert len(interned) == len(reps) + scored * colex.fact
+        assert len(interned) * 5 < colex.classes == 98_280
 
 
 class TestMethodRouting:
