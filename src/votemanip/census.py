@@ -88,15 +88,12 @@ the config echo and writers that the command line renders with.
 
 from __future__ import annotations
 
-import csv
 import io
-import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, product
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -108,6 +105,9 @@ from .manipulation import UncertaintySet, _validate, subset_family
 from .dominance import dominates_nonstrict, dominates_strict  # noqa: F401
 from .manipulation import notion_holds  # noqa: F401
 from .methods import BLOCK_CELLS, MethodFn, VotingMethod, _Counts, _Switched
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 DEFAULT_BUDGET = 20_000_000
 # A count row stores each ranking's holder count in one byte.
@@ -639,7 +639,8 @@ class _ClassKernel:
                              f"for {spec.m} voters")
         self._on_counts = [getattr(f.fn, "on_counts", None)
                            or _row_wise(f.fn, spec.m) for f in self.universe]
-        if not all(hasattr(f.fn, "on_counts") for f in self.universe):
+        batched = all(hasattr(f.fn, "on_counts") for f in self.universe)
+        if not batched:
             labeled = range(spec.m)
         self.labeled = tuple(sorted(labeled))
         # an exhaustive census's partly labeled classes, before any n!-sized table
@@ -649,7 +650,12 @@ class _ClassKernel:
         self.neutral = all(getattr(f.fn, "neutral", False) for f in self.universe)
         # place value of each labeled voter's ranking in h's index in base n!
         self.place = self.fact ** np.arange(len(self.labeled) - 1, -1, -1)
-        self._switch_rows = max(1, BLOCK_CELLS // (spec.n ** 2 + spec.n))
+        # A switched row holds n scores or places and a winner mask per
+        # method, or n*n tallies and n places when some method reads
+        # tallies (a pairwise one) or whole profiles (one scored row by row).
+        pairwise = not batched or any(getattr(f.fn, "pairwise", False) for f in self.universe)
+        self._switch_rows = max(1, BLOCK_CELLS // (
+            spec.n ** 2 + spec.n if pairwise else spec.n + len(self.universe)))
         self.outcomes = _Outcomes()
         # set x universe method: 1 per member, or for a weighted ``expected``
         # each member's weight times the common denominator, so that sums
@@ -1310,6 +1316,8 @@ def config_echo(config: dict) -> str:
 
 def csv_text(config: dict, columns: Sequence[str], rows: Iterable[Sequence]) -> str:
     """The config echo, then ``columns`` and ``rows`` as CSV."""
+    import csv  # a census that writes no CSV does not load it
+
     buf = io.StringIO()
     buf.write(config_echo(config))
     writer = csv.writer(buf)
@@ -1320,6 +1328,8 @@ def csv_text(config: dict, columns: Sequence[str], rows: Iterable[Sequence]) -> 
 
 def json_text(config: dict, body: dict) -> str:
     """One JSON document: the config, then the entries of ``body``."""
+    import json  # a census that writes no JSON does not load it
+
     return json.dumps({"config": config, **body}, indent=2) + "\n"
 
 

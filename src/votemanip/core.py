@@ -21,9 +21,7 @@ the same best-first convention.
 
 from __future__ import annotations
 
-import json
 import math
-import string
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import permutations
@@ -40,7 +38,7 @@ def default_labels(n: int) -> tuple[str, ...]:
     """Display labels a, b, c, ... for n candidates (n <= 26)."""
     if not 1 <= n <= 26:
         raise ValueError(f"default labels cover 1..26 candidates, got n={n}")
-    return tuple(string.ascii_lowercase[:n])
+    return tuple("abcdefghijklmnopqrstuvwxyz"[:n])
 
 
 @dataclass(frozen=True)
@@ -271,6 +269,8 @@ def parse_profile_text(text: str) -> tuple[Profile, tuple[str, ...]]:
 
 def parse_profile_json(text: str) -> tuple[Profile, tuple[str, ...]]:
     """Parses the JSON format; returns the profile and its labels."""
+    import json  # only profile files in JSON need it
+
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -305,6 +305,8 @@ def format_profile_text(profile: Profile, labels: Sequence[str] | None = None) -
 
 def format_profile_json(profile: Profile, labels: Sequence[str] | None = None) -> str:
     """Renders a profile in the JSON format."""
+    import json  # only profile files in JSON need it
+
     labels = tuple(labels) if labels is not None else default_labels(profile.n)
     doc = {
         "candidates": list(labels),

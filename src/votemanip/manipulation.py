@@ -25,13 +25,15 @@ susceptible than another) live in :mod:`votemanip.census`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .core import Profile, Ranking, all_rankings
 from .dominance import KINDS, dominates_nonstrict, dominates_strict
 from .methods import VotingMethod, parse_method
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 NOTIONS = ("single", "sure", "safe", "harmless", "expected")
 
@@ -119,6 +121,8 @@ def _validate(notion: str, kind: str, methods: UncertaintySet,
         return None
     if notion != "expected":
         raise ValueError("weights only apply to the 'expected' notion")
+    from fractions import Fraction  # only weighted sets need it
+
     ws = tuple(Fraction(w) for w in weights)
     if len(ws) != len(methods):
         raise ValueError(f"{len(ws)} weights for {len(methods)} methods")

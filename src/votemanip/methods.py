@@ -25,7 +25,8 @@ dictator also carries a batched form ``fn.on_counts`` that the census
 engine uses on blocks of classes (see "batched forms" below).  The scalar
 functions stay the reference: the batched forms must agree with them on
 every class.  The eleven methods are also marked neutral (``fn.neutral``):
-relabeling the candidates relabels their winners alike.
+relabeling the candidates relabels their winners alike.  Those whose
+batched form reads a block's pairwise tallies are marked ``fn.pairwise``.
 """
 
 from __future__ import annotations
@@ -43,11 +44,14 @@ from .core import (
 MethodFn = Callable[[Profile], frozenset[int]]
 
 # Cells per batched call: each row of a census block costs n*n tally cells
-# of its own and n*n for every ranking it holds, a switched row its n*n
-# tallies and n places, and a class of Hare's step table n first places
-# for each move within a candidate set.  This keeps each call's arrays
-# under a MB whatever n and m are; larger blocks gain little time and raise
-# a census's peak RSS.
+# of its own and n*n for every ranking it holds, a switched row n scores or
+# places and a winner mask per method (n*n tallies and n places when some
+# method is pairwise, ``fn.pairwise``), and a class of Hare's step table n
+# first places for each move within a candidate set.  This keeps each
+# call's arrays under a MB whatever n and m are.  Larger blocks raise a
+# census's peak RSS, but each block also pays about a hundred numpy calls:
+# at n = 5, switched rows without tallies come in a quarter as many blocks,
+# which made a sampled census 11% faster (BENCH_sampled_switch_rows.json).
 BLOCK_CELLS = 1 << 16
 
 
@@ -375,8 +379,9 @@ class _Switched:
     tallies lose ranking a's ``pairs_above`` cells and gain b's, the Borda
     scores gain x's place under a and lose its place under b, and the
     places under set A lose a voter at a's extreme member of A and gain one
-    at b's.  So a switched row costs O(n^2), and its scores and places
-    O(n), not the O(n! + m n^2) of a count row scored from scratch.  The
+    at b's.  So a switched row's tallies cost O(n^2), built only when a
+    pairwise method asks for them, and its scores and places O(n), not the
+    O(n! + m n^2) of a count row scored from scratch.  The
     statistics have ``_Counts``' candidate-major shapes, ``(n, n, k)``
     tallies and ``(n, k)`` scores and places, each a gather of the base's
     columns ``cls`` (of ``places_by_set``'s (class, set) columns for
@@ -631,6 +636,12 @@ coombs.on_counts = lambda block: _first_or_last_elimination(block, worst=True)
 baldwin.on_counts = _baldwin_on_counts
 strict_nanson.on_counts = lambda block: _nanson_on_counts(block, strict=True)
 weak_nanson.on_counts = lambda block: _nanson_on_counts(block, strict=False)
+# Pairwise: the batched form reads the block's (n, n, k) tallies, which a
+# switched block builds only when asked, so the census sizes its switched
+# blocks by whether some method carries the mark.
+for _fn in (condorcet, copeland, maxmin, baldwin, strict_nanson, weak_nanson):
+    _fn.pairwise = True
+del _fn
 
 
 @lru_cache(maxsize=None)
@@ -694,6 +705,8 @@ def tiebroken(inner: VotingMethod, order: Ranking) -> VotingMethod:
         fn.on_counts = lambda block: _tiebreak_table(order)[inner_on_counts(block)]
     if hasattr(inner.fn, "voter"):
         fn.voter = inner.fn.voter
+    if hasattr(inner.fn, "pairwise"):
+        fn.pairwise = inner.fn.pairwise
     return VotingMethod(id=f"{inner.id}@{order_text}", fn=fn, anonymous=inner.anonymous)
 
 

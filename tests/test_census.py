@@ -248,9 +248,11 @@ class TestAgainstNaiveSearch:
         # block's steps, built once per chunk and shared by the chunk's
         # switched blocks.  Borda and a pairwise dictator read no places
         # either, so no switched block of this census calls ``places``.
+        # With no pairwise method a switched block holds 8,192 rows at
+        # n = 4, so it takes 120 samples for the one chunk to span two.
         names = [("hare",), ("hare@dcba",), ("borda", "hare"), ("hare", "pdict:a,b,0")]
         spec = CensusSpec(n=4, m=4, method_sets=tuple(method_set(*s) for s in names),
-                          notion=notion, kind=kind, mode="sample", samples=60, seed=11)
+                          notion=notion, kind=kind, mode="sample", samples=120, seed=11)
         walked, built = [], []
 
         def places(self, *args):
@@ -612,6 +614,52 @@ class TestMethodRouting:
         run_census(spec)
         info = all_rankings.cache_info()
         assert info.hits == info.misses == 0
+
+
+class TestSwitchedBlocks:
+    """A sampled census scores switches in ``_Switched`` blocks, whose rows
+    hold n*n tallies only when some method reads them, so switched blocks
+    of other universes hold more rows.  Where the blocks end must not move
+    a count."""
+
+    def test_a_switched_row_holds_tallies_only_for_a_pairwise_member(self):
+        def rows(*members):
+            spec = CensusSpec(n=5, m=3, method_sets=(UncertaintySet(members),),
+                              mode="sample", samples=1, seed=1)
+            return _ClassKernel(spec)._switch_rows
+
+        borda, hare = METHODS["borda"], METHODS["hare"]
+        assert rows(borda, hare) == census.BLOCK_CELLS // (5 + 2)
+        assert rows(borda, hare, parse_method("pdict:a,b,0")) == census.BLOCK_CELLS // (5 + 3)
+        # n*n tallies and n places for a pairwise member, tiebroken or not,
+        # and for a method without a batched form, which reads whole profiles
+        custom = VotingMethod("my_borda", lambda profile: borda.fn(profile))
+        for other in (METHODS["copeland"], parse_method("maxmin@edcba"), custom):
+            assert rows(borda, hare, other) == census.BLOCK_CELLS // (25 + 5), other.id
+
+    @pytest.mark.parametrize("n,m,samples", [(4, 4, 30), (5, 3, 12)])
+    @pytest.mark.parametrize("names", [
+        (("borda",), ("hare",), ("borda", "hare"), ("plurality_runoff", "coombs")),
+        (("hare", "copeland"), ("borda", "strict_nanson"), ("maxmin",)),
+    ], ids=["no-pairwise", "pairwise"])
+    def test_small_switched_blocks_keep_the_counts(self, monkeypatch, n, m, samples, names):
+        # A few hundred cells per block, so a chunk's switches span many
+        # switched blocks, each cut at ``_switch_rows`` rows.
+        monkeypatch.setattr(census, "BLOCK_CELLS", 1 << 9)
+        spec = CensusSpec(n=n, m=m, method_sets=tuple(method_set(*s) for s in names),
+                          notion="safe", kind="weak", mode="sample", samples=samples, seed=5)
+        scored = []
+
+        def spy(base, cls, *args):
+            scored.append((base, len(cls)))  # held, so that ids stay distinct
+            return switched(base, cls, *args)
+
+        switched = census._Switched
+        monkeypatch.setattr(census, "_Switched", spy)
+        assert engine_counts(spec) == naive_counts(spec)
+        bases = {id(base) for base, _ in scored}
+        assert 1 < len(bases) < len(scored)
+        assert max(k for _, k in scored) == _ClassKernel(spec)._switch_rows
 
 
 def mixed_family(n: int, notion: str, weighted: bool, direct: bool) -> tuple:

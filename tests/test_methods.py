@@ -598,6 +598,40 @@ class TestBatchedForms:
         assert hasattr(tiebroken(METHODS["borda"], ranking_of("abc")).fn, "on_counts")
 
 
+class TestPairwiseMark:
+    """``fn.pairwise`` marks the batched forms that read a block's tallies,
+    which a switched block builds only when one asks for them."""
+
+    def test_switched_tallies_are_read_exactly_by_pairwise_forms(self, monkeypatch):
+        n = 4
+        fact = len(all_rankings(n))
+        rng = np.random.default_rng(404)
+        counts = np.array([count_row(n, c) for c in rng.integers(0, fact, size=(20, 5)).tolist()],
+                          np.uint8)
+        cls, a = np.nonzero(counts)
+        b = rng.integers(0, fact, size=len(cls))
+        read = []
+
+        def spy(self):
+            read.append(self)
+            return tallies(self)
+
+        tallies = _Switched.tallies
+        monkeypatch.setattr(_Switched, "tallies", spy)
+        labels = "".join(default_labels(n))
+        pairwise = {"condorcet", "copeland", "maxmin", "baldwin", "strict_nanson", "weak_nanson"}
+        for name in METHOD_ORDER:
+            # a tiebroken form copies the mark
+            for f in (METHODS[name], parse_method(f"{name}@{labels[::-1]}")):
+                read.clear()
+                f.fn.on_counts(_Switched(_Counts.of(n, counts), cls, a, b))
+                marked = getattr(f.fn, "pairwise", False)
+                assert bool(read) == marked == (name in pairwise), f.id
+        # a timing wrapper is a functools.wraps copy of fn
+        fn = METHODS["copeland"].fn
+        assert wraps(fn)(lambda profile: fn(profile)).pairwise
+
+
 class TestNeutralBatchedForms:
     """The census judges only the identity ranking's switches when every
     method is neutral (``fn.neutral``): relabeling a class's candidates by

@@ -1,6 +1,9 @@
 """Guards on the package source itself, read as syntax trees."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "votemanip"
@@ -47,3 +50,23 @@ def test_every_private_module_name_is_read_outside_its_definition():
     unread = [f"{module}: {name}" for module, name, own in definitions
               if not any(name in read for _, stmt, read in statements if stmt is not own)]
     assert not unread
+
+
+def test_a_census_loads_only_what_it_runs():
+    # ``votemanip`` imports a submodule when one of its names is first read,
+    # and the writers and weighted sets import what only they need.
+    unused = ("votemanip.verify", "votemanip.fixtures", "votemanip.pscf",
+              "json", "csv", "fractions", "decimal", "string")
+    code = (
+        "import sys\n"
+        "import votemanip.census\n"
+        f"print(sorted(set({unused!r}) & set(sys.modules)))\n"
+        "import votemanip\n"
+        "print([name for name in votemanip.__all__ if not hasattr(votemanip, name)])\n"
+        "from votemanip import *\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SOURCE.parent), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == ["[]", "[]"]
