@@ -23,10 +23,11 @@ kernel works on arrays, a chunk of classes at a time:
   voter outermost, times that count plus c's rank;
 * batched winners: each method's batched form (``fn.on_counts``, see
   ``methods``) scores a block of classes in one numpy call, from sorted
-  rows while u < n! and holder counts beyond, with blocks kept under
-  ``BLOCK_CELLS`` cells.  The tuple of every method's winner set on a
-  class is one outcome, interned as a small integer id, and an
-  exhaustive census fills one id array indexed by class before its walk.  A sampled census meets
+  rows while u < n! and holder counts beyond, in blocks that
+  ``methods._runs`` keeps under ``BLOCK_CELLS`` cells.  The tuple of
+  every method's winner set on a class is one outcome, interned as a
+  small integer id, and an exhaustive census fills one id array indexed
+  by class before its walk.  A sampled census meets
   classes that hardly repeat, so it scores each switch as a correction to
   its class's statistics (``methods._Switched``): O(n^2) per switch for
   tallies, O(n) for Borda scores and first or last places, and for Hare
@@ -104,7 +105,7 @@ from .manipulation import UncertaintySet, _validate, subset_family
 # of them; they stay the reference behind ``find_manipulation``.
 from .dominance import dominates_nonstrict, dominates_strict  # noqa: F401
 from .manipulation import notion_holds  # noqa: F401
-from .methods import BLOCK_CELLS, MethodFn, VotingMethod, _Counts, _Switched
+from .methods import MethodFn, VotingMethod, _Counts, _Switched, _rows, _runs
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -301,14 +302,15 @@ def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return index, inverse.reshape(-1)
 
 
-def _filled(total: int, step: int, block: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """``block`` of each run of ``step`` indices below ``total``, in one
-    array of the narrowest unsigned type that holds every value so far."""
+def _filled(total: int, cells: int, block: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """``block`` of each run of indices below ``total`` (``_runs``, an
+    index costing ``cells``), in one array of the narrowest unsigned type
+    that holds every value so far."""
     out = np.empty(total, np.uint8)
-    for lo in range(0, total, step):
-        part = block(np.arange(lo, min(lo + step, total)))
+    for run in _runs(total, cells):
+        part = block(np.arange(run.start, run.stop))
         out = out.astype(np.promote_types(out.dtype, np.min_scalar_type(part.max())), copy=False)
-        out[lo:lo + len(part)] = part
+        out[run] = part
     return out
 
 
@@ -519,14 +521,13 @@ def _relabeled(n: int, r: np.ndarray, q: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _relabel_table(n: int) -> np.ndarray:
     """``(n!, n!)``: entry [r, q] is ``_relabeled(n, r, q)``, in the
-    narrowest unsigned type, computed a slice of rows at a time, its n
-    places per entry under ``BLOCK_CELLS`` cells."""
+    narrowest unsigned type, computed in runs of rows (``_runs``), a row
+    costing n places per entry."""
     fact = math.factorial(n)
     table = np.empty((fact, fact), np.min_scalar_type(fact - 1))
-    step = max(1, BLOCK_CELLS // (fact * n))
-    for lo in range(0, fact, step):
-        table[lo:lo + step] = _lehmer(n, np.arange(lo, min(lo + step, fact))[:, None],
-                                      np.arange(fact))
+    every = np.arange(fact)
+    for run in _runs(fact, fact * n):
+        table[run] = _lehmer(n, every[run, None], every)
     return table
 
 
@@ -654,8 +655,7 @@ class _ClassKernel:
         # method, or n*n tallies and n places when some method reads
         # tallies (a pairwise one) or whole profiles (one scored row by row).
         pairwise = not batched or any(getattr(f.fn, "pairwise", False) for f in self.universe)
-        self._switch_rows = max(1, BLOCK_CELLS // (
-            spec.n ** 2 + spec.n if pairwise else spec.n + len(self.universe)))
+        self._switch_cells = spec.n ** 2 + spec.n if pairwise else spec.n + len(self.universe)
         self.outcomes = _Outcomes()
         # set x universe method: 1 per member, or for a weighted ``expected``
         # each member's weight times the common denominator, so that sums
@@ -671,19 +671,18 @@ class _ClassKernel:
                 [int(w * scale) for w in spec.weights] if spec.weights else 1)
         self._size = self._weight.sum(axis=1)
 
-    def chunk(self, pairs: int, width: int | None = None, own: int = 0) -> int:
-        """Classes per search chunk when each has up to ``pairs`` holders,
-        each judged against ``width`` outcomes (every ranking by default),
-        and ``own`` cells of its own arrays: a chunk's arrays then have
-        about ``BLOCK_CELLS`` cells."""
+    def chunk_cells(self, pairs: int, width: int | None = None, own: int = 0) -> int:
+        """Cells per class of a search chunk when each has up to ``pairs``
+        holders, each judged against ``width`` outcomes (every ranking by
+        default), and ``own`` cells of its own arrays."""
         width = self.fact if width is None else width
-        return max(1, BLOCK_CELLS // (own + pairs * (width * len(self.universe) + self.m)))
+        return own + pairs * (width * len(self.universe) + self.m)
 
-    def block_rows(self, colex: _Colex) -> int:
-        """Classes per scored block of ``colex``: a class costs n*n tally
-        cells of its own and n*n for each labeled voter and each of its up
-        to ``colex.width`` other entries."""
-        return max(1, BLOCK_CELLS // ((len(self.labeled) + colex.width + 1) * self.n ** 2))
+    def block_cells(self, colex: _Colex) -> int:
+        """Cells per class of a scored block of ``colex``: n*n tally cells
+        of its own and n*n for each labeled voter and each of its up to
+        ``colex.width`` other entries."""
+        return (len(self.labeled) + colex.width + 1) * self.n ** 2
 
     def _score(self, block: _Counts | _Switched) -> np.ndarray:
         """Outcome id per row of a block that every method shares."""
@@ -691,14 +690,14 @@ class _ClassKernel:
 
     def class_ids(self, colex: _Colex) -> np.ndarray:
         """The outcome id of every class (h, c), at h's index in base n!
-        times ``colex.classes`` plus c's rank, scored in blocks of at most
-        ``BLOCK_CELLS`` cells, in ``colex``'s form: from sorted rows while
+        times ``colex.classes`` plus c's rank, scored in runs of classes
+        (``block_cells``), in ``colex``'s form: from sorted rows while
         u < n!, so that no n!-wide row is built."""
         def score(index: np.ndarray) -> np.ndarray:
             point, rank = np.divmod(index, colex.classes)
             held = point[:, None] // self.place % self.fact
             return self._score(colex.block(colex.at(rank), dict(zip(self.labeled, held.T))))
-        return _filled(self.classes, self.block_rows(colex), score)
+        return _filled(self.classes, self.block_cells(colex), score)
 
     def neighbourhood(self, held: np.ndarray, rest: np.ndarray) -> tuple:
         """The holders of a chunk of sampled classes, given by the ranking
@@ -723,10 +722,9 @@ class _ClassKernel:
         gain = np.flatnonzero(self._can_gain(r, before))
         voter = np.array(self.labeled + (-1,) * self.fact)[col[gain]]
         after = np.empty(len(gain) * self.fact, np.int32)
-        for lo in range(0, len(after), self._switch_rows):
-            pair, r2 = np.divmod(np.arange(lo, min(lo + self._switch_rows, len(after))),
-                                 self.fact)
-            after[lo:lo + len(pair)] = self._score(
+        for run in _runs(len(after), self._switch_cells):
+            pair, r2 = np.divmod(np.arange(run.start, run.stop), self.fact)
+            after[run] = self._score(
                 _Switched(base, row[gain[pair]], r[gain[pair]], r2, voter[pair]))
         hits = np.zeros((len(r), self.nbytes), np.uint8)
         hits[gain] = self.hits(r[gain], before[gain], after.reshape(len(gain), self.fact))
@@ -770,11 +768,10 @@ class _ClassKernel:
         each distinct row of dominance flags is judged once."""
         moves = self._dominance(r_idx, before, after)
         index, inverse = _distinct_rows(np.packbits(moves.reshape(len(moves), -1), axis=1))
-        # products of at most BLOCK_CELLS cells: a row's flag per method and
-        # its sum per set
-        step = max(1, BLOCK_CELLS // (len(self.universe) + len(self._weight)))
-        return np.concatenate([self._witnesses(moves[index[lo:lo + step]])
-                               for lo in range(0, len(index), step)])[inverse]
+        # products in runs of rows, a row costing its flag per method and its
+        # sum per set
+        return np.concatenate([self._witnesses(moves[index[run]]) for run in
+                               _runs(len(index), len(self.universe) + len(self._weight))])[inverse]
 
     def _dominance(self, r_idx: np.ndarray, before: np.ndarray, after: np.ndarray) -> np.ndarray:
         """``(triples, 3, methods)`` bool: whether each method's move from
@@ -869,23 +866,22 @@ class _Orbits:
         fact, total = self.colex.fact, self.others.classes
         key = np.empty(total, np.min_scalar_type(total * fact - 1))
         reps = []
-        step = max(1, BLOCK_CELLS // self.colex.width ** 2)
-        for lo in range(0, total, step):
-            o = np.arange(lo, min(lo + step, total))
+        for run in _runs(total, self.colex.width ** 2):
+            o = np.arange(run.start, run.stop)
             row, r, at = self.colex.relabeled(self.colex.with_identity(o))
             # the least image of each o + e_0 times n!, plus the lowest r reaching it
             key[o] = np.minimum.reduceat(at * fact + r, np.flatnonzero(np.diff(row, prepend=-1)))
             reps.append(o[key[o] // fact == o])
         reps = np.concatenate(reps)
-        for lo in range(0, total, step):
-            least, turn = np.divmod(key[lo:lo + step], fact)
-            key[lo:lo + step] = np.searchsorted(reps, least) * fact + turn
+        for run in _runs(total, self.colex.width ** 2):
+            least, turn = np.divmod(key[run], fact)
+            key[run] = np.searchsorted(reps, least) * fact + turn
         return key, reps
 
     def class_ids(self, kernel: _ClassKernel) -> tuple[np.ndarray, np.ndarray]:
         """The outcome id of every class, by its rank in ``colex``, and the
-        representatives' o*.  Only the representatives are scored, in
-        blocks of at most ``BLOCK_CELLS`` cells.  A class c whose lowest
+        representatives' o*.  Only the representatives are scored, in runs
+        of classes (``_ClassKernel.block_cells``).  A class c whose lowest
         ranking is r is sigma_r^-1 sigma_t^-1 R for the representative R of
         a + e_0, a = sigma_r(c - e_r), and the ranking t that takes a + e_0
         to R; so R's winner y is c's candidate order[r][order[t][y]], the
@@ -895,7 +891,7 @@ class _Orbits:
         relabeled by every s."""
         key, reps = self.canonical()
         colex = self.colex
-        scored = _filled(len(reps), kernel.block_rows(colex),
+        scored = _filled(len(reps), kernel.block_cells(colex),
                          lambda i: kernel._score(colex.block(colex.with_identity(reps[i]))))
         moved = self.moved(kernel)
         inverse = _relabeled(colex.n, np.arange(colex.fact), 0)
@@ -905,16 +901,15 @@ class _Orbits:
             rep, t = np.divmod(key[a], colex.fact)
             return moved[scored[rep], _relabeled(colex.n, inverse[r], t)]
         # per class its row and, past the relabel table, a Lehmer code's n places
-        step = max(1, BLOCK_CELLS // (colex.width + colex.n))
-        return _filled(colex.classes, step, relabeled), reps
+        return _filled(colex.classes, colex.width + colex.n, relabeled), reps
 
     def moved(self, kernel: _ClassKernel) -> np.ndarray:
         """``(D, n!)`` outcome ids for the D outcomes ``kernel`` has interned,
         which, as the census scores nothing before its representatives, are
         the distinct outcomes they scored: entry [d, s] is outcome d with
         each winner y moved to candidate order[s][y], relabeled and
-        interned in blocks of at most ``BLOCK_CELLS`` cells.  Each is the
-        outcome of a class in d's orbit."""
+        interned in runs of entries, an entry costing n winner bits per
+        method.  Each is the outcome of a class in d's orbit."""
         n, fact = self.colex.n, self.colex.fact
         won = kernel.outcomes.arrays()[0].astype(np.int64)
         order = ranking_orders(n).astype(np.intp)
@@ -925,8 +920,7 @@ class _Orbits:
             for y in range(n):
                 masks |= (w >> y & 1) << order[s, y, None]
             return kernel.outcomes.ids(masks)
-        step = max(1, BLOCK_CELLS // (n * len(kernel.universe)))
-        return _filled(len(won) * fact, step, block).reshape(len(won), fact)
+        return _filled(len(won) * fact, n * len(kernel.universe), block).reshape(len(won), fact)
 
     def profiles(self, reps: np.ndarray, found: np.ndarray) -> Iterator[tuple]:
         """Per block of representatives R (their o* in ``reps``): the
@@ -936,9 +930,8 @@ class _Orbits:
         fact, nbytes, width = self.colex.fact, found.shape[1], self.colex.width
         # per representative: its images' rows of others and of found, and
         # a set bit per set once the bitmaps are unpacked
-        step = max(1, BLOCK_CELLS // (width * (width + nbytes) + 8 * nbytes))
-        for lo in range(0, len(reps), step):
-            o = reps[lo:lo + step]
+        for run in _runs(len(reps), width * (width + nbytes) + 8 * nbytes):
+            o = reps[run]
             classes = self.colex.with_identity(o)
             row, r, at = self.colex.relabeled(classes)
             # Stab(R): the distinct held rankings whose relabeling gives R back
@@ -982,7 +975,7 @@ def _class_walk(spec: CensusSpec, kernel: _ClassKernel) -> Iterator[tuple]:
     # an o's own arrays (its counts, the running sums behind the ranks of
     # the n! classes it reaches, their outcomes) are some eight rows of n!
     own = 8 * fact
-    lo, step = 0, kernel.chunk(len(judged), fact, own)
+    lo, step = 0, _rows(kernel.chunk_cells(len(judged), fact, own))
     while lo < walk:
         point, rank = np.divmod(np.arange(lo, min(lo + step, walk)), colex.others.classes)
         counts = colex.others.unrank(rank)
@@ -991,7 +984,7 @@ def _class_walk(spec: CensusSpec, kernel: _ClassKernel) -> Iterator[tuple]:
         row = _distinct_per_row(reach)
         # only as many o's as fit are judged against their rows; the next
         # chunk starts with as many
-        step = kernel.chunk(len(judged), row.shape[1], own)
+        step = _rows(kernel.chunk_cells(len(judged), row.shape[1], own))
         counts, ranks, reach, row = counts[:step], ranks[:step], reach[:step], row[:step]
         hits = kernel.hits(np.tile(judged, len(counts)), reach[:, judged].ravel(),
                            np.repeat(row, len(judged), axis=0))
@@ -1014,9 +1007,8 @@ def _class_walk(spec: CensusSpec, kernel: _ClassKernel) -> Iterator[tuple]:
     stride = colex.classes * kernel.place  # a labeled voter's step through ids
     # a class's own arrays (its row, the runs behind its weight, its sets)
     # are some eight rows of its ``colex.width`` places, and a cell per set
-    step = kernel.chunk(size, own=8 * colex.width + nsets)
-    for lo in range(0, len(ids), step):
-        index = np.arange(lo, min(lo + step, len(ids)))
+    for run in _runs(len(ids), kernel.chunk_cells(size, own=8 * colex.width + nsets)):
+        index = np.arange(run.start, run.stop)
         sets = found[index]
         if not size:  # a class none of whose voters witnesses counts nothing
             live = sets.any(axis=1)
@@ -1037,17 +1029,15 @@ def _sampled_classes(spec: CensusSpec, kernel: _ClassKernel) -> Iterator[tuple]:
     correction to its class (``neighbourhood``)."""
     fact, labeled = kernel.fact, np.array(kernel.labeled, np.intp)
     size = len(labeled)
-    step = kernel.chunk(size + min(spec.m - size, fact))
     sample = _sample_rows(spec.n, spec.m, spec.samples, spec.seed)
     keys = np.c_[sample[:, labeled], np.sort(np.delete(sample, labeled, axis=1), axis=1)]
     index, inverse = _distinct_rows(keys)
     keys, drawn = keys[index], np.bincount(inverse)
-    for lo in range(0, len(keys), step):
-        weights = drawn[lo:lo + step]
+    for run in _runs(len(keys), kernel.chunk_cells(size + min(spec.m - size, fact))):
+        weights = drawn[run]
         # a class counts its weight for each set any holder witnesses, and a
         # holder its weight times its holders for each set it witnesses
-        row, holders, hits = kernel.neighbourhood(keys[lo:lo + step, :size],
-                                                  _counts(keys[lo:lo + step, size:], fact))
+        row, holders, hits = kernel.neighbourhood(keys[run, :size], _counts(keys[run, size:], fact))
         bits = _set_bits(hits, len(spec.method_sets))
         starts = np.flatnonzero(np.r_[True, row[1:] != row[:-1]])
         yield "profiles", weights[row[starts]], np.maximum.reduceat(bits, starts)

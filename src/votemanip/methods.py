@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -43,16 +43,26 @@ from .core import (
 
 MethodFn = Callable[[Profile], frozenset[int]]
 
-# Cells per batched call: each row of a census block costs n*n tally cells
-# of its own and n*n for every ranking it holds, a switched row n scores or
-# places and a winner mask per method (n*n tallies and n places when some
-# method is pairwise, ``fn.pairwise``), and a class of Hare's step table n
-# first places for each move within a candidate set.  This keeps each
-# call's arrays under a MB whatever n and m are.  Larger blocks raise a
-# census's peak RSS, but each block also pays about a hundred numpy calls:
-# at n = 5, switched rows without tallies come in a quarter as many blocks,
-# which made a sampled census 11% faster (BENCH_sampled_switch_rows.json).
+# Cells per block of a bounded pass.  ``_rows`` is its only reader, and
+# ``_runs`` cuts a pass into blocks by it; each caller states what one row
+# of its arrays costs in cells, so that a block's arrays stay under a MB
+# whatever n and m are.  Larger blocks raise a census's peak RSS, but each
+# block also pays about a hundred numpy calls: at n = 5, switched rows
+# without tallies come in a quarter as many blocks, which made a sampled
+# census 11% faster (BENCH_sampled_switch_rows.json).
 BLOCK_CELLS = 1 << 16
+
+
+def _rows(cells: int) -> int:
+    """Rows per block when each row costs ``cells`` cells: at least one."""
+    return max(1, BLOCK_CELLS // cells)
+
+
+def _runs(total: int, cells: int) -> Iterator[slice]:
+    """The consecutive slices of ``_rows(cells)`` indices below ``total``."""
+    step = _rows(cells)
+    for lo in range(0, total, step):
+        yield slice(lo, min(lo + step, total))
 
 
 def _argmax(scores: Mapping[int, int]) -> frozenset[int]:
@@ -550,8 +560,8 @@ def _hare_steps(firsts_by_set: np.ndarray, voters: np.ndarray) -> np.ndarray:
     [c, A, x, y].  A set of at most one member steps to itself.  Of the
     other sets only the moves between two members are built
     (``_moves_within``), as no walk reads any other cell, which is left
-    unset; in slices of rows whose arrays stay under ``BLOCK_CELLS``
-    cells.  int16 holds every count, as m <= 255, and mask."""
+    unset; in runs of rows (``_runs``), a row costing n first places per
+    move.  int16 holds every count, as m <= 255, and mask."""
     n, k, sets = firsts_by_set.shape
     table = np.empty((k, sets, n, n), np.int16)
     every = np.arange(sets)
@@ -562,12 +572,10 @@ def _hare_steps(firsts_by_set: np.ndarray, voters: np.ndarray) -> np.ndarray:
     firsts_of = firsts_by_set.astype(np.int16)
     voters = voters.astype(np.int16)[:, None]
     alive = within.astype(np.int16)[None, :]
-    step = max(1, BLOCK_CELLS // (n * len(within)))
-    for lo in range(0, k, step):
-        firsts = firsts_of[:, lo:lo + step].take(within, axis=2)
+    for run in _runs(k, n * len(within)):
+        firsts = firsts_of[:, run].take(within, axis=2)
         firsts += moved[:, None, :]
-        rows[lo:lo + step, cells] = _first_or_last_step(
-            alive, firsts, voters[lo:lo + step], -firsts)
+        rows[run, cells] = _first_or_last_step(alive, firsts, voters[run], -firsts)
     return table
 
 

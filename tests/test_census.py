@@ -2,6 +2,8 @@
 
 import json
 import math
+import sys
+from collections import Counter
 from fractions import Fraction
 from functools import cache, wraps
 from itertools import combinations, permutations, product
@@ -626,16 +628,16 @@ class TestSwitchedBlocks:
         def rows(*members):
             spec = CensusSpec(n=5, m=3, method_sets=(UncertaintySet(members),),
                               mode="sample", samples=1, seed=1)
-            return _ClassKernel(spec)._switch_rows
+            return methods._rows(_ClassKernel(spec)._switch_cells)
 
         borda, hare = METHODS["borda"], METHODS["hare"]
-        assert rows(borda, hare) == census.BLOCK_CELLS // (5 + 2)
-        assert rows(borda, hare, parse_method("pdict:a,b,0")) == census.BLOCK_CELLS // (5 + 3)
+        assert rows(borda, hare) == methods.BLOCK_CELLS // (5 + 2)
+        assert rows(borda, hare, parse_method("pdict:a,b,0")) == methods.BLOCK_CELLS // (5 + 3)
         # n*n tallies and n places for a pairwise member, tiebroken or not,
         # and for a method without a batched form, which reads whole profiles
         custom = VotingMethod("my_borda", lambda profile: borda.fn(profile))
         for other in (METHODS["copeland"], parse_method("maxmin@edcba"), custom):
-            assert rows(borda, hare, other) == census.BLOCK_CELLS // (25 + 5), other.id
+            assert rows(borda, hare, other) == methods.BLOCK_CELLS // (25 + 5), other.id
 
     @pytest.mark.parametrize("n,m,samples", [(4, 4, 30), (5, 3, 12)])
     @pytest.mark.parametrize("names", [
@@ -644,8 +646,8 @@ class TestSwitchedBlocks:
     ], ids=["no-pairwise", "pairwise"])
     def test_small_switched_blocks_keep_the_counts(self, monkeypatch, n, m, samples, names):
         # A few hundred cells per block, so a chunk's switches span many
-        # switched blocks, each cut at ``_switch_rows`` rows.
-        monkeypatch.setattr(census, "BLOCK_CELLS", 1 << 9)
+        # switched blocks, each cut at ``_rows(_switch_cells)`` rows.
+        monkeypatch.setattr(methods, "BLOCK_CELLS", 1 << 9)
         spec = CensusSpec(n=n, m=m, method_sets=tuple(method_set(*s) for s in names),
                           notion="safe", kind="weak", mode="sample", samples=samples, seed=5)
         scored = []
@@ -659,7 +661,61 @@ class TestSwitchedBlocks:
         assert engine_counts(spec) == naive_counts(spec)
         bases = {id(base) for base, _ in scored}
         assert 1 < len(bases) < len(scored)
-        assert max(k for _, k in scored) == _ClassKernel(spec)._switch_rows
+        assert max(k for _, k in scored) == methods._rows(_ClassKernel(spec)._switch_cells)
+
+
+class TestBlockRuns:
+    """Every pass bounded by ``methods.BLOCK_CELLS`` is cut into runs by
+    ``methods._runs``; where a run ends must not move a count."""
+
+    def test_every_pass_in_many_runs_keeps_the_counts(self, monkeypatch):
+        # 448 cells: a sampled chunk of (4,4) hare and copeland holds two
+        # classes of 208 cells, so Hare's step table, 304 cells a class,
+        # takes two runs, while the 56 classes of three others at (3,4),
+        # 9 cells each, still take two runs of the orbit key.
+        table = census._relabel_table(4)
+        monkeypatch.setattr(methods, "BLOCK_CELLS", 448)
+        runs, calls = methods._runs, []
+
+        def spy(total, cells):
+            caller = sys._getframe(1)
+            if caller.f_code.co_name == "_filled":
+                caller = caller.f_back
+            out = list(runs(total, cells))
+            calls.append((caller.f_code.co_name, len(out)))
+            return iter(out)
+
+        monkeypatch.setattr(methods, "_runs", spy)
+        monkeypatch.setattr(census, "_runs", spy)
+        three = tuple(METHODS[name] for name in ("borda", "hare", "copeland"))
+        six = three + tuple(METHODS[name] for name in ("coombs", "plurality", "maxmin"))
+        censuses = [
+            # the orbit key's two loops, the orbit scoring and fill, the
+            # moved table and the orbit profiles
+            (CensusSpec(n=3, m=4, method_sets=subset_family(three, 2)),
+             {"canonical": 2, "class_ids": 2, "moved": 1, "profiles": 1}),
+            # the class fill and the labeled voter's stride pass
+            (CensusSpec(n=3, m=4, method_sets=(method_set("borda@acb"),
+                                               method_set("borda", "pdict:a,b,0"))),
+             {"class_ids": 1, "_class_walk": 1}),
+            # the sampled chunks, the switched blocks and Hare's step table
+            (CensusSpec(n=4, m=4, method_sets=(method_set("hare"), method_set("hare", "copeland")),
+                        mode="sample", samples=30, seed=5),
+             {"_sampled_classes": 1, "neighbourhood": 1, "_hare_steps": 1}),
+            # the verdict products, once a chunk's triples have more distinct
+            # rows of flags than a run holds
+            (CensusSpec(n=4, m=4, method_sets=subset_family(six, 2), mode="sample", samples=30,
+                        seed=5),
+             {"_verdicts": 1}),
+        ]
+        for spec, passes in censuses:
+            calls.clear()
+            assert engine_counts(spec) == naive_counts(spec)
+            split = Counter(name for name, count in calls if count > 1)
+            assert split >= Counter(passes), (spec, calls)
+        calls.clear()
+        assert np.array_equal(census._relabel_table.__wrapped__(4), table)
+        assert calls == [("_relabel_table", 6)]
 
 
 def mixed_family(n: int, notion: str, weighted: bool, direct: bool) -> tuple:

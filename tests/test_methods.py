@@ -20,6 +20,7 @@ from votemanip.methods import (
     _bitmask,
     _hare_steps,
     _members,
+    _rows,
     _top,
     pairwise_dictator,
     parse_method,
@@ -389,7 +390,7 @@ class TestBatchedForms:
         kernel = _ClassKernel(spec)
         colex = _Colex(n, m)
         ids = kernel.class_ids(colex)
-        assert len(ids) == colex.classes > 2 * kernel.block_rows(colex)
+        assert len(ids) == colex.classes > 2 * _rows(kernel.block_cells(colex))
         counts = colex.unrank(np.arange(colex.classes))
         combos = [tuple(np.repeat(np.arange(24), row).tolist()) for row in counts]
         assert combos == sorted(combinations_with_replacement(range(24), m),

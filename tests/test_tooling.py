@@ -52,6 +52,31 @@ def test_every_private_module_name_is_read_outside_its_definition():
     assert not unread
 
 
+def test_only_rows_reads_the_block_size():
+    # Each pass bounded by ``methods.BLOCK_CELLS`` states its cells per row
+    # and takes its rows from ``methods._rows``, or its slices from
+    # ``methods._runs``, so that the block size is decided in one place.
+    readers = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.alias):  # an import of the name
+                name = node.name
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = node.id
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                name = node.attr
+            else:
+                continue
+            if name == "BLOCK_CELLS":
+                scope = node
+                while scope in parents and not isinstance(scope, ast.FunctionDef):
+                    scope = parents[scope]
+                readers.append(f"{path.stem}.{getattr(scope, 'name', '<module>')}")
+    assert readers == ["methods._rows"]
+
+
 def test_a_census_loads_only_what_it_runs():
     # ``votemanip`` imports a submodule when one of its names is first read,
     # and the writers and weighted sets import what only they need.
