@@ -33,8 +33,10 @@ kernel works on arrays, a chunk of classes at a time:
   tallies, O(n) for Borda scores and first or last places, and for Hare
   n - 1 gathers through a table of each class's elimination steps, one
   per candidate set and pair of first places moved, built once per chunk.
-  It scores no switch of a holder who cannot gain, whose top candidate
-  every method already elects alone;
+  Its classes are scored as null switches (a voter moved from a ranking to
+  itself), so Hare's base winners walk that table too.  It scores no switch
+  of a holder who cannot gain, whose top candidate every method already
+  elects alone, and judges a holder against its distinct outcomes only;
 * judge in the walk, count after it: the exhaustive walk visits (h, o) for
   the classes o of u - 1 others.  An unlabeled voter holding r beside o is
   in (h, o + e_r), and the ranks of o's n! such classes are two running
@@ -114,8 +116,8 @@ DEFAULT_BUDGET = 20_000_000
 # A count row stores each ranking's holder count in one byte.
 MAX_VOTERS = 255
 # A census builds tables with a row per ranking: at n = 10 Borda's pair table
-# takes 1.3 GB and a candidate-set table 3.7 GB per kind, and at n = 11 the
-# pair table alone would take 17.6 GB.
+# takes 163 MB and a candidate-set table 3.7 GB per kind, and at n = 11 the
+# pair table alone would take 2.2 GB.
 MAX_CANDIDATES = 10
 
 
@@ -709,8 +711,10 @@ class _ClassKernel:
         ranking are one holder.  No id array holds the classes the switches
         reach, so each is scored as a correction to its class's statistics,
         a labeled voter's switch also moving what that voter holds.  The
-        base classes are scored first, and only the switches of holders
-        who can gain (``_can_gain``) are scored; the others witness nothing.
+        classes are scored first, as null switches (ranking 0 to ranking 0),
+        so Hare walks the step table that the switches build anyway.  Only
+        the switches of holders who can gain (``_can_gain``) are scored, and
+        ``hits`` is given each one's distinct outcomes, a handful of n!.
         """
         k, size = held.shape
         base = _Counts.of(self.n, rest + _counts(held, self.fact), dict(zip(self.labeled, held.T)))
@@ -718,7 +722,8 @@ class _ClassKernel:
         holders = np.c_[np.ones((k, size), np.uint8), rest]
         row, col = np.nonzero(holders)
         r = np.c_[held, np.broadcast_to(np.arange(self.fact), (k, self.fact))][row, col]
-        before = self._score(base)[row]
+        stay = np.zeros(k, np.intp)
+        before = self._score(_Switched(base, np.arange(k), stay, stay))[row]
         gain = np.flatnonzero(self._can_gain(r, before))
         voter = np.array(self.labeled + (-1,) * self.fact)[col[gain]]
         after = np.empty(len(gain) * self.fact, np.int32)
@@ -727,7 +732,8 @@ class _ClassKernel:
             after[run] = self._score(
                 _Switched(base, row[gain[pair]], r[gain[pair]], r2, voter[pair]))
         hits = np.zeros((len(r), self.nbytes), np.uint8)
-        hits[gain] = self.hits(r[gain], before[gain], after.reshape(len(gain), self.fact))
+        hits[gain] = self.hits(r[gain], before[gain],
+                               _distinct_per_row(after.reshape(len(gain), self.fact)))
         return row, holders[row, col], hits
 
     def _can_gain(self, r: np.ndarray, base: np.ndarray) -> np.ndarray:
@@ -741,8 +747,8 @@ class _ClassKernel:
         """``(len(r), bytes)`` set bitmaps, set s at bit s % 8 of byte
         s // 8: the sets witnessed by some switch of a voter with ranking
         ``r[j]`` that takes outcome ``base[j]`` to one of ``after[j]``:
-        every ranking's outcome, or any row holding each outcome the voter
-        can reach, such as a class walk's distinct ones.
+        any row holding each outcome the voter can reach, such as a class
+        walk's or a sampled holder's distinct ones (``_distinct_per_row``).
 
         Only the distinct (ranking, before, after) triples are judged.  An
         unchanged outcome witnesses nothing, and neither does any switch
@@ -832,7 +838,7 @@ def _distinct_per_row(a: np.ndarray) -> np.ndarray:
     a = np.sort(a, axis=1)
     repeat = np.zeros(a.shape, bool)
     repeat[:, 1:] = a[:, 1:] == a[:, :-1]
-    width = a.shape[1] - repeat.sum(axis=1).min()
+    width = a.shape[1] - repeat.sum(axis=1).min(initial=a.shape[1])  # 0 with no rows
     return np.take_along_axis(a, np.argsort(repeat, axis=1, kind="stable")[:, :width], axis=1)
 
 

@@ -243,8 +243,9 @@ def weak_nanson(profile: Profile) -> frozenset[int]:
 # memoized tallies are computed once, or a ``_Switched`` block of one-voter
 # switches, whose statistics are corrections to its base block's.  Each
 # block type gives its own Hare winners (``hare()``): a ``_Counts`` runs
-# rounds, and a ``_Switched`` walks a table of its base block's elimination
-# steps (``_Counts.hare_steps``).
+# rounds, for the exhaustive fill, and a ``_Switched`` walks a table of its
+# base block's elimination steps (``_Counts.hare_steps``); a sampled census
+# scores its classes too as switches, null ones, and so runs no rounds.
 # A row forgets which voter holds what, except for the labeled voters a
 # block is given (``held_by``): a pairwise dictator, which reads one voter,
 # sets ``fn.voter`` and reads that voter's ranking per row.  All arithmetic

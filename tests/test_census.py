@@ -218,6 +218,7 @@ class TestAgainstNaiveSearch:
         # nothing, so its switches are not scored.  Counted from the scalar
         # methods: the holders of the distinct classes drawn (each labeled
         # voter, and each ranking the others hold), and those who can gain.
+        # Each class is scored once more, as a null switch of its own.
         names = ([("borda",), ("hare",), ("pdict:a,b,0",)] if notion == "single" else
                  [("borda",), ("hare",), ("borda", "hare"), ("borda", "pdict:a,b,0")])
         spec = CensusSpec(n=3, m=4, method_sets=tuple(method_set(*s) for s in names),
@@ -241,7 +242,7 @@ class TestAgainstNaiveSearch:
         switched = census._Switched
         monkeypatch.setattr(census, "_Switched", spy)
         assert engine_counts(spec) == naive_counts(spec)
-        assert sum(scored) == math.factorial(spec.n) * gain
+        assert sum(scored) == math.factorial(spec.n) * gain + len(classes)
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("notion", ["sure", "safe", "expected"])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from votemanip.census import CensusSpec, _ClassKernel, _Colex
+from votemanip.census import CensusSpec, _ClassKernel, _Colex, _row_wise
 from votemanip.core import Profile, Ranking, all_rankings, default_labels
 from votemanip.fixtures import EXAMPLES, profile_of, ranking_of, set_of
 from votemanip.manipulation import UncertaintySet
@@ -560,6 +560,28 @@ class TestBatchedForms:
         assert got[:2] == [(1 << n) - 1, 0b1]  # all tied; a majority
         assert got == [bitmask(METHODS["hare"].fn(Profile(
             (*classes[c][:j], r, *classes[c][j + 1:])))) for c, j, r in moves]
+
+    @pytest.mark.parametrize("n,m,count", [(3, 4, 60), (4, 5, 60), (5, 7, 40)])
+    def test_null_switches_keep_their_class_winners(self, n, m, count):
+        # A sampled census scores its classes as switches that move a voter
+        # from a ranking to the same ranking, held or not: every batched
+        # form (the eleven methods, tiebroken forms, a pairwise dictator and
+        # a custom method scored row by row) must give the class's own
+        # winners.  Every voter is held, as the row-by-row form reads them.
+        fact = len(all_rankings(n))
+        labels = "".join(default_labels(n))
+        rng = np.random.default_rng(n * 100 + m)
+        profiles = rng.integers(0, fact, size=(count, m))
+        base = _Counts.of(n, np.array([count_row(n, p) for p in profiles], np.uint8),
+                          dict(enumerate(profiles.T)))
+        custom = VotingMethod("last_top", lambda profile: frozenset({profile.rankings[-1].order[0]}))
+        forms = [(f.id, f.fn.on_counts) for f in batched_methods(n)] + [
+            ("pdict", parse_method(f"pdict:{labels[0]},{labels[1]},0").fn.on_counts),
+            ("custom", _row_wise(custom.fn, m))]
+        for stay in (np.zeros(count, np.intp), rng.integers(0, fact, size=count)):
+            null = _Switched(base, np.arange(count), stay, stay)
+            for name, on_counts in forms:
+                assert on_counts(null).tolist() == on_counts(base).tolist(), name
 
     @pytest.mark.parametrize("n,m", [(3, 1), (3, 2), (3, 3), (4, 1), (4, 2)])
     def test_pairwise_dictators_read_their_voter(self, n, m):
