@@ -383,19 +383,17 @@ class _Colex:
         weights[row[starts]] = np.multiply.reduceat(self.binomial[upto, held], starts)
         return weights
 
-    def _terms(self, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per row of holder counts, the voters below each ranking and the
-        ranking's rank term."""
-        s = np.cumsum(counts, axis=1, dtype=np.int64) - counts  # voters below each ranking
-        return s, self._below(s)
-
-    def _below(self, s: np.ndarray) -> np.ndarray:
-        """``below[v, s[..., v]]`` for every ranking v, as one flat gather."""
-        return self.below.take(s + np.arange(0, self.below.size, self.m + 1))
+    def _cells(self, counts: np.ndarray) -> np.ndarray:
+        """Per row of holder counts, each ranking v's cell below[v, s_v] of
+        the flat ``below``, s_v voters of the row below v."""
+        s = np.cumsum(counts, axis=1, dtype=np.int64)
+        s -= counts
+        s += np.arange(0, self.below.size, self.m + 1)
+        return s
 
     def rank(self, counts: np.ndarray) -> np.ndarray:
         """The rank of the class of each row of holder counts."""
-        return self.classes - 1 - self._terms(counts)[1].sum(axis=1)
+        return self.classes - 1 - self.below.take(self._cells(counts)).sum(axis=1)
 
     def rows(self, ranks: np.ndarray) -> np.ndarray:
         """``(len(ranks), m)`` sorted rows of the classes: each place, last
@@ -431,11 +429,20 @@ class _Colex:
     def added_ranks(self, others: np.ndarray) -> np.ndarray:
         """``(len(others), fact)``: the rank of the class reached when a voter
         holding each ranking v joins each row of holder counts of m - 1
-        voters."""
-        s, at = self._terms(others)
-        past = self._below(s + 1)  # the term once v < w
-        return (self.classes - 1 - np.cumsum(at, axis=1)
-                - (past.sum(axis=1, keepdims=True) - np.cumsum(past, axis=1)))
+        voters: the last rank less the terms of the rankings w <= v and,
+        with one more voter below, of those past v.  Built in place, in
+        about three int64 rows of fact per row of ``others``."""
+        s = self._cells(others)
+        at = self.below.take(s)
+        s += 1  # one more voter below
+        # in place: with "clip", which no cell needs, take writes ``out``
+        # unbuffered, reading each index before it writes that cell
+        past = self.below.take(s, out=s, mode="clip")
+        last = self.classes - 1 - past.sum(axis=1, keepdims=True)
+        np.cumsum(past, axis=1, out=past)
+        past -= np.cumsum(at, axis=1, out=at)
+        past += last
+        return past
 
     @cached_property
     def others(self) -> _Colex:
@@ -978,20 +985,27 @@ def _class_walk(spec: CensusSpec, kernel: _ClassKernel) -> Iterator[tuple]:
     walk = fact ** size * colex.others.classes if colex.m else 0  # no o when u = 0
     judged = np.arange(1 if kernel.neutral else fact)  # the rankings judged beside each o
     found = np.zeros((walk if kernel.neutral else len(ids), kernel.nbytes), np.uint8)
-    # an o's own arrays (its counts, the running sums behind the ranks of
-    # the n! classes it reaches, their outcomes) are some eight rows of n!
-    own = 8 * fact
-    lo, step = 0, _rows(kernel.chunk_cells(len(judged), fact, own))
+    # Building a chunk (its counts, reached ranks and outcomes, and a sort)
+    # peaks at 2.4 rows of n! per o at n = 5 and 3.2 at n = 4, traced; judging
+    # holds two (counts, outcomes), and per pair the row ``hits`` is given and
+    # its cells per outcome.  A chunk is built for the first, cut to the larger.
+    own = 3 * fact
+    lo, step = 0, _rows(own)
     while lo < walk:
         point, rank = np.divmod(np.arange(lo, min(lo + step, walk)), colex.others.classes)
         counts = colex.others.unrank(rank)
-        ranks = colex.classes * point[:, None] + colex.added_ranks(counts)
+        ranks = colex.added_ranks(counts)
+        if size:  # the labeled voters' place in ids
+            ranks += colex.classes * point[:, None]
         reach = ids[ranks]  # reach[o, r]: the outcome when the voter holds r
+        if kernel.neutral:
+            del ranks
         row = _distinct_per_row(reach)
         # only as many o's as fit are judged against their rows; the next
         # chunk starts with as many
-        step = _rows(kernel.chunk_cells(len(judged), row.shape[1], own))
-        counts, ranks, reach, row = counts[:step], ranks[:step], reach[:step], row[:step]
+        step = _rows(max(own, kernel.chunk_cells(len(judged), row.shape[1],
+                                                 2 * fact + len(judged) * row.shape[1])))
+        counts, reach, row = counts[:step], reach[:step], row[:step]
         hits = kernel.hits(np.tile(judged, len(counts)), reach[:, judged].ravel(),
                            np.repeat(row, len(judged), axis=0))
         pointed = colex.m * colex.others.weights(counts).astype(dtype)
@@ -1002,7 +1016,7 @@ def _class_walk(spec: CensusSpec, kernel: _ClassKernel) -> Iterator[tuple]:
             found[lo:lo + len(counts)] = hits
         else:
             live = hits.any(axis=1)
-            np.bitwise_or.at(found, ranks.ravel()[live], hits[live])
+            np.bitwise_or.at(found, ranks[:len(counts)].ravel()[live], hits[live])
         lo += len(counts)
     if kernel.neutral:
         for weights, sizes, bitmaps in orbits.profiles(reps, found):

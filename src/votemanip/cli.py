@@ -357,8 +357,8 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         _check_env(args)
         return args.fn(args)
-    except (ProfileFormatError, BudgetExceededError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ProfileFormatError, BudgetExceededError, ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

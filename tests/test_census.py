@@ -3,6 +3,7 @@
 import json
 import math
 import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from functools import cache, wraps
@@ -282,8 +283,10 @@ class TestOthersClassWalk:
     """The exhaustive walk visits each class of m - 1 voters, o, and reaches
     class o + e_v when one more voter holds ranking v."""
 
+    # o as sorted rows while m - 1 < n!, as holder counts beyond, at (2,3)
+    # to (2,6) and (3,7), and the one empty class at m = 1
     @pytest.mark.parametrize("n,m", [*((2, m) for m in range(1, 7)),
-                                     *((3, m) for m in range(1, 6)),
+                                     *((3, m) for m in range(1, 8)),
                                      *((4, m) for m in range(1, 4))])
     def test_added_ranks_and_pointed_weights_match_the_explicit_classes(self, n, m):
         fact = math.factorial(n)
@@ -304,6 +307,16 @@ class TestOthersClassWalk:
         walked = np.zeros(colex.classes, np.int64)
         np.maximum.at(walked, ranks, o)
         assert (walked[ranks[last]] == o[last]).all()
+
+    def test_added_ranks_are_exact_at_five_candidates(self):
+        # 871,200 pairs (o, v) at (5,3): each ranking v's column at a time
+        colex = _Colex(5, 3)
+        counts = colex.others.unrank(np.arange(colex.others.classes))
+        ranks = colex.added_ranks(counts)
+        for v in range(colex.fact):
+            joined = counts.copy()
+            joined[:, v] += 1  # o + e_v
+            assert np.array_equal(ranks[:, v], colex.rank(joined)), v
 
 
 class TestColexBlocks:
@@ -717,6 +730,92 @@ class TestBlockRuns:
         calls.clear()
         assert np.array_equal(census._relabel_table.__wrapped__(4), table)
         assert calls == [("_relabel_table", 6)]
+
+
+class TestWalkChunks:
+    """The class walk builds a chunk of o's sized by what building holds,
+    then judges as many of them as judging holds (``methods._rows``); the
+    next chunk starts after the judged ones."""
+
+    @staticmethod
+    def from_walk() -> bool:
+        """Whether the spy calling this was called by the walk."""
+        return sys._getframe(2).f_code.co_name == "_class_walk"
+
+    def chunks(self, monkeypatch) -> list[tuple[int, int]]:
+        """Filled during a census: (o's built, o's judged) per walk chunk."""
+        unrank, hits, built, chunks = _Colex.unrank, _ClassKernel.hits, [], []
+
+        def spy_unrank(colex, ranks):
+            if self.from_walk():
+                built.append(len(ranks))
+            return unrank(colex, ranks)
+
+        def spy_hits(kernel, r, base, after):
+            if self.from_walk() and built:  # not the pass after the walk
+                chunks.append((built.pop(), len(r) if kernel.neutral else len(r) // kernel.fact))
+            return hits(kernel, r, base, after)
+
+        monkeypatch.setattr(_Colex, "unrank", spy_unrank)
+        monkeypatch.setattr(_ClassKernel, "hits", spy_hits)
+        return chunks
+
+    # neutral, then with a labeled voter: a pairwise dictator's and a
+    # tiebreak's, so that the walk judges every ranking beside each o
+    @pytest.mark.parametrize("names", [[("borda",), ("hare",), ("borda", "hare")],
+                                       [("borda", "pdict:a,b,0"), ("borda@acb",)]])
+    def test_cut_chunks_keep_the_counts(self, monkeypatch, names):
+        spec = CensusSpec(n=3, m=4, method_sets=tuple(method_set(*s) for s in names))
+        monkeypatch.setattr(methods, "BLOCK_CELLS", 300)
+        chunks = self.chunks(monkeypatch)
+        assert engine_counts(spec) == naive_counts(spec)
+        assert any(judged < built for built, judged in chunks), chunks
+
+    def test_cut_chunks_keep_the_counts_at_four_candidates(self, monkeypatch):
+        # The naive search takes half a minute at (4,3), so (4,4) is checked
+        # against the walk judging every ranking and the default chunks.
+        sets = (method_set("borda"), method_set("hare"), method_set("borda", "hare"))
+        spec = CensusSpec(n=4, m=4, method_sets=sets)
+        expected = engine_counts(spec)
+        monkeypatch.setattr(methods, "BLOCK_CELLS", 2000)
+        chunks = self.chunks(monkeypatch)
+        assert engine_counts(spec) == expected
+        assert any(judged < built for built, judged in chunks), chunks
+        chunks.clear()
+        assert engine_counts(CensusSpec(n=4, m=4, method_sets=unmarked(sets))) == expected
+        assert any(judged < built for built, judged in chunks), chunks
+
+    # neutral at (5,3), where building holds the most, and judging every
+    # ranking beside each o at (4,4)
+    @pytest.mark.parametrize("n,m,name", [(5, 3, "borda"), (4, 4, "borda@abcd")])
+    def test_each_chunk_stays_under_twice_the_block(self, monkeypatch, n, m, name):
+        unrank, runs, start, peaks = _Colex.unrank, census._runs, [], []
+
+        def close():
+            if start:
+                peaks.append(tracemalloc.get_traced_memory()[1] - start.pop())
+
+        def spy_unrank(colex, ranks):
+            if self.from_walk():
+                close()
+                start.append(tracemalloc.get_traced_memory()[0])
+                tracemalloc.reset_peak()
+            return unrank(colex, ranks)
+
+        def spy_runs(total, cells):  # the pass after the walk ends its last chunk
+            if sys._getframe(1).f_code.co_name in ("_class_walk", "profiles"):
+                close()
+            return runs(total, cells)
+
+        monkeypatch.setattr(_Colex, "unrank", spy_unrank)
+        monkeypatch.setattr(census, "_runs", spy_runs)
+        tracemalloc.start()
+        try:
+            run_census(CensusSpec(n=n, m=m, method_sets=(method_set(name),)))
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) > 1 and not start
+        assert max(peaks) <= 2 * methods.BLOCK_CELLS * 8, max(peaks)
 
 
 def mixed_family(n: int, notion: str, weighted: bool, direct: bool) -> tuple:

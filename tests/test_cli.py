@@ -512,6 +512,22 @@ class TestErrorsAndEnvironment:
         assert "error: unrecognized arguments: --budget 5" in proc.stderr
         assert proc.stdout == ""
 
+    @pytest.mark.skipif(sys.platform != "linux", reason="caps the address space by RLIMIT_AS")
+    def test_running_out_of_memory_fails_cleanly(self):
+        # one sampled class at n = 10 asks for a 3.5 GB array, more than the
+        # child allows itself
+        code = ("import resource, sys\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (2_500_000_000,) * 2)\n"
+                "from votemanip.cli import main\n"
+                "sys.exit(main(sys.argv[1:]))\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "table", "-n", "10", "-m", "2", "--methods", "hare",
+             "--samples", "1", "--seed", "1"],
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+
     def test_workers_is_not_an_option(self):
         proc = run_cli("table", "-n", "3", "-m", "2", "--methods", "borda",
                        "--workers", "2")
