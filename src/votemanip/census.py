@@ -42,21 +42,22 @@ kernel works on arrays, a chunk of classes at a time:
   in (h, o + e_r), and the ranks of o's n! such classes are two running
   sums over o's holder counts, so the voter is judged against that row's
   distinct outcomes only.  The walk counts pointed profiles and ORs each
-  (o, r)'s witnessed sets into a bitmap per class.  One pass after it
-  counts every class: each labeled voter's n! switches reach classes at a
-  fixed stride from its own, and a class counts its weight for each set
-  they or its bitmap hold;
+  (o, r)'s witnessed sets into the bitmap of the unit that (o, r) is in,
+  a class or an orbit.  One pass after it counts every unit: each labeled
+  voter's n! switches reach classes at a fixed stride from its own, and a
+  unit counts its weight for each set they or its bitmap hold;
 * neutral relabeling: the eleven base methods are neutral (``fn.neutral``):
   relabeling the candidates relabels their winners, and leaves every
   verdict as it is.  So when every method is neutral the census works on
-  orbits under relabeling (``_Orbits``): it scores one class per orbit,
-  relabels each distinct scored outcome once by each of the n!
-  relabelings, fills the id array with one gather per class from that
-  table, judges only the identity beside each o, standing for all n!
-  rankings, keeps a bitmap per o, and after the walk counts each orbit
-  from its representative's relabeled others' classes: about n! times
-  fewer verdicts, scored classes and ORs.  A tiebreak order, a pairwise
-  dictator and a custom method are not neutral;
+  orbits under relabeling (``_Orbits``): it finds each class's orbit and
+  each orbit's size in one relabeling of every class o + e_0, scores one
+  class per orbit, relabels each distinct scored outcome once by each of
+  the n! relabelings, fills the id array with one gather per class from
+  that table, judges only the identity beside each o, standing for all n!
+  rankings, and ORs its sets into the bitmap of o + e_0's orbit; an orbit
+  counts its representative's weight times its size: about n! times
+  fewer verdicts, scored classes and bitmaps.  A tiebreak order, a
+  pairwise dictator and a custom method are not neutral;
 * verdicts: whether one voter's ballot switch witnesses the notion depends
   only on the voter's ranking and the outcomes before and after it.  A
   chunk's switches are reduced to their distinct (ranking, before, after)
@@ -478,8 +479,8 @@ class _Colex:
         sorted row is repeated.
 
         The other voters' rankings are relabeled one by one in sorted rows;
-        in holder counts, each ranking's count is moved to its relabeled
-        index's column.
+        in holder counts, every (class, r) row's counts are gathered at once
+        from the columns that the relabeling moves to each column.
         """
         k = len(classes)
         if self.sorted:
@@ -497,15 +498,13 @@ class _Colex:
         held = classes != 0
         if lowest:
             held &= np.cumsum(held, axis=1) == 1
-        at = np.zeros(classes.shape, np.int64)
-        for r in range(self.fact):  # r's holders, r relabeled to column 0
-            rows = np.flatnonzero(held[:, r])
-            rest = np.empty((len(rows), self.fact), classes.dtype)
-            rest[:, _relabeled(self.n, r, np.arange(self.fact))] = classes[rows]
-            rest[:, 0] -= 1
-            at[rows, r] = self.others.rank(rest)
         row, r = np.nonzero(held)
-        return row, r, at[row, r]
+        # column p of (row, r)'s counts is column sigma_r^-1(p) of its class's,
+        # sigma_r^-1 being the relabeling by the ranking whose order is r's places
+        back = _relabeled(self.n, _relabeled(self.n, r, 0)[:, None], np.arange(self.fact))
+        rest = classes.take(row[:, None] * self.fact + back)
+        rest[:, 0] -= 1  # r, relabeled to column 0
+        return row, r, self.others.rank(rest)
 
 
 # Relabeling each candidate x by its place in ranking r takes r to the
@@ -861,48 +860,53 @@ class _Orbits:
     classes of m - 1 voters (``others``), of those sigma_r(c - e_r).  The
     orbit's representative is o* + e_0 for the least of them, o*, and the
     relabelings that fix c are as many as the distinct held rankings r
-    that reach o*, so its orbit has n!/that many classes.  Each o such that
-    o + e_0 is a representative is scored.  Each distinct scored outcome is
-    relabeled once by each of the n! relabelings, and every other class
-    reads its outcome from that table with one gather (``class_ids``).
+    that reach o*, so its orbit has n!/that many classes (``canonical``).
+    Each o such that o + e_0 is a representative is scored.  Each distinct
+    scored outcome is relabeled once by each of the n! relabelings, and
+    every other class reads its outcome from that table with one gather
+    (``class_ids``).
     """
 
     def __init__(self, colex: _Colex) -> None:
         self.colex, self.others = colex, colex.others
 
-    def canonical(self) -> tuple[np.ndarray, np.ndarray]:
+    def canonical(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per class o of ``others``, the representative R of o + e_0 and
         the lowest ranking t whose relabeling takes o + e_0 to R, as one
         key: R's index among the representatives times n! plus t, in the
         narrowest unsigned type.  And the ranks in ``others`` of the
-        representatives' o*, ascending."""
+        representatives' o*, ascending, and their orbits' sizes,
+        n!/|Stab(R)|, in the narrowest unsigned type."""
         fact, total = self.colex.fact, self.others.classes
         key = np.empty(total, np.min_scalar_type(total * fact - 1))
-        reps = []
+        reps, sizes = [], []
         for run in _runs(total, self.colex.width ** 2):
             o = np.arange(run.start, run.stop)
             row, r, at = self.colex.relabeled(self.colex.with_identity(o))
             # the least image of each o + e_0 times n!, plus the lowest r reaching it
             key[o] = np.minimum.reduceat(at * fact + r, np.flatnonzero(np.diff(row, prepend=-1)))
-            reps.append(o[key[o] // fact == o])
+            rep = key[o] // fact == o
+            # Stab(R): the distinct held rankings whose relabeling gives R back
+            fixes = (at == o[row]) & (np.diff(row * fact + r, prepend=-1) != 0)
+            reps.append(o[rep])
+            sizes.append(fact // np.bincount(row[fixes], minlength=len(o))[rep])
         reps = np.concatenate(reps)
         for run in _runs(total, self.colex.width ** 2):
             least, turn = np.divmod(key[run], fact)
             key[run] = np.searchsorted(reps, least) * fact + turn
-        return key, reps
+        return key, reps, np.concatenate(sizes).astype(np.min_scalar_type(fact))
 
-    def class_ids(self, kernel: _ClassKernel) -> tuple[np.ndarray, np.ndarray]:
-        """The outcome id of every class, by its rank in ``colex``, and the
-        representatives' o*.  Only the representatives are scored, in runs
-        of classes (``_ClassKernel.block_cells``).  A class c whose lowest
-        ranking is r is sigma_r^-1 sigma_t^-1 R for the representative R of
-        a + e_0, a = sigma_r(c - e_r), and the ranking t that takes a + e_0
-        to R; so R's winner y is c's candidate order[r][order[t][y]], the
-        order of ranking s = ``_relabeled(n, inverse[r], t)``, inverse[r]
-        being the ranking whose order is r's places.  Each class's id is
-        then one gather from ``moved``, the table of every scored outcome
-        relabeled by every s."""
-        key, reps = self.canonical()
+    def class_ids(self, kernel: _ClassKernel, key: np.ndarray, reps: np.ndarray) -> np.ndarray:
+        """The outcome id of every class, by its rank in ``colex``, from
+        ``canonical``'s key and representatives.  Only the representatives
+        are scored, in runs of classes (``_ClassKernel.block_cells``).  A
+        class c whose lowest ranking is r is sigma_r^-1 sigma_t^-1 R for
+        the representative R of a + e_0, a = sigma_r(c - e_r), and the
+        ranking t that takes a + e_0 to R; so R's winner y is c's candidate
+        order[r][order[t][y]], the order of ranking s =
+        ``_relabeled(n, inverse[r], t)``, inverse[r] being the ranking
+        whose order is r's places.  Each class's id is then one gather from
+        ``moved``, the table of every scored outcome relabeled by every s."""
         colex = self.colex
         scored = _filled(len(reps), kernel.block_cells(colex),
                          lambda i: kernel._score(colex.block(colex.with_identity(reps[i]))))
@@ -914,7 +918,7 @@ class _Orbits:
             rep, t = np.divmod(key[a], colex.fact)
             return moved[scored[rep], _relabeled(colex.n, inverse[r], t)]
         # per class its row and, past the relabel table, a Lehmer code's n places
-        return _filled(colex.classes, colex.width + colex.n, relabeled), reps
+        return _filled(colex.classes, colex.width + colex.n, relabeled)
 
     def moved(self, kernel: _ClassKernel) -> np.ndarray:
         """``(D, n!)`` outcome ids for the D outcomes ``kernel`` has interned,
@@ -935,25 +939,6 @@ class _Orbits:
             return kernel.outcomes.ids(masks)
         return _filled(len(won) * fact, n * len(kernel.universe), block).reshape(len(won), fact)
 
-    def profiles(self, reps: np.ndarray, found: np.ndarray) -> Iterator[tuple]:
-        """Per block of representatives R (their o* in ``reps``): the
-        labeled profiles in each R, the number of classes in its orbit,
-        n!/|Stab(R)|, and the OR of ``found`` (a row per class of
-        ``others``) over R's held images."""
-        fact, nbytes, width = self.colex.fact, found.shape[1], self.colex.width
-        # per representative: its images' rows of others and of found, and
-        # a set bit per set once the bitmaps are unpacked
-        for run in _runs(len(reps), width * (width + nbytes) + 8 * nbytes):
-            o = reps[run]
-            classes = self.colex.with_identity(o)
-            row, r, at = self.colex.relabeled(classes)
-            # Stab(R): the distinct held rankings whose relabeling gives R back
-            fixes = (at == o[row]) & (np.diff(row * fact + r, prepend=-1) != 0)
-            yield (self.colex.weights_of(classes),
-                   fact // np.bincount(row[fixes], minlength=len(o)),
-                   np.bitwise_or.reduceat(found[at], np.flatnonzero(np.diff(row, prepend=-1)),
-                                          axis=0))
-
 
 def _class_walk(spec: CensusSpec, kernel: _ClassKernel) -> Iterator[tuple]:
     """Every partly labeled class (h, c): a walk by h and the class o of
@@ -961,17 +946,19 @@ def _class_walk(spec: CensusSpec, kernel: _ClassKernel) -> Iterator[tuple]:
 
     (h, o, r) stands for the c_r holders of r in each labeled profile of
     (h, o + e_r), u (u-1)!/(o_1! ... o_k!) pointed profiles; the walk
-    counts those and ORs its sets into ``found``, a bitmap per class.  The
-    pass then judges each class's labeled voters, each once per labeled
-    profile, and counts the class's weight for each set they or its bitmap
-    hold.  With u = 0 there is no o to walk.
+    counts those and ORs its sets into ``found``, a bitmap per unit, here
+    the class (h, o + e_r).  The pass then judges each class's labeled
+    voters, each once per labeled profile, and counts the unit's weight
+    for each set they or its bitmap hold.  With u = 0 there is no o to walk.
 
-    When every method is neutral (``_Orbits``), the id array is filled from
-    one scored class per orbit, only (o, identity) is judged, standing for
-    the n! rankings' pointed profiles, and ``found`` has a bitmap per o.
-    The pass is then per orbit: its representative R ORs the bitmaps of its
-    relabeled R - e_r over the rankings r it holds, and counts the labeled
-    profiles of the whole orbit.
+    When every method is neutral (``_Orbits``), a unit is an orbit.  The id
+    array is filled from one scored class per orbit, and only (o, identity)
+    is judged, standing for the n! rankings' pointed profiles; it ORs its
+    sets into the bitmap of o + e_0's orbit, named by ``canonical``'s key.
+    A voter of a class c holding r is such an identity beside
+    sigma_r(c - e_r), with the same verdict, so an orbit's bitmap holds the
+    sets its classes witness.  The pass counts a representative's labeled
+    profiles times its orbit's size.
     """
     fact, size = kernel.fact, len(kernel.labeled)
     colex = _Colex(spec.n, spec.m - size)
@@ -979,12 +966,13 @@ def _class_walk(spec: CensusSpec, kernel: _ClassKernel) -> Iterator[tuple]:
     dtype = _count_dtype(spec)
     if kernel.neutral:  # no neutral method reads a voter, so u = m
         orbits = _Orbits(colex)
-        ids, reps = orbits.class_ids(kernel)
+        key, reps, sizes = orbits.canonical()
+        ids = orbits.class_ids(kernel, key, reps)
     else:
         ids = kernel.class_ids(colex)
     walk = fact ** size * colex.others.classes if colex.m else 0  # no o when u = 0
     judged = np.arange(1 if kernel.neutral else fact)  # the rankings judged beside each o
-    found = np.zeros((walk if kernel.neutral else len(ids), kernel.nbytes), np.uint8)
+    found = np.zeros((len(reps) if kernel.neutral else len(ids), kernel.nbytes), np.uint8)
     # Building a chunk (its counts, reached ranks and outcomes, and a sort)
     # peaks at 2.4 rows of n! per o at n = 5 and 3.2 at n = 4, traced; judging
     # holds two (counts, outcomes), and per pair the row ``hits`` is given and
@@ -1012,28 +1000,24 @@ def _class_walk(spec: CensusSpec, kernel: _ClassKernel) -> Iterator[tuple]:
         yield ("pointed", pointed * (fact // len(judged)),  # the identity stands for n!
                _set_bits(hits, nsets).reshape(len(counts), len(judged), -1)
                .sum(axis=1, dtype=np.int64))
-        if kernel.neutral:
-            found[lo:lo + len(counts)] = hits
-        else:
-            live = hits.any(axis=1)
-            np.bitwise_or.at(found, ranks[:len(counts)].ravel()[live], hits[live])
+        unit = (key[lo:lo + len(counts)] // fact if kernel.neutral
+                else ranks[:len(counts)].ravel())
+        live = hits.any(axis=1)
+        np.bitwise_or.at(found, unit[live], hits[live])
         lo += len(counts)
-    if kernel.neutral:
-        for weights, sizes, bitmaps in orbits.profiles(reps, found):
-            live = bitmaps.any(axis=1)
-            yield ("profiles", weights[live].astype(dtype) * sizes[live],
-                   _set_bits(bitmaps[live], nsets))
-        return
     stride = colex.classes * kernel.place  # a labeled voter's step through ids
-    # a class's own arrays (its row, the runs behind its weight, its sets)
+    # a unit's own arrays (its row, the runs behind its weight, its sets)
     # are some eight rows of its ``colex.width`` places, and a cell per set
-    for run in _runs(len(ids), kernel.chunk_cells(size, own=8 * colex.width + nsets)):
+    for run in _runs(len(found), kernel.chunk_cells(size, own=8 * colex.width + nsets)):
         index = np.arange(run.start, run.stop)
         sets = found[index]
-        if not size:  # a class none of whose voters witnesses counts nothing
+        if not size:  # a unit none of whose voters witnesses counts nothing
             live = sets.any(axis=1)
             index, sets = index[live], sets[live]
-        weights = colex.weights_of(colex.at(index % colex.classes))
+        if kernel.neutral:  # the representative o* + e_0, for its whole orbit
+            weights = colex.weights_of(colex.with_identity(reps[index])) * sizes[index]
+        else:
+            weights = colex.weights_of(colex.at(index % colex.classes))
         for s in stride:
             held = index // s % fact
             after = ids[index[:, None] + (np.arange(fact) - held[:, None]) * s]

@@ -510,13 +510,31 @@ class TestOrbits:
                                      *((4, m) for m in range(1, 6)),
                                      *((5, m) for m in range(1, 4)), (3, 30)])
     def test_representatives_count_the_orbits(self, n, m):
-        orbits = _Orbits(_Colex(n, m))
-        _, reps = orbits.canonical()
-        assert len(reps) == relabeling_orbits(n, m)
+        colex = _Colex(n, m)
+        _, reps, sizes = _Orbits(colex).canonical()
+        assert len(reps) == len(sizes) == relabeling_orbits(n, m)
         # each orbit's classes and labeled profiles, over all the orbits
-        sizes = list(orbits.profiles(reps, np.zeros((orbits.others.classes, 1), np.uint8)))
-        assert sum(s.sum() for _, s, _ in sizes) == math.comb(math.factorial(n) + m - 1, m)
-        assert sum((w * s.astype(w.dtype)).sum() for w, s, _ in sizes) == math.factorial(n) ** m
+        weights = colex.weights_of(colex.with_identity(reps))
+        assert sizes.sum() == math.comb(math.factorial(n) + m - 1, m)
+        assert (weights * sizes.astype(weights.dtype)).sum() == math.factorial(n) ** m
+
+    @pytest.mark.parametrize("n,m", [(3, 4), (3, 7), (4, 3)])
+    def test_each_orbit_size_counts_the_relabeled_classes(self, n, m):
+        # a relabeling sigma of the candidates moves ranking q to the ranking
+        # whose order is sigma of q's order; (3,7) holds its classes as
+        # holder counts
+        colex = _Colex(n, m)
+        _, reps, sizes = _Orbits(colex).canonical()
+        orders = ranking_orders(n)
+        index = {tuple(order): q for q, order in enumerate(orders.tolist())}
+        moves = np.array([[index[tuple(np.array(sigma)[order].tolist())] for order in orders]
+                          for sigma in permutations(range(n))])
+        classes = colex.with_identity(reps)
+        if not colex.sorted:  # holder counts to sorted rows
+            classes = np.array([np.repeat(np.arange(len(orders)), c) for c in classes])
+        for rep, size in zip(classes, sizes.tolist()):
+            images = {tuple(np.sort(move[rep]).tolist()) for move in moves}
+            assert len(images) == size, (rep, size)
 
     @pytest.mark.parametrize("n,m", [*((3, m) for m in range(1, 9)),
                                      *((4, m) for m in range(1, 5)),
@@ -530,7 +548,9 @@ class TestOrbits:
                  if colex.classes * colex.fact > 10 ** 7 else np.arange(colex.classes))
         for sets in [*(method_set(name) for name in METHOD_ORDER), method_set(*METHOD_ORDER)]:
             kernel = _ClassKernel(CensusSpec(n=n, m=m, method_sets=(sets,)))
-            ids, _ = _Orbits(colex).class_ids(kernel)
+            orbits = _Orbits(colex)
+            key, reps, _ = orbits.canonical()
+            ids = orbits.class_ids(kernel, key, reps)
             # one interner, so equal ids are equal winner-mask tuples
             scored = kernel._score(_Counts.of(n, colex.unrank(ranks)))
             assert np.array_equal(ids[ranks], scored), (sets.id, n, m)
@@ -561,7 +581,9 @@ class TestOrbits:
         monkeypatch.setattr(census._Outcomes, "ids", spy)
         colex = _Colex(4, 5)
         kernel = _ClassKernel(CensusSpec(n=4, m=5, method_sets=(method_set(*METHOD_ORDER),)))
-        _, reps = _Orbits(colex).class_ids(kernel)
+        orbits = _Orbits(colex)
+        key, reps, _ = orbits.canonical()
+        orbits.class_ids(kernel, key, reps)
         interned = np.concatenate(rows)
         scored = len(np.unique(interned[:len(reps)]))
         assert len(interned) == len(reps) + scored * colex.fact
@@ -705,9 +727,9 @@ class TestBlockRuns:
         six = three + tuple(METHODS[name] for name in ("coombs", "plurality", "maxmin"))
         censuses = [
             # the orbit key's two loops, the orbit scoring and fill, the
-            # moved table and the orbit profiles
+            # moved table and the count pass over the orbits
             (CensusSpec(n=3, m=4, method_sets=subset_family(three, 2)),
-             {"canonical": 2, "class_ids": 2, "moved": 1, "profiles": 1}),
+             {"canonical": 2, "class_ids": 2, "moved": 1, "_class_walk": 1}),
             # the class fill and the labeled voter's stride pass
             (CensusSpec(n=3, m=4, method_sets=(method_set("borda@acb"),
                                                method_set("borda", "pdict:a,b,0"))),
@@ -803,7 +825,7 @@ class TestWalkChunks:
             return unrank(colex, ranks)
 
         def spy_runs(total, cells):  # the pass after the walk ends its last chunk
-            if sys._getframe(1).f_code.co_name in ("_class_walk", "profiles"):
+            if sys._getframe(1).f_code.co_name == "_class_walk":
                 close()
             return runs(total, cells)
 

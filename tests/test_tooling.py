@@ -95,3 +95,31 @@ def test_a_census_loads_only_what_it_runs():
                          env={**os.environ, "PYTHONPATH": path})
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines() == ["[]", "[]"]
+
+
+def compared_with_frame_names(tree: ast.Module) -> list[tuple[int, str]]:
+    """Each string constant, with its line, that a comparison sets against
+    a frame's ``f_code.co_name``: the function a test's spy looks for."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Compare):
+            continue
+        sides = [node.left, *node.comparators]
+        if not any(isinstance(side, ast.Attribute) and side.attr == "co_name" for side in sides):
+            continue
+        found += [(leaf.lineno, leaf.value) for side in sides for leaf in ast.walk(side)
+                  if isinstance(leaf, ast.Constant) and isinstance(leaf.value, str)]
+    return found
+
+
+def test_every_spied_frame_names_a_function_of_the_package():
+    # A spy that waits for a frame of a function no longer defined never
+    # fires, so the test it serves would pass without checking anything.
+    defined = {node.name for path in SOURCE.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    tests = Path(__file__).resolve().parent
+    names = [(path.name, line, name) for path in sorted(tests.glob("test_*.py"))
+             for line, name in compared_with_frame_names(ast.parse(path.read_text()))]
+    assert names  # the spies were found
+    assert [f"{file}:{line}: {name}" for file, line, name in names if name not in defined] == []
