@@ -6,12 +6,13 @@ labeled profiles have at least one witnessing voter, along with the number
 of witnessing pointed profiles (profile, voter pairs).  Percentages come
 from exact integer counts and are rounded only when displayed.
 
-All eleven base methods and the tiebreak extension are anonymous, so a
-profile's winners, and hence every witness verdict, depend only on how
-many voters hold each ranking.  A pairwise dictator ``pdict:x,y,i`` reads
-voter i alone, and a method without a batched form (a custom ``fn``)
-labels every voter and runs on each row's profile.  A census therefore
-works on partly labeled classes (h, c) rather than labeled profiles: the
+A census scores methods only through their batched forms
+(``fn.on_counts``, see ``methods``), and refuses a set with a member that
+has none, such as a custom ``fn``.  All eleven base methods and the
+tiebreak extension are anonymous, so a profile's winners, and hence every
+witness verdict, depend only on how many voters hold each ranking.  A
+pairwise dictator ``pdict:x,y,i`` reads voter i alone, so a census works
+on partly labeled classes (h, c) rather than labeled profiles: the
 rankings h of the labeled voters L and the anonymous class c (a multiset)
 of the u = m - |L| others, weighted by the labeled profiles in it, the
 multinomial u!/(c_1! ... c_k!) for the others' holder counts c_i.  The
@@ -21,13 +22,12 @@ kernel works on arrays, a chunk of classes at a time:
   sum_i C(a_i + i, i + 1) numbers the C(n! + u - 1, u) classes without
   gaps (``_Colex``); (h, c) is at h's index in base n!, the first labeled
   voter outermost, times that count plus c's rank;
-* batched winners: each method's batched form (``fn.on_counts``, see
-  ``methods``) scores a block of classes in one numpy call, from sorted
-  rows while u < n! and holder counts beyond, in blocks that
-  ``methods._runs`` keeps under ``BLOCK_CELLS`` cells.  The tuple of
-  every method's winner set on a class is one outcome, interned as a
-  small integer id, and an exhaustive census fills one id array indexed
-  by class before its walk.  A sampled census meets
+* batched winners: each method's batched form scores a block of classes
+  in one numpy call, from sorted rows while u < n! and holder counts
+  beyond, in blocks that ``methods._runs`` keeps under ``BLOCK_CELLS``
+  cells.  The tuple of every method's winner set on a class is one
+  outcome, interned as a small integer id, and an exhaustive census fills
+  one id array indexed by class before its walk.  A sampled census meets
   classes that hardly repeat, so it scores each switch as a correction to
   its class's statistics (``methods._Switched``): O(n^2) per switch for
   tallies, O(n) for Borda scores and first or last places, and for Hare
@@ -56,8 +56,8 @@ kernel works on arrays, a chunk of classes at a time:
   that table, judges only the identity beside each o, standing for all n!
   rankings, and ORs its sets into the bitmap of o + e_0's orbit; an orbit
   counts its representative's weight times its size: about n! times
-  fewer verdicts, scored classes and bitmaps.  A tiebreak order, a
-  pairwise dictator and a custom method are not neutral;
+  fewer verdicts, scored classes and bitmaps.  A tiebreak order and a
+  pairwise dictator are not neutral;
 * verdicts: whether one voter's ballot switch witnesses the notion depends
   only on the voter's ranking and the outcomes before and after it.  A
   chunk's switches are reduced to their distinct (ranking, before, after)
@@ -108,7 +108,7 @@ from .manipulation import UncertaintySet, _validate, subset_family
 # of them; they stay the reference behind ``find_manipulation``.
 from .dominance import dominates_nonstrict, dominates_strict  # noqa: F401
 from .manipulation import notion_holds  # noqa: F401
-from .methods import MethodFn, VotingMethod, _Counts, _Switched, _rows, _runs
+from .methods import VotingMethod, _Counts, _Switched, _rows, _runs
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -251,17 +251,6 @@ def sample_profiles(n: int, m: int, count: int, seed: int) -> list[Profile]:
 
 
 # --- the anonymous-class kernel ----------------------------------------------
-
-
-def _row_wise(fn: MethodFn, m: int) -> Callable:
-    """A batched form for a method without one, such as a custom ``fn``:
-    ``fn`` on the profile of each row, whose voters are all labeled."""
-    def on_counts(block: _Counts | _Switched) -> np.ndarray:
-        rankings = all_rankings(block.n)
-        held = np.stack([block.held_by(v) for v in range(m)], axis=1)
-        return np.array([sum(1 << x for x in fn(Profile(tuple(rankings[d] for d in row))))
-                         for row in held.tolist()], np.int64)
-    return on_counts
 
 
 def _counts(classes: np.ndarray, fact: int) -> np.ndarray:
@@ -594,11 +583,11 @@ class _ClassKernel:
     A class is given by its ranking counts, ``counts[i]`` being the number
     of voters holding the i-th lexicographic ranking: exactly what an
     anonymous method can see, beside the ranking of each ``labeled``
-    voter: those a pairwise dictator reads (``fn.voter``), or every voter
-    when a method has no batched form and runs on each row's profile
-    (``_row_wise``).  ``class_ids`` scores every class of an exhaustive
-    census, each block of rows in one ``_Counts`` that every method's
-    batched form (``fn.on_counts``) scores in one call; only the distinct
+    voter: those a pairwise dictator reads (``fn.voter``).  Every method
+    is scored through its batched form (``fn.on_counts``), and a universe
+    with a member that has none is refused.  ``class_ids`` scores every
+    class of an exhaustive census, each block of rows in one ``_Counts``
+    that every method's batched form scores in one call; only the distinct
     rows of winner bitmasks are interned, in ``outcomes``.  When every
     method is neutral, ``_Orbits.class_ids`` scores one class per orbit
     under candidate relabeling in its place.  For sampling,
@@ -640,17 +629,15 @@ class _ClassKernel:
         self.universe = tuple(universe)
         self.words = -(-len(members) // 64)  # uint64 words per set mask
         self.nbytes = -(-len(members) // 8)  # bytes per set bitmap
-        # The labeled voters: those a pairwise dictator reads, or every voter
-        # when a method has no batched form and runs on each row's profile.
+        scalar = [f.id for f in self.universe if not hasattr(f.fn, "on_counts")]
+        if scalar:
+            raise ValueError(f"a census needs a batched form (fn.on_counts), and "
+                             f"{', '.join(scalar)} has none")
+        # the labeled voters: those a pairwise dictator reads
         labeled = {f.fn.voter for f in self.universe if hasattr(f.fn, "voter")}
         if max(labeled, default=0) >= spec.m:
             raise ValueError(f"pairwise dictator voter {max(labeled)} out of range "
                              f"for {spec.m} voters")
-        self._on_counts = [getattr(f.fn, "on_counts", None)
-                           or _row_wise(f.fn, spec.m) for f in self.universe]
-        batched = all(hasattr(f.fn, "on_counts") for f in self.universe)
-        if not batched:
-            labeled = range(spec.m)
         self.labeled = tuple(sorted(labeled))
         # an exhaustive census's partly labeled classes, before any n!-sized table
         u = spec.m - len(self.labeled)
@@ -661,8 +648,8 @@ class _ClassKernel:
         self.place = self.fact ** np.arange(len(self.labeled) - 1, -1, -1)
         # A switched row holds n scores or places and a winner mask per
         # method, or n*n tallies and n places when some method reads
-        # tallies (a pairwise one) or whole profiles (one scored row by row).
-        pairwise = not batched or any(getattr(f.fn, "pairwise", False) for f in self.universe)
+        # tallies (a pairwise one).
+        pairwise = any(getattr(f.fn, "pairwise", False) for f in self.universe)
         self._switch_cells = spec.n ** 2 + spec.n if pairwise else spec.n + len(self.universe)
         self.outcomes = _Outcomes()
         # set x universe method: 1 per member, or for a weighted ``expected``
@@ -694,7 +681,7 @@ class _ClassKernel:
 
     def _score(self, block: _Counts | _Switched) -> np.ndarray:
         """Outcome id per row of a block that every method shares."""
-        return self.outcomes.ids(np.stack([f(block) for f in self._on_counts], axis=1))
+        return self.outcomes.ids(np.stack([f.fn.on_counts(block) for f in self.universe], axis=1))
 
     def class_ids(self, colex: _Colex) -> np.ndarray:
         """The outcome id of every class (h, c), at h's index in base n!

@@ -22,11 +22,14 @@ compared against the integer score total of the ``k`` alive candidates.
 
 Each of the eleven methods, the tiebroken form of each and every pairwise
 dictator also carries a batched form ``fn.on_counts`` that the census
-engine uses on blocks of classes (see "batched forms" below).  The scalar
-functions stay the reference: the batched forms must agree with them on
-every class.  The eleven methods are also marked neutral (``fn.neutral``):
-relabeling the candidates relabels their winners alike.  Those whose
-batched form reads a block's pairwise tallies are marked ``fn.pairwise``.
+engine uses on blocks of classes (see "batched forms" below).  A census
+scores methods through ``fn.on_counts`` only, so it refuses a custom
+method that lacks one, tiebroken or not; ``find_manipulation`` and
+``VotingMethod.winners`` still take it.  The scalar functions stay the
+reference: the batched forms must agree with them on every class.  The
+eleven methods are also marked neutral (``fn.neutral``): relabeling the
+candidates relabels their winners alike.  Those whose batched form reads
+a block's pairwise tallies are marked ``fn.pairwise``.
 """
 
 from __future__ import annotations

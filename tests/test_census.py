@@ -5,9 +5,10 @@ import math
 import sys
 import tracemalloc
 from collections import Counter
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cache, wraps
-from itertools import combinations, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from votemanip.census import (
     _Orbits,
     _sample_rows,
 )
-from votemanip.core import Ranking, all_rankings, default_labels, ranking_orders
+from votemanip.core import Profile, Ranking, all_rankings, default_labels, ranking_orders
 from votemanip.dominance import KINDS, dominates_nonstrict, dominates_strict
 from votemanip.manipulation import (
     NOTIONS, UncertaintySet, find_manipulation, method_set, notion_holds, subset_family,
@@ -41,17 +42,35 @@ from votemanip.methods import (
 
 
 def naive_counts(spec: CensusSpec) -> dict[str, tuple[int, int]]:
-    """Witness counts by direct per-profile, per-voter search."""
+    """Witness counts by direct per-profile, per-voter search.  In an
+    exhaustive census a set of anonymous methods is judged on one profile
+    per anonymous class (``class_counts``); any other set, such as one with
+    a pairwise dictator, and every set of a sampled census, on every
+    labeled or sampled profile (``labeled_counts``)."""
+    exhaustive = spec.mode == "exhaustive"
+    by_class = [s for s in spec.method_sets if exhaustive and all(f.anonymous for f in s)]
+    labeled = [s for s in spec.method_sets if s not in by_class]
+    return {**(class_counts(spec, by_class) if by_class else {}),
+            **(labeled_counts(spec, labeled) if labeled else {})}
+
+
+def memoized(sets: Sequence[UncertaintySet]) -> list[UncertaintySet]:
+    """``sets`` with each method's winners cached: they are a function of
+    the profile alone, so sharing them across sets only saves time."""
+    memo = {f.id: VotingMethod(f.id, cache(f.fn), f.anonymous) for s in sets for f in s}
+    return [UncertaintySet(tuple(memo[f.id] for f in s)) for s in sets]
+
+
+def labeled_counts(spec: CensusSpec, sets: Sequence[UncertaintySet]
+                   ) -> dict[str, tuple[int, int]]:
+    """Witness counts of ``sets`` over every labeled profile, or every
+    sampled one, searching each voter's alternative ballots."""
     if spec.mode == "sample":
         profiles = sample_profiles(spec.n, spec.m, spec.samples, spec.seed)
     else:
         profiles = list(enumerate_profiles(spec.n, spec.m))
-    # Winners are a function of the profile alone; sharing them across sets
-    # only saves time.
-    memo = {f.id: VotingMethod(f.id, cache(f.fn), f.anonymous)
-            for s in spec.method_sets for f in s}
     out = {}
-    for s in (UncertaintySet(tuple(memo[f.id] for f in s)) for s in spec.method_sets):
+    for s in memoized(sets):
         n_profiles = 0
         n_pointed = 0
         for p in profiles:
@@ -68,36 +87,54 @@ def naive_counts(spec: CensusSpec) -> dict[str, tuple[int, int]]:
     return out
 
 
+def class_counts(spec: CensusSpec, sets: Sequence[UncertaintySet]
+                 ) -> dict[str, tuple[int, int]]:
+    """Witness counts of ``sets`` of anonymous methods in an exhaustive
+    census: one profile per multiset of rankings, standing for its
+    m!/(c_1! ... c_k!) labeled profiles, and one search per distinct
+    ranking held, standing for its c_r holders in each of them."""
+    sets = memoized(sets)
+    out = {s.id: (0, 0) for s in sets}
+    for combo in combinations_with_replacement(all_rankings(spec.n), spec.m):
+        p = Profile(combo)
+        holders = Counter(combo)
+        weight = math.factorial(spec.m) // math.prod(map(math.factorial, holders.values()))
+        for s in sets:
+            pointed = sum(c for r, c in holders.items() if find_manipulation(
+                p, combo.index(r), s, spec.notion, spec.kind, spec.weights))
+            n_profiles, n_pointed = out[s.id]
+            out[s.id] = (n_profiles + weight * bool(pointed), n_pointed + weight * pointed)
+    return out
+
+
 def engine_counts(spec: CensusSpec) -> dict[str, tuple[int, int]]:
     report = run_census(spec)
     return {r.set_id: (r.witness_profiles, r.witness_pointed) for r in report.results}
 
 
-def voter_one_top(profile) -> frozenset[int]:
-    """The top choice of voter 1."""
-    return frozenset({profile.rankings[1].order[0]})
-
-
 def non_anonymous_sets(family: str) -> tuple[UncertaintySet, ...]:
     """Sets with pairwise dictators, plain or tiebroken, beside anonymous
-    methods, or with a custom method that reads voter 1 and has no batched
-    form, so that every voter is labeled."""
+    methods."""
     if family == "tiebroken-dictator":
         # a tiebreak copies the dictator's batched form and the voter it reads
         return (UncertaintySet((tiebroken(parse_method("pdict:a,b,1"), Ranking((2, 1, 0))),
                                 METHODS["borda"])), method_set("borda"))
-    if family == "voter-one":
-        custom = VotingMethod("voter_one_top", voter_one_top, anonymous=False)
-        return (UncertaintySet((custom,)), UncertaintySet((custom, METHODS["borda"])),
-                method_set("hare"))
     return tuple(method_set(*names) for names in {
         "dictator": (("borda", "pdict:a,b,0"), ("borda",)),
         "dictator-on-1": (("borda", "pdict:a,c,1"),),
-        # at m = 2 every voter is labeled, with batched forms only
+        # at m = 2 every voter is labeled
         "every-voter-dictated": (("pdict:a,b,0", "pdict:b,c,1"), ("borda", "pdict:a,c,1")),
         "two-dictators": (("borda", "pdict:a,b,0"), ("hare", "pdict:b,c,2"),
                           ("pdict:a,b,0", "pdict:b,c,2"), ("borda", "hare")),
     }[family])
+
+
+def refuse_ranking_tables(monkeypatch) -> None:
+    """Makes the census fail if it builds a table of every ranking."""
+    def refuse(n):
+        raise AssertionError(f"ranking table of n={n} built before the census was refused")
+    monkeypatch.setattr(census, "ranking_orders", refuse)
+    monkeypatch.setattr(census, "all_rankings", refuse)
 
 
 class TestAgainstNaiveSearch:
@@ -149,7 +186,7 @@ class TestAgainstNaiveSearch:
     # ``harmless`` is judged under ``opt`` and ``expected`` under ``pes``.
     @pytest.mark.parametrize("notion", ["sure", "safe", "harmless", "expected"])
     @pytest.mark.parametrize("m,family", [
-        (3, "dictator"), (3, "two-dictators"), (4, "two-dictators"), (3, "voter-one"),
+        (3, "dictator"), (3, "two-dictators"), (4, "two-dictators"),
         (3, "tiebroken-dictator"), (2, "every-voter-dictated"),
     ])
     def test_non_anonymous_sets_match(self, m, family, notion):
@@ -178,13 +215,17 @@ class TestAgainstNaiveSearch:
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("notion", NOTIONS)
-    @pytest.mark.parametrize("n,m", [(3, 1), (4, 1), (3, 2), (4, 2)])
-    def test_one_and_two_voters_match(self, n, m, notion, kind):
+    @pytest.mark.parametrize("n,m", [(3, 1), (4, 1), (3, 2), (4, 2), (3, 3)])
+    def test_few_voters_match_both_oracles(self, n, m, notion, kind):
         # With one voter the class walk's only class of other voters is empty.
+        # The class oracle, one profile per anonymous class weighted by its
+        # labeled profiles and each ranking by its holders, counts what
+        # judging every labeled profile counts.
         names = [("borda",), ("hare",)] if notion == "single" else [("borda", "hare")]
         spec = CensusSpec(n=n, m=m, method_sets=tuple(method_set(*s) for s in names),
                           notion=notion, kind=kind)
-        assert engine_counts(spec) == naive_counts(spec)
+        sets = spec.method_sets
+        assert engine_counts(spec) == class_counts(spec, sets) == labeled_counts(spec, sets)
 
     def test_sampled_census_matches(self):
         spec = CensusSpec(
@@ -203,7 +244,8 @@ class TestAgainstNaiveSearch:
         assert engine_counts(spec) == naive_counts(spec)
 
     @pytest.mark.parametrize("m,family", [
-        (3, "dictator-on-1"), (3, "two-dictators"), (4, "two-dictators"), (3, "voter-one"),
+        (3, "dictator-on-1"), (3, "two-dictators"), (4, "two-dictators"),
+        (2, "every-voter-dictated"),
     ])
     def test_sampled_non_anonymous_census_matches(self, m, family):
         spec = CensusSpec(
@@ -425,9 +467,9 @@ class TestNeutralWalk:
 
     def test_only_an_all_neutral_universe_is_relabeled(self, monkeypatch):
         # the walk relabels classes only when every method is neutral: a
-        # tiebreak, a dictator or a custom method keeps the walk that
-        # judges every ranking, and a functools.wraps copy of a base
-        # method, as a timing wrapper makes, stays neutral
+        # tiebreak or a dictator keeps the walk that judges every ranking,
+        # and a functools.wraps copy of a base method, as a timing wrapper
+        # makes, stays neutral
         relabeled = []
 
         def spy(*args, **kwargs):
@@ -437,11 +479,9 @@ class TestNeutralWalk:
         census_relabeled = _Colex.relabeled
         monkeypatch.setattr(_Colex, "relabeled", spy)
         borda = METHODS["borda"]
-        custom = VotingMethod("my_borda", lambda profile: borda.fn(profile))
         wrapped = VotingMethod("borda", wraps(borda.fn)(lambda profile: borda.fn(profile)))
         for extra, relabels in ((parse_method("borda@acb"), False),
-                                (parse_method("pdict:a,b,0"), False),
-                                (custom, False), (wrapped, True)):
+                                (parse_method("pdict:a,b,0"), False), (wrapped, True)):
             sets = (UncertaintySet((extra,)), method_set("hare"),
                     UncertaintySet((extra, METHODS["hare"])))
             spec = CensusSpec(n=3, m=3, method_sets=sets, notion="safe")
@@ -591,27 +631,24 @@ class TestOrbits:
 
 
 class TestMethodRouting:
-    """Methods with a batched form are scored on count blocks; a method
-    without one labels every voter and runs on each row's profile."""
+    """Every method is scored through its batched form on count blocks; a
+    census refuses a universe with a method that has none."""
 
     @pytest.mark.parametrize("samples", [None, 40])
-    def test_a_method_without_a_batched_form_labels_every_voter(self, samples):
-        borda = METHODS["borda"]
-        custom = VotingMethod("my_borda", lambda profile: borda.fn(profile))
+    @pytest.mark.parametrize("tiebreak", [False, True])
+    def test_a_method_without_a_batched_form_is_refused(self, monkeypatch, samples, tiebreak):
+        # refused at n = 9 before any n!-sized table is built
+        refuse_ranking_tables(monkeypatch)
+        custom = VotingMethod("my_top", lambda profile: frozenset({0}))
+        if tiebreak:
+            custom = tiebroken(custom, Ranking(tuple(range(8, -1, -1))))
         spec = CensusSpec(
-            n=3, m=3, mode="exhaustive" if samples is None else "sample",
+            n=9, m=3, mode="exhaustive" if samples is None else "sample",
             samples=samples or 0, seed=3,
-            method_sets=(UncertaintySet((custom,)), UncertaintySet((custom, METHODS["hare"])),
-                         method_set("hare")),
+            method_sets=(method_set("hare"), UncertaintySet((custom, METHODS["hare"]))),
         )
-        assert _ClassKernel(spec).labeled == (0, 1, 2)
-        counts = engine_counts(spec)
-        assert counts == naive_counts(spec)
-        batched = engine_counts(CensusSpec(
-            n=3, m=3, mode=spec.mode, samples=spec.samples, seed=spec.seed,
-            method_sets=(method_set("borda"), method_set("borda", "hare"), method_set("hare")),
-        ))
-        assert list(counts.values()) == list(batched.values())
+        with pytest.raises(ValueError, match=f"batched form .* and {custom.id} has none$"):
+            run_census(spec)
 
     @pytest.mark.parametrize("n,m,samples", [(3, 4, None), (4, 3, 60)])
     def test_wrapped_methods_keep_the_batched_path(self, n, m, samples):
@@ -669,10 +706,8 @@ class TestSwitchedBlocks:
         borda, hare = METHODS["borda"], METHODS["hare"]
         assert rows(borda, hare) == methods.BLOCK_CELLS // (5 + 2)
         assert rows(borda, hare, parse_method("pdict:a,b,0")) == methods.BLOCK_CELLS // (5 + 3)
-        # n*n tallies and n places for a pairwise member, tiebroken or not,
-        # and for a method without a batched form, which reads whole profiles
-        custom = VotingMethod("my_borda", lambda profile: borda.fn(profile))
-        for other in (METHODS["copeland"], parse_method("maxmin@edcba"), custom):
+        # n*n tallies and n places for a pairwise member, tiebroken or not
+        for other in (METHODS["copeland"], parse_method("maxmin@edcba")):
             assert rows(borda, hare, other) == methods.BLOCK_CELLS // (25 + 5), other.id
 
     @pytest.mark.parametrize("n,m,samples", [(4, 4, 30), (5, 3, 12)])
@@ -1249,16 +1284,11 @@ class TestBudgets:
                            match="^336 partly labeled classes exceed the budget of 335$"):
             run_census(spec)
 
-    @pytest.mark.parametrize("names", [("borda",), ("borda", "pdict:a,b,0"), ("custom",)])
+    @pytest.mark.parametrize("names", [("borda",), ("borda", "pdict:a,b,0")])
     def test_an_over_budget_census_builds_no_ranking_table(self, monkeypatch, names):
         # 9! rankings: a census refused by its budget must not build them first
-        def refuse(n):
-            raise AssertionError(f"ranking table of n={n} built before the budget check")
-        monkeypatch.setattr(census, "ranking_orders", refuse)
-        monkeypatch.setattr(census, "all_rankings", refuse)
-        custom = VotingMethod("custom", lambda profile: frozenset({0}))
-        sets = (UncertaintySet(tuple(custom if f == "custom" else parse_method(f)
-                                     for f in names)),)
+        refuse_ranking_tables(monkeypatch)
+        sets = (method_set(*names),)
         for mode, samples in (("exhaustive", 0), ("sample", 11)):
             spec = CensusSpec(n=9, m=2, method_sets=sets, mode=mode, samples=samples,
                               seed=1, budget=10)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from votemanip.census import CensusSpec, _ClassKernel, _Colex, _row_wise
+from votemanip.census import CensusSpec, _ClassKernel, _Colex
 from votemanip.core import Profile, Ranking, all_rankings, default_labels
 from votemanip.fixtures import EXAMPLES, profile_of, ranking_of, set_of
 from votemanip.manipulation import UncertaintySet
@@ -565,19 +565,17 @@ class TestBatchedForms:
     def test_null_switches_keep_their_class_winners(self, n, m, count):
         # A sampled census scores its classes as switches that move a voter
         # from a ranking to the same ranking, held or not: every batched
-        # form (the eleven methods, tiebroken forms, a pairwise dictator and
-        # a custom method scored row by row) must give the class's own
-        # winners.  Every voter is held, as the row-by-row form reads them.
+        # form (the eleven methods, tiebroken forms and a pairwise dictator)
+        # must give the class's own winners.  Every voter is held, as in a
+        # census whose every voter a dictator reads.
         fact = len(all_rankings(n))
         labels = "".join(default_labels(n))
         rng = np.random.default_rng(n * 100 + m)
         profiles = rng.integers(0, fact, size=(count, m))
         base = _Counts.of(n, np.array([count_row(n, p) for p in profiles], np.uint8),
                           dict(enumerate(profiles.T)))
-        custom = VotingMethod("last_top", lambda profile: frozenset({profile.rankings[-1].order[0]}))
         forms = [(f.id, f.fn.on_counts) for f in batched_methods(n)] + [
-            ("pdict", parse_method(f"pdict:{labels[0]},{labels[1]},0").fn.on_counts),
-            ("custom", _row_wise(custom.fn, m))]
+            ("pdict", parse_method(f"pdict:{labels[0]},{labels[1]},0").fn.on_counts)]
         for stay in (np.zeros(count, np.intp), rng.integers(0, fact, size=count)):
             null = _Switched(base, np.arange(count), stay, stay)
             for name, on_counts in forms:

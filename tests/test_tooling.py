@@ -77,6 +77,29 @@ def test_only_rows_reads_the_block_size():
     assert readers == ["methods._rows"]
 
 
+def test_a_census_never_calls_a_scalar_method():
+    # The census scores methods through their batched forms alone: each
+    # ``.fn`` it reads is the base of one of the marks below, read as an
+    # attribute or through ``hasattr``/``getattr``, and never called or
+    # passed on, so that no row-by-row fallback can return unseen.
+    marks = {"on_counts", "voter", "neutral", "pairwise"}
+    tree = ast.parse((SOURCE / "census.py").read_text())
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    reads = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "fn"]
+
+    def marked(node: ast.Attribute) -> bool:
+        parent = parents[node]
+        if isinstance(parent, ast.Attribute):
+            return parent.attr in marks
+        return (isinstance(parent, ast.Call) and isinstance(parent.func, ast.Name)
+                and parent.func.id in ("hasattr", "getattr") and parent.args[0] is node
+                and isinstance(parent.args[1], ast.Constant) and parent.args[1].value in marks)
+
+    assert len(reads) >= 4  # the census's reads of the marks were found
+    assert [node.lineno for node in reads if not marked(node)] == []
+
+
 def test_a_census_loads_only_what_it_runs():
     # ``votemanip`` imports a submodule when one of its names is first read,
     # and the writers and weighted sets import what only they need.
