@@ -52,12 +52,13 @@ kernel works on arrays, a chunk of classes at a time:
   orbits under relabeling (``_Orbits``): it finds each class's orbit and
   each orbit's size in one relabeling of every class o + e_0, scores one
   class per orbit, relabels each distinct scored outcome once by each of
-  the n! relabelings, fills the id array with one gather per class from
-  that table, judges only the identity beside each o, standing for all n!
-  rankings, and ORs its sets into the bitmap of o + e_0's orbit; an orbit
-  counts its representative's weight times its size: about n! times
-  fewer verdicts, scored classes and bitmaps.  A tiebreak order and a
-  pairwise dictator are not neutral;
+  the n! relabelings, fills the id array forwards, each scored class
+  writing its n! relabelings' ids from that table, judges only the
+  identity beside each o, standing for all n! rankings, and ORs its sets
+  into the bitmap of o + e_0's orbit; an orbit counts its
+  representative's weight times its size: about n! times fewer verdicts,
+  scored classes and bitmaps.  A tiebreak order and a pairwise dictator
+  are not neutral;
 * verdicts: whether one voter's ballot switch witnesses the notion depends
   only on the voter's ranking and the outcomes before and after it.  A
   chunk's switches are reduced to their distinct (ranking, before, after)
@@ -321,8 +322,8 @@ class _Colex:
     A class is handed around as a sorted row (``rows``) while m < n! and as
     holder counts (``unrank``) beyond, whichever has fewer cells: ``width``
     of them.  ``sorted`` states that form, and only this class reads it:
-    ``at``, ``weights_of``, ``block``, ``with_identity`` and ``relabeled``
-    work in it.
+    ``at``, ``weights_of``, ``block``, ``with_identity``, ``held`` and
+    ``relabeled`` work in it.
     """
 
     def __init__(self, n: int, m: int) -> None:
@@ -461,39 +462,40 @@ class _Colex:
         counts[:, 0] += 1
         return counts
 
-    def relabeled(self, classes: np.ndarray, lowest: bool = False) -> tuple:
-        """For each ranking r that each class c holds, or only its lowest:
-        c's index, r, and the rank in ``others`` of c - e_r relabeled so
-        that r becomes the identity, by class.  A ranking held twice in a
-        sorted row is repeated.
-
-        The other voters' rankings are relabeled one by one in sorted rows;
-        in holder counts, every (class, r) row's counts are gathered at once
-        from the columns that the relabeling moves to each column.
-        """
-        k = len(classes)
+    def held(self, classes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """A row of rankings per class that holds the identity, the identity
+        first, and which of them the class holds: its sorted row, or every
+        ranking."""
         if self.sorted:
-            if lowest:
-                row, r, rest = np.arange(k), classes[:, 0], classes[:, 1:]
-            else:  # place i stands for ranking classes[:, i]
-                drop = np.arange(self.m - 1) + (np.arange(self.m - 1) >= np.arange(self.m)[:, None])
-                row, r = np.repeat(np.arange(k), self.m), classes.ravel()
-                rest = classes[:, drop].reshape(k * self.m, self.m - 1)
-            moved = np.sort(_relabeled(self.n, r[:, None], rest), axis=1)
-            at = np.zeros(len(r), np.int64)
-            for i in range(self.m - 1):
-                at += self.others.term[i].take(moved[:, i])
-            return row, r, at
-        held = classes != 0
-        if lowest:
-            held &= np.cumsum(held, axis=1) == 1
-        row, r = np.nonzero(held)
-        # column p of (row, r)'s counts is column sigma_r^-1(p) of its class's,
-        # sigma_r^-1 being the relabeling by the ranking whose order is r's places
-        back = _relabeled(self.n, _relabeled(self.n, r, 0)[:, None], np.arange(self.fact))
-        rest = classes.take(row[:, None] * self.fact + back)
-        rest[:, 0] -= 1  # r, relabeled to column 0
-        return row, r, self.others.rank(rest)
+            return classes, np.ones(classes.shape, bool)
+        return np.broadcast_to(np.arange(self.fact), classes.shape), classes != 0
+
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        """Per ranking r, the ranking whose order is r's places: sigma_r of
+        the identity."""
+        return _relabeled(self.n, np.arange(self.fact), 0)
+
+    def relabeled(self, classes: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """The rank of sigma_r(o + e_0) = sigma_r(o) + e_{inverse[r]} for
+        classes o + e_0 in ``with_identity``'s form and each ranking r of a
+        ``(len(classes), j)`` array.  Sorted rows relabel only o's m - 1
+        voters, one by one; holder counts gather every (class, r) row's
+        counts at once, from the columns that the relabeling moves to each
+        column."""
+        image = self.inverse[r]
+        if self.sorted:
+            rows = np.sort(np.concatenate(
+                [image[..., None], _relabeled(self.n, r[..., None], classes[:, None, 1:])], axis=-1))
+            at = np.zeros(r.shape, np.int64)
+            for i in range(self.m):
+                at += self.term[i].take(rows[..., i])
+            return at
+        # column p of sigma_r(c) is column sigma_r^-1(p) of c, and sigma_r^-1
+        # is the relabeling by inverse[r]
+        back = _relabeled(self.n, image[..., None], np.arange(self.fact))
+        counts = classes.take(np.arange(len(classes))[:, None, None] * self.fact + back)
+        return self.rank(counts.reshape(-1, self.fact)).reshape(r.shape)
 
 
 # Relabeling each candidate x by its place in ranking r takes r to the
@@ -841,71 +843,67 @@ class _Orbits:
 
     Relabeling acts freely and transitively on rankings: one relabeling,
     sigma_r, each candidate to its place in r, takes ranking r to the
-    identity (ranking 0).  So the members of a class c's orbit that hold
-    the identity are sigma_r(c) = sigma_r(c - e_r) + e_0 for the rankings r
-    that c holds, and ``colex.relabeled`` gives the ranks, among the
-    classes of m - 1 voters (``others``), of those sigma_r(c - e_r).  The
-    orbit's representative is o* + e_0 for the least of them, o*, and the
-    relabelings that fix c are as many as the distinct held rankings r
-    that reach o*, so its orbit has n!/that many classes (``canonical``).
-    Each o such that o + e_0 is a representative is scored.  Each distinct
-    scored outcome is relabeled once by each of the n! relabelings, and
-    every other class reads its outcome from that table with one gather
-    (``class_ids``).
+    identity (ranking 0).  So the members of the orbit of c = o + e_0 that
+    hold the identity are sigma_r(c) for the rankings r that c holds, and
+    ``colex.relabeled`` gives their ranks.  The orbit's representative R
+    is the least of them, o* + e_0, and the relabelings that fix c are the
+    distinct held rankings that reach c itself, so its orbit has n!/that
+    many classes (``canonical``).  Each R is scored, each distinct scored
+    outcome is relabeled once by each of the n! relabelings, and each R
+    writes the ids of its n! relabelings sigma_r(R), one gather each from
+    that table (``class_ids``).
     """
 
     def __init__(self, colex: _Colex) -> None:
         self.colex, self.others = colex, colex.others
 
     def canonical(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per class o of ``others``, the representative R of o + e_0 and
-        the lowest ranking t whose relabeling takes o + e_0 to R, as one
-        key: R's index among the representatives times n! plus t, in the
-        narrowest unsigned type.  And the ranks in ``others`` of the
-        representatives' o*, ascending, and their orbits' sizes,
-        n!/|Stab(R)|, in the narrowest unsigned type."""
-        fact, total = self.colex.fact, self.others.classes
-        key = np.empty(total, np.min_scalar_type(total * fact - 1))
+        """Per class o of ``others``, the index of o + e_0's orbit among the
+        representatives, as the key of its bitmap in the walk; the ranks in
+        ``others`` of the representatives' o*, ascending; and their orbits'
+        sizes, n!/|Stab(R)|, in the narrowest unsigned type."""
+        colex, fact, total = self.colex, self.colex.fact, self.others.classes
+        key = np.empty(total, np.min_scalar_type(colex.classes - 1))
         reps, sizes = [], []
-        for run in _runs(total, self.colex.width ** 2):
+        for run in _runs(total, colex.width ** 2):
             o = np.arange(run.start, run.stop)
-            row, r, at = self.colex.relabeled(self.colex.with_identity(o))
-            # the least image of each o + e_0 times n!, plus the lowest r reaching it
-            key[o] = np.minimum.reduceat(at * fact + r, np.flatnonzero(np.diff(row, prepend=-1)))
-            rep = key[o] // fact == o
-            # Stab(R): the distinct held rankings whose relabeling gives R back
-            fixes = (at == o[row]) & (np.diff(row * fact + r, prepend=-1) != 0)
+            classes = colex.with_identity(o)
+            r, holds = colex.held(classes)
+            images = colex.relabeled(classes, r)  # column 0, sigma_0, is o + e_0 itself
+            least = key[o] = np.where(holds, images, colex.classes).min(axis=1)
+            rep = least == images[:, 0]
             reps.append(o[rep])
-            sizes.append(fact // np.bincount(row[fixes], minlength=len(o))[rep])
+            # Stab(R): the held rankings whose relabeling gives R back, each
+            # held as often as the identity, which it takes to the identity
+            fixed = ((images == images[:, :1]) & holds).sum(axis=1)
+            sizes.append((fact * (r == 0).sum(axis=1) // fixed)[rep])
         reps = np.concatenate(reps)
-        for run in _runs(total, self.colex.width ** 2):
-            least, turn = np.divmod(key[run], fact)
-            key[run] = np.searchsorted(reps, least) * fact + turn
+        ranks = key[reps]  # R's own rank, ascending as o + e_0's rank is in o
+        for run in _runs(total, colex.width ** 2):
+            key[run] = np.searchsorted(ranks, key[run])
         return key, reps, np.concatenate(sizes).astype(np.min_scalar_type(fact))
 
-    def class_ids(self, kernel: _ClassKernel, key: np.ndarray, reps: np.ndarray) -> np.ndarray:
+    def class_ids(self, kernel: _ClassKernel, reps: np.ndarray) -> np.ndarray:
         """The outcome id of every class, by its rank in ``colex``, from
-        ``canonical``'s key and representatives.  Only the representatives
-        are scored, in runs of classes (``_ClassKernel.block_cells``).  A
-        class c whose lowest ranking is r is sigma_r^-1 sigma_t^-1 R for
-        the representative R of a + e_0, a = sigma_r(c - e_r), and the
-        ranking t that takes a + e_0 to R; so R's winner y is c's candidate
-        order[r][order[t][y]], the order of ranking s =
-        ``_relabeled(n, inverse[r], t)``, inverse[r] being the ranking
-        whose order is r's places.  Each class's id is then one gather from
-        ``moved``, the table of every scored outcome relabeled by every s."""
+        ``canonical``'s representatives.  Only they are scored, in runs of
+        classes (``_ClassKernel.block_cells``).  Then each representative R
+        writes the ids of its n! relabelings: sigma_r moves R's winner y to
+        candidate order[inverse[r]][y], so sigma_r(R)'s id is one gather
+        from ``moved``, the table of every scored outcome relabeled by
+        every ranking.  A class of an orbit of s classes is written n!/s
+        times, with one id."""
         colex = self.colex
         scored = _filled(len(reps), kernel.block_cells(colex),
                          lambda i: kernel._score(colex.block(colex.with_identity(reps[i]))))
         moved = self.moved(kernel)
-        inverse = _relabeled(colex.n, np.arange(colex.fact), 0)
-
-        def relabeled(index: np.ndarray) -> np.ndarray:
-            _, r, a = colex.relabeled(colex.at(index), lowest=True)
-            rep, t = np.divmod(key[a], colex.fact)
-            return moved[scored[rep], _relabeled(colex.n, inverse[r], t)]
-        # per class its row and, past the relabel table, a Lehmer code's n places
-        return _filled(colex.classes, colex.width + colex.n, relabeled)
+        ids = np.empty(colex.classes, moved.dtype)
+        # per (R, r) pair its image's row and, past the relabel table, a
+        # Lehmer code's n places; a run's few R are unranked once
+        for run in _runs(len(reps) * colex.fact, colex.width + colex.n):
+            rep, r = np.divmod(np.arange(run.start, run.stop), colex.fact)
+            classes = colex.with_identity(reps[rep[0]:rep[-1] + 1]).take(rep - rep[0], axis=0)
+            ids[colex.relabeled(classes, r[:, None])[:, 0]] = moved[scored[rep], colex.inverse[r]]
+        return ids
 
     def moved(self, kernel: _ClassKernel) -> np.ndarray:
         """``(D, n!)`` outcome ids for the D outcomes ``kernel`` has interned,
@@ -954,7 +952,7 @@ def _class_walk(spec: CensusSpec, kernel: _ClassKernel) -> Iterator[tuple]:
     if kernel.neutral:  # no neutral method reads a voter, so u = m
         orbits = _Orbits(colex)
         key, reps, sizes = orbits.canonical()
-        ids = orbits.class_ids(kernel, key, reps)
+        ids = orbits.class_ids(kernel, reps)
     else:
         ids = kernel.class_ids(colex)
     walk = fact ** size * colex.others.classes if colex.m else 0  # no o when u = 0
@@ -987,7 +985,7 @@ def _class_walk(spec: CensusSpec, kernel: _ClassKernel) -> Iterator[tuple]:
         yield ("pointed", pointed * (fact // len(judged)),  # the identity stands for n!
                _set_bits(hits, nsets).reshape(len(counts), len(judged), -1)
                .sum(axis=1, dtype=np.int64))
-        unit = (key[lo:lo + len(counts)] // fact if kernel.neutral
+        unit = (key[lo:lo + len(counts)] if kernel.neutral
                 else ranks[:len(counts)].ravel())
         live = hits.any(axis=1)
         np.bitwise_or.at(found, unit[live], hits[live])

@@ -31,7 +31,9 @@ from votemanip.census import (
     _Orbits,
     _sample_rows,
 )
-from votemanip.core import Profile, Ranking, all_rankings, default_labels, ranking_orders
+from votemanip.core import (
+    Profile, Ranking, all_rankings, default_labels, ranking_orders, ranking_places,
+)
 from votemanip.dominance import KINDS, dominates_nonstrict, dominates_strict
 from votemanip.manipulation import (
     NOTIONS, UncertaintySet, find_manipulation, method_set, notion_holds, subset_family,
@@ -589,23 +591,43 @@ class TestOrbits:
         for sets in [*(method_set(name) for name in METHOD_ORDER), method_set(*METHOD_ORDER)]:
             kernel = _ClassKernel(CensusSpec(n=n, m=m, method_sets=(sets,)))
             orbits = _Orbits(colex)
-            key, reps, _ = orbits.canonical()
-            ids = orbits.class_ids(kernel, key, reps)
+            _, reps, _ = orbits.canonical()
+            ids = orbits.class_ids(kernel, reps)
             # one interner, so equal ids are equal winner-mask tuples
             scored = kernel._score(_Counts.of(n, colex.unrank(ranks)))
             assert np.array_equal(ids[ranks], scored), (sets.id, n, m)
 
     @pytest.mark.parametrize("n", range(1, 8))
-    def test_relabelings_compose(self, n):
-        # the fill reads a class's outcome at s = _relabeled(n, inverse[r], t),
-        # the ranking whose order is order[r][order[t]]; n = 7 is past the
-        # relabel table and runs on Lehmer codes
-        fact, order = math.factorial(n), ranking_orders(n)
-        inverse = census._relabeled(n, np.arange(fact), 0)
-        r, t = np.random.default_rng(n).integers(0, fact, (2, 500))
-        s = census._relabeled(n, inverse[r], t)
-        assert np.array_equal(order[s], np.take_along_axis(order[r], order[t].astype(np.intp),
-                                                           axis=1))
+    def test_a_relabeling_moves_the_identity_and_the_winners(self, n):
+        # sigma_r takes each candidate y to its place in r, so R's winner y
+        # to order[inverse[r]][y], and the identity voter to the one-voter
+        # class inverse[r]; n = 7 is past the relabel table and runs on
+        # Lehmer codes
+        colex, order = _Colex(n, 1), ranking_orders(n)
+        r = np.random.default_rng(n).integers(0, colex.fact, 500)
+        assert np.array_equal(order[colex.inverse[r]], ranking_places(n)[r])
+        identity = colex.with_identity(np.zeros(len(r), np.int64))
+        assert np.array_equal(colex.relabeled(identity, r[:, None])[:, 0], colex.inverse[r])
+
+    @pytest.mark.parametrize("n,m", [(3, 4), (4, 3), (3, 6), (3, 7), (3, 30)])
+    def test_the_fill_writes_each_class_once_per_stabilizing_relabeling(self, n, m):
+        # sorted rows at (3,4) and (4,3), m = n! at (3,6), holder counts at
+        # (3,7) and (3,30): the n! relabelings of each representative reach
+        # every class of its orbit, n!/size times each
+        colex = _Colex(n, m)
+        orbits = _Orbits(colex)
+        key, reps, sizes = orbits.canonical()
+        images = colex.relabeled(colex.with_identity(reps),
+                                 np.broadcast_to(np.arange(colex.fact), (len(reps), colex.fact)))
+        written = np.bincount(images.ravel(), minlength=colex.classes)
+        assert len(written) == colex.classes
+        orbit = np.zeros(colex.classes, np.int64)
+        orbit[images.ravel()] = np.repeat(np.arange(len(reps)), colex.fact)
+        assert np.array_equal(written, colex.fact // sizes.astype(np.int64)[orbit])
+        # and each o + e_0, its own image under sigma_0, is in the orbit of its key
+        classes = colex.with_identity(np.arange(colex.others.classes))
+        own = colex.relabeled(classes, np.zeros((len(classes), 1), np.int64))[:, 0]
+        assert np.array_equal(orbit[own], key)
 
     def test_the_fill_interns_each_relabeled_outcome_once(self, monkeypatch):
         # the representatives are interned as they are scored, then each
@@ -622,8 +644,8 @@ class TestOrbits:
         colex = _Colex(4, 5)
         kernel = _ClassKernel(CensusSpec(n=4, m=5, method_sets=(method_set(*METHOD_ORDER),)))
         orbits = _Orbits(colex)
-        key, reps, _ = orbits.canonical()
-        orbits.class_ids(kernel, key, reps)
+        _, reps, _ = orbits.canonical()
+        orbits.class_ids(kernel, reps)
         interned = np.concatenate(rows)
         scored = len(np.unique(interned[:len(reps)]))
         assert len(interned) == len(reps) + scored * colex.fact

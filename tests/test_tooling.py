@@ -52,6 +52,29 @@ def test_every_private_module_name_is_read_outside_its_definition():
     assert not unread
 
 
+def test_every_method_of_a_private_class_is_read_outside_its_body():
+    # A method left behind once its last caller is gone is read nowhere but
+    # in itself; a public class's methods are the package's interface.
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SOURCE.glob("*.py"))}
+    classes = [(module, stmt) for module, tree in trees.items() for stmt in tree.body
+               if isinstance(stmt, ast.ClassDef) and _private(stmt.name)]
+    assert {"_Colex", "_Orbits", "_ClassKernel", "_Outcomes", "_Counts", "_Switched"} <= {
+        cls.name for _, cls in classes}
+    unread = []
+    for module, cls in classes:
+        # every statement of the package but the class, and the class's own
+        # statements but the method
+        rest = [names_read(stmt) for tree in trees.values() for stmt in tree.body
+                if stmt is not cls]
+        for method in cls.body:
+            if not isinstance(method, ast.FunctionDef) or method.name.startswith("__"):
+                continue
+            reads = rest + [names_read(stmt) for stmt in cls.body if stmt is not method]
+            if not any(method.name in read for read in reads):
+                unread.append(f"{module}: {cls.name}.{method.name}")
+    assert not unread
+
+
 def test_only_rows_reads_the_block_size():
     # Each pass bounded by ``methods.BLOCK_CELLS`` states its cells per row
     # and takes its rows from ``methods._rows``, or its slices from
