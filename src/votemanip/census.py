@@ -37,15 +37,15 @@ kernel works on arrays, a chunk of classes at a time:
   itself), so Hare's base winners walk that table too.  It scores no switch
   of a holder who cannot gain, whose top candidate every method already
   elects alone, and judges a holder against its distinct outcomes only;
-* judge in the walk, count after it: the exhaustive walk visits (h, o) for
-  the classes o of u - 1 others.  An unlabeled voter holding r beside o is
-  in (h, o + e_r), and the ranks of o's n! such classes are two running
-  sums over o's holder counts, so the voter is judged against that row's
-  distinct outcomes only.  The walk counts pointed profiles and ORs each
-  (o, r)'s witnessed sets into the bitmap of the unit that (o, r) is in,
-  a class or an orbit.  One pass after it counts every unit: each labeled
-  voter's n! switches reach classes at a fixed stride from its own, and a
-  unit counts its weight for each set they or its bitmap hold;
+* judge in the walks, count after them: the exhaustive walk visits (h, o)
+  for the classes o of u - 1 others.  An unlabeled voter holding r beside
+  o is in (h, o + e_r), and the ranks of o's n! such classes are two
+  running sums over o's holder counts, so the voter is judged against that
+  row's distinct outcomes only.  Each labeled voter walks its lines, the
+  n! classes that differ only in its ranking, a fixed stride apart, and is
+  judged alike.  The walks count pointed profiles and OR each judged
+  voter's witnessed sets into the bitmap of its unit, a class or an orbit;
+  one pass after them counts each unit's weight for each set it holds;
 * neutral relabeling: the eleven base methods are neutral (``fn.neutral``):
   relabeling the candidates relabels their winners, and leaves every
   verdict as it is.  So when every method is neutral the census works on
@@ -926,15 +926,17 @@ class _Orbits:
 
 
 def _class_walk(spec: CensusSpec, kernel: _ClassKernel) -> Iterator[tuple]:
-    """Every partly labeled class (h, c): a walk by h and the class o of
-    u - 1 unlabeled voters judges, and one pass after it counts.
+    """Every partly labeled class (h, c): a walk per voter judges, and one
+    pass after them counts.
 
-    (h, o, r) stands for the c_r holders of r in each labeled profile of
-    (h, o + e_r), u (u-1)!/(o_1! ... o_k!) pointed profiles; the walk
-    counts those and ORs its sets into ``found``, a bitmap per unit, here
-    the class (h, o + e_r).  The pass then judges each class's labeled
-    voters, each once per labeled profile, and counts the unit's weight
-    for each set they or its bitmap hold.  With u = 0 there is no o to walk.
+    The unlabeled voters' walk, none when u = 0, goes by h and the class o
+    of u - 1 of them: (h, o, r) stands for the c_r holders of r in each
+    labeled profile of (h, o + e_r), u (u-1)!/(o_1! ... o_k!) pointed
+    profiles.  Labeled voter j's walk goes along its lines, each the n!
+    classes that differ only in j's ranking, a stride apart in ``ids``:
+    (h, c) holds j once in each of its w(c) labeled profiles.  A walk counts
+    those and ORs its sets into ``found``, a bitmap per unit, here the
+    class; the pass counts each unit's weight for each set in its bitmap.
 
     When every method is neutral (``_Orbits``), a unit is an orbit.  The id
     array is filled from one scored class per orbit, and only (o, identity)
@@ -955,61 +957,58 @@ def _class_walk(spec: CensusSpec, kernel: _ClassKernel) -> Iterator[tuple]:
         ids = orbits.class_ids(kernel, reps)
     else:
         ids = kernel.class_ids(colex)
-    walk = fact ** size * colex.others.classes if colex.m else 0  # no o when u = 0
-    judged = np.arange(1 if kernel.neutral else fact)  # the rankings judged beside each o
+    stride = colex.classes * kernel.place  # a labeled voter's step through ids
+    judged = np.arange(1 if kernel.neutral else fact)  # the rankings judged beside o or on a line
     found = np.zeros((len(reps) if kernel.neutral else len(ids), kernel.nbytes), np.uint8)
     # Building a chunk (its counts, reached ranks and outcomes, and a sort)
     # peaks at 2.4 rows of n! per o at n = 5 and 3.2 at n = 4, traced; judging
     # holds two (counts, outcomes), and per pair the row ``hits`` is given and
     # its cells per outcome.  A chunk is built for the first, cut to the larger.
     own = 3 * fact
-    lo, step = 0, _rows(own)
-    while lo < walk:
-        point, rank = np.divmod(np.arange(lo, min(lo + step, walk)), colex.others.classes)
-        counts = colex.others.unrank(rank)
-        ranks = colex.added_ranks(counts)
-        if size:  # the labeled voters' place in ids
-            ranks += colex.classes * point[:, None]
-        reach = ids[ranks]  # reach[o, r]: the outcome when the voter holds r
-        if kernel.neutral:
-            del ranks
-        row = _distinct_per_row(reach)
-        # only as many o's as fit are judged against their rows; the next
-        # chunk starts with as many
-        step = _rows(max(own, kernel.chunk_cells(len(judged), row.shape[1],
-                                                 2 * fact + len(judged) * row.shape[1])))
-        counts, reach, row = counts[:step], reach[:step], row[:step]
-        hits = kernel.hits(np.tile(judged, len(counts)), reach[:, judged].ravel(),
-                           np.repeat(row, len(judged), axis=0))
-        pointed = colex.m * colex.others.weights(counts).astype(dtype)
-        yield ("pointed", pointed * (fact // len(judged)),  # the identity stands for n!
-               _set_bits(hits, nsets).reshape(len(counts), len(judged), -1)
-               .sum(axis=1, dtype=np.int64))
-        unit = (key[lo:lo + len(counts)] if kernel.neutral
-                else ranks[:len(counts)].ravel())
-        live = hits.any(axis=1)
-        np.bitwise_or.at(found, unit[live], hits[live])
-        lo += len(counts)
-    stride = colex.classes * kernel.place  # a labeled voter's step through ids
+    # the unlabeled voter beside each (h, o), then each labeled voter's lines
+    for s in ([0] if colex.m else []) + stride.tolist():
+        walk = len(ids) // fact if s else fact ** size * colex.others.classes
+        lo, step = 0, _rows(own)
+        while lo < walk:
+            index = np.arange(lo, min(lo + step, walk))
+            if s:  # the line's class with j's ranking at 0, then a stride apart
+                ranks = (index // s * s * fact + index % s)[:, None] + np.arange(0, fact * s, s)
+            else:
+                point, rank = np.divmod(index, colex.others.classes)
+                counts = colex.others.unrank(rank)
+                ranks = colex.added_ranks(counts)
+                if size:  # the labeled voters' place in ids
+                    ranks += colex.classes * point[:, None]
+            reach = ids[ranks]  # reach[o, r]: the outcome when the voter holds r
+            if kernel.neutral:
+                del ranks
+            row = _distinct_per_row(reach)
+            # only as many o's or lines as fit are judged against their rows;
+            # the next chunk starts with as many
+            step = _rows(max(own, kernel.chunk_cells(len(judged), row.shape[1],
+                                                     2 * fact + len(judged) * row.shape[1])))
+            index, reach, row = index[:step], reach[:step], row[:step]
+            hits = kernel.hits(np.tile(judged, len(row)), reach[:, judged].ravel(),
+                               np.repeat(row, len(judged), axis=0))
+            pointed = (colex.weights_of(colex.at(index % colex.classes)) if s  # (h, c)'s profiles
+                       else colex.m * colex.others.weights(counts[:step]).astype(dtype)
+                       * (fact // len(judged)))  # the identity stands for n!
+            yield ("pointed", pointed, _set_bits(hits, nsets).reshape(len(row), len(judged), -1)
+                   .sum(axis=1, dtype=np.int64))
+            unit = key[index] if kernel.neutral else ranks[:len(row)].ravel()
+            live = hits.any(axis=1)
+            np.bitwise_or.at(found, unit[live], hits[live])
+            lo += len(row)
     # a unit's own arrays (its row, the runs behind its weight, its sets)
     # are some eight rows of its ``colex.width`` places, and a cell per set
-    for run in _runs(len(found), kernel.chunk_cells(size, own=8 * colex.width + nsets)):
-        index = np.arange(run.start, run.stop)
-        sets = found[index]
-        if not size:  # a unit none of whose voters witnesses counts nothing
-            live = sets.any(axis=1)
-            index, sets = index[live], sets[live]
+    for run in _runs(len(found), 8 * colex.width + nsets):
+        # a unit none of whose voters witnesses counts nothing
+        index = run.start + np.flatnonzero(found[run].any(axis=1))
         if kernel.neutral:  # the representative o* + e_0, for its whole orbit
             weights = colex.weights_of(colex.with_identity(reps[index])) * sizes[index]
         else:
             weights = colex.weights_of(colex.at(index % colex.classes))
-        for s in stride:
-            held = index // s % fact
-            after = ids[index[:, None] + (np.arange(fact) - held[:, None]) * s]
-            hits = kernel.hits(held, ids[index], after)
-            yield "pointed", weights, _set_bits(hits, nsets)
-            sets |= hits
-        yield "profiles", weights, _set_bits(sets, nsets)
+        yield "profiles", weights, _set_bits(found[index], nsets)
 
 
 def _sampled_classes(spec: CensusSpec, kernel: _ClassKernel) -> Iterator[tuple]:

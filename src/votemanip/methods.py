@@ -51,8 +51,8 @@ MethodFn = Callable[[Profile], frozenset[int]]
 # of its arrays costs in cells, so that a block's arrays stay under
 # 2 * BLOCK_CELLS int64 cells whatever n and m are, as
 # tests/test_census.py::TestWalkChunks checks for class-walk chunks (a one-
-# or two-method walk's reach 1.66 times BLOCK_CELLS: see the FOUND line on
-# the walk's judging charge in CHANGES.md).  Larger blocks raise a census's
+# or two-method walk's reach 1.86 times BLOCK_CELLS, a labeled voter's at
+# (4,5): see the FOUND line on the walk's judging charge in CHANGES.md).  Larger blocks raise a census's
 # peak RSS, but each block also pays about a hundred numpy calls: at n = 5,
 # switched rows without tallies come in a quarter as many blocks, which
 # made a sampled census 11% faster (BENCH_sampled_switch_rows.json).

@@ -126,6 +126,10 @@ def non_anonymous_sets(family: str) -> tuple[UncertaintySet, ...]:
         "dictator-on-1": (("borda", "pdict:a,c,1"),),
         # at m = 2 every voter is labeled
         "every-voter-dictated": (("pdict:a,b,0", "pdict:b,c,1"), ("borda", "pdict:a,c,1")),
+        # at m = 3 every voter is labeled, and voter 1's line steps over a
+        # higher and a lower digit of h
+        "three-dictators": (("pdict:a,b,0", "pdict:b,c,1", "pdict:a,c,2"),
+                            ("borda", "pdict:b,c,1")),
         "two-dictators": (("borda", "pdict:a,b,0"), ("hare", "pdict:b,c,2"),
                           ("pdict:a,b,0", "pdict:b,c,2"), ("borda", "hare")),
     }[family])
@@ -189,7 +193,7 @@ class TestAgainstNaiveSearch:
     @pytest.mark.parametrize("notion", ["sure", "safe", "harmless", "expected"])
     @pytest.mark.parametrize("m,family", [
         (3, "dictator"), (3, "two-dictators"), (4, "two-dictators"),
-        (3, "tiebroken-dictator"), (2, "every-voter-dictated"),
+        (3, "tiebroken-dictator"), (2, "every-voter-dictated"), (3, "three-dictators"),
     ])
     def test_non_anonymous_sets_match(self, m, family, notion):
         kind = {"harmless": "opt", "expected": "pes"}.get(notion, "weak")
@@ -812,7 +816,8 @@ class TestBlockRuns:
 
 
 class TestWalkChunks:
-    """The class walk builds a chunk of o's sized by what building holds,
+    """Each walk of the class walk, the unlabeled voters' and each labeled
+    voter's, builds a chunk of o's or lines sized by what building holds,
     then judges as many of them as judging holds (``methods._rows``); the
     next chunk starts after the judged ones."""
 
@@ -822,33 +827,39 @@ class TestWalkChunks:
         return sys._getframe(2).f_code.co_name == "_class_walk"
 
     def chunks(self, monkeypatch) -> list[tuple[int, int]]:
-        """Filled during a census: (o's built, o's judged) per walk chunk."""
-        unrank, hits, built, chunks = _Colex.unrank, _ClassKernel.hits, [], []
+        """Filled during a census: (o's or lines built, judged) per walk
+        chunk, which reduces the outcomes it built to their distinct ones
+        and then judges once."""
+        distinct, hits, built, chunks = census._distinct_per_row, _ClassKernel.hits, [], []
 
-        def spy_unrank(colex, ranks):
+        def spy_distinct(a):
             if self.from_walk():
-                built.append(len(ranks))
-            return unrank(colex, ranks)
+                built.append(len(a))
+            return distinct(a)
 
         def spy_hits(kernel, r, base, after):
-            if self.from_walk() and built:  # not the pass after the walk
+            if self.from_walk():
                 chunks.append((built.pop(), len(r) if kernel.neutral else len(r) // kernel.fact))
             return hits(kernel, r, base, after)
 
-        monkeypatch.setattr(_Colex, "unrank", spy_unrank)
+        monkeypatch.setattr(census, "_distinct_per_row", spy_distinct)
         monkeypatch.setattr(_ClassKernel, "hits", spy_hits)
         return chunks
 
-    # neutral, then with a labeled voter: a pairwise dictator's and a
-    # tiebreak's, so that the walk judges every ranking beside each o
-    @pytest.mark.parametrize("names", [[("borda",), ("hare",), ("borda", "hare")],
-                                       [("borda", "pdict:a,b,0"), ("borda@acb",)]])
-    def test_cut_chunks_keep_the_counts(self, monkeypatch, names):
+    # neutral, walking the 56 classes o of three voters; then with a labeled
+    # voter, a pairwise dictator's and a tiebreak's, so that the walk judges
+    # every ranking beside each of the 6 * 21 (h, o) and along each of the
+    # 56 lines of voter 0
+    @pytest.mark.parametrize("names,walked", [([("borda",), ("hare",), ("borda", "hare")], 56),
+                                              ([("borda", "pdict:a,b,0"), ("borda@acb",)], 182)],
+                             ids=["names0", "names1"])
+    def test_cut_chunks_keep_the_counts(self, monkeypatch, names, walked):
         spec = CensusSpec(n=3, m=4, method_sets=tuple(method_set(*s) for s in names))
         monkeypatch.setattr(methods, "BLOCK_CELLS", 300)
         chunks = self.chunks(monkeypatch)
         assert engine_counts(spec) == naive_counts(spec)
         assert any(judged < built for built, judged in chunks), chunks
+        assert sum(judged for _, judged in chunks) == walked
 
     def test_cut_chunks_keep_the_counts_at_four_candidates(self, monkeypatch):
         # The naive search takes half a minute at (4,3), so (4,4) is checked
@@ -864,33 +875,37 @@ class TestWalkChunks:
         assert engine_counts(CensusSpec(n=4, m=4, method_sets=unmarked(sets))) == expected
         assert any(judged < built for built, judged in chunks), chunks
 
-    # neutral at (5,3), where building holds the most, and judging every
-    # ranking beside each o at (4,4)
-    @pytest.mark.parametrize("n,m,name", [(5, 3, "borda"), (4, 4, "borda@abcd")])
+    # neutral at (5,3), where building holds the most, judging every
+    # ranking beside each o at (4,4), and along each line of a labeled voter
+    @pytest.mark.parametrize("n,m,name", [(5, 3, "borda"), (4, 4, "borda@abcd"),
+                                          (4, 4, "borda+pdict:a,b,0")])
     def test_each_chunk_stays_under_twice_the_block(self, monkeypatch, n, m, name):
-        unrank, runs, start, peaks = _Colex.unrank, census._runs, [], []
+        walk, rows, start, peaks = census._class_walk, census._rows, [], []
 
-        def close():
-            if start:
-                peaks.append(tracemalloc.get_traced_memory()[1] - start.pop())
+        def begin():
+            start.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
 
-        def spy_unrank(colex, ranks):
-            if self.from_walk():
-                close()
-                start.append(tracemalloc.get_traced_memory()[0])
-                tracemalloc.reset_peak()
-            return unrank(colex, ranks)
+        def spy_rows(cells):  # the first walk's first call, once the ids are filled
+            if self.from_walk() and not start and not peaks:
+                begin()
+            return rows(cells)
 
-        def spy_runs(total, cells):  # the pass after the walk ends its last chunk
-            if sys._getframe(1).f_code.co_name == "_class_walk":
-                close()
-            return runs(total, cells)
+        def spy_walk(spec, kernel):  # every walk chunk yields its pointed profiles once
+            for chunk in walk(spec, kernel):
+                if start:  # a window closed by the pass after the walks is not a chunk
+                    peak = tracemalloc.get_traced_memory()[1] - start.pop()
+                    if chunk[0] == "pointed":
+                        peaks.append(peak)
+                yield chunk
+                if chunk[0] == "pointed":
+                    begin()
 
-        monkeypatch.setattr(_Colex, "unrank", spy_unrank)
-        monkeypatch.setattr(census, "_runs", spy_runs)
+        monkeypatch.setattr(census, "_rows", spy_rows)
+        monkeypatch.setattr(census, "_class_walk", spy_walk)
         tracemalloc.start()
         try:
-            run_census(CensusSpec(n=n, m=m, method_sets=(method_set(name),)))
+            run_census(CensusSpec(n=n, m=m, method_sets=(method_set(*name.split("+")),)))
         finally:
             tracemalloc.stop()
         assert len(peaks) > 1 and not start

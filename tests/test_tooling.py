@@ -169,3 +169,29 @@ def test_every_spied_frame_names_a_function_of_the_package():
              for line, name in compared_with_frame_names(ast.parse(path.read_text()))]
     assert names  # the spies were found
     assert [f"{file}:{line}: {name}" for file, line, name in names if name not in defined] == []
+
+
+def hits_callers(tree: ast.Module) -> list[str]:
+    """The qualified name of the function around each ``.hits(`` call."""
+    callers = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "hits"):
+                callers.append(scope)
+            visit(child, scope)
+
+    visit(tree, "")
+    return callers
+
+
+def test_a_census_judges_voters_at_one_site_per_mode():
+    # The exhaustive walk judges every voter, labeled or not, through one
+    # ``hits`` call, and a sampled census every holder through one in
+    # ``neighbourhood``, so that no second copy of the judgment grows back.
+    tree = ast.parse((SOURCE / "census.py").read_text())
+    assert sorted(hits_callers(tree)) == ["_ClassKernel.neighbourhood", "_class_walk"]
